@@ -196,22 +196,16 @@ def cmd_warped(args) -> int:
         return 0 if worst >= wmod.SCAN_FLOOR else CHECK_FAILURE
 
     if args.action == "oracle":
-        rng = np.random.default_rng(args.seed)
         if metric.r2 is not None:
-            r_lo, r_hi = metric.profile.r2 * 1.03, metric.profile.r3 * 0.97
+            r_range = (metric.profile.r2 * 1.03, metric.profile.r3 * 0.97)
         else:
-            r_lo, r_hi = 3.0, 30.0
-        points = metric.family.sample_points()
+            r_range = (3.0, 30.0)
         rows = []
         failures = 0
         samples = int(desc.get("oracle", {}).get("samples", 25))
-        count = 0
-        while count < samples:
-            r = float(rng.uniform(r_lo, r_hi))
-            if any(abs(r - b) < 0.05 * max(1.0, r)
-                   for b in metric.profile.breakpoints):
-                continue
-            q = points[int(rng.integers(0, len(points)))]
+        points = wmod.sample_oracle_points(metric, r_range, samples,
+                                           np.random.default_rng(args.seed))
+        for r, q in points:
             formula = wmod.warped_scalar(metric, r, q)
             oracle = wmod.fd_curvature_oracle(metric, r, q)
             err = abs(formula - oracle["estimate"])
@@ -220,11 +214,10 @@ def cmd_warped(args) -> int:
             failures += 0 if ok else 1
             rows.append((r, formula, oracle["estimate"], oracle["error_bar"],
                          int(ok)))
-            count += 1
         _write_csv(args.out, ["r", "formula", "fd_estimate", "error_bar",
                               "within_tolerance"], rows)
-        print(f"oracle: {samples - failures}/{samples} within tolerance")
-        return 0 if failures == 0 else CHECK_FAILURE
+        print(f"oracle: {len(rows) - failures}/{samples} within tolerance")
+        return 0 if failures == 0 and len(rows) == samples else CHECK_FAILURE
 
     raise SystemExit(f"unknown warped action {args.action!r}")
 

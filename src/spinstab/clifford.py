@@ -17,11 +17,27 @@ PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+class OrientationError(RuntimeError):
+    """Orientation conventions disagree: a displayed Hodge dual differs from
+    the computed one, or no chirality is annihilated where one must be."""
+
+
 def _kron_chain(mats):
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def _anticommutator_residual(gamma) -> float:
+    """Max entry of |{gamma_i, gamma_j} + 2 delta_ij Id| over all pairs."""
+    eye = np.eye(gamma[0].shape[0])
+    worst = 0.0
+    for i, gi in enumerate(gamma):
+        for j, gj in enumerate(gamma):
+            acom = gi @ gj + gj @ gi + 2.0 * (i == j) * eye
+            worst = max(worst, float(np.abs(acom).max()))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -37,14 +53,7 @@ class GammaRep:
     gamma: tuple
 
     def relation_residual(self) -> float:
-        """Max entry of |{gamma_i, gamma_j} + 2 delta_ij Id| over all pairs."""
-        eye = np.eye(self.spin_dim)
-        worst = 0.0
-        for i, gi in enumerate(self.gamma):
-            for j, gj in enumerate(self.gamma):
-                acom = gi @ gj + gj @ gi + 2.0 * (i == j) * eye
-                worst = max(worst, float(np.abs(acom).max()))
-        return worst
+        return _anticommutator_residual(self.gamma)
 
     def skew_residual(self) -> float:
         return max(float(np.abs(g.conj().T + g).max()) for g in self.gamma)
@@ -111,11 +120,6 @@ def unit_spinor(rep: GammaRep, index: int = 0) -> Spinor:
     return Spinor(v)
 
 
-def spinor_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hermitian product, linear in the first slot."""
-    return complex(np.vdot(b, a))
-
-
 @dataclass(frozen=True)
 class TwistedSpinor:
     """Element of (spinors) tensor (coframe): one spinor per coframe index."""
@@ -128,9 +132,6 @@ class TwistedSpinor:
         # product <h, h~> equals; the imaginary part is frame noise that
         # cancels only for h == h~.
         return float(np.real(np.sum(self.components * other.components.conj())))
-
-    def herm_inner(self, other: "TwistedSpinor") -> complex:
-        return complex(np.sum(self.components * other.components.conj()))
 
     @property
     def norm_sq(self) -> float:
@@ -293,13 +294,7 @@ class CYCliffordModel:
         return np.diag(np.sqrt(2.0) ** self.degree)
 
     def relation_residual(self) -> float:
-        eye = np.eye(self.dim)
-        worst = 0.0
-        for i, gi in enumerate(self.gamma):
-            for j, gj in enumerate(self.gamma):
-                acom = gi @ gj + gj @ gi + 2.0 * (i == j) * eye
-                worst = max(worst, float(np.abs(acom).max()))
-        return worst
+        return _anticommutator_residual(self.gamma)
 
     def parity_residual(self) -> float:
         """Generators must swap even and odd form degrees (the S+/S- split)."""

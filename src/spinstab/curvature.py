@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GammaRep, Spinor, SymTensor, build_gamma_rep, chirality_operator
+from .clifford import (GammaRep, OrientationError, Spinor, SymTensor, build_gamma_rep,
+                       chirality_operator)
 
 RICCI_FLAT_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -132,10 +133,6 @@ class SpinCompatibleCurvature:
         return worst
 
 
-def spinor_curvature_action(c: SpinCompatibleCurvature, k: int, l: int) -> np.ndarray:
-    return c.spinor_action(k, l)
-
-
 _PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _DUAL4 = {(0, 1): ((2, 3), 1.0), (0, 2): ((1, 3), -1.0), (0, 3): ((1, 2), 1.0),
           (1, 2): ((0, 3), 1.0), (1, 3): ((0, 2), -1.0), (2, 3): ((0, 1), 1.0)}
@@ -188,10 +185,6 @@ def _annihilated_chirality(r: AlgCurvature, rep: GammaRep):
         if all(float(np.abs(rho[:, idx]).max()) <= KERNEL_TOL for rho in rhos):
             return idx
     return None
-
-
-class OrientationError(RuntimeError):
-    """Neither chirality is annihilated: orientation conventions are broken."""
 
 
 def k3_sample(seed: int, rep: GammaRep | None = None) -> SpinCompatibleCurvature:

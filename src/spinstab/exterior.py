@@ -96,11 +96,6 @@ class ExteriorAlgebra:
                 out[self.index[p + q][merged]] += sign * va * vb
         return out
 
-    def from_tensor(self, t: np.ndarray, p: int) -> np.ndarray:
-        """Coefficients from a fully antisymmetric rank-p array (reads the
-        sorted-slot entries)."""
-        return np.array([t[idx] for idx in self.basis[p]])
-
     def to_tensor(self, coeffs: np.ndarray, p: int) -> np.ndarray:
         """Full antisymmetric rank-p array from the compact coefficients."""
         out = np.zeros((self.n,) * p, dtype=np.asarray(coeffs).dtype)
@@ -112,10 +107,6 @@ class ExteriorAlgebra:
                 idx = tuple(t[perm[i]] for i in range(p))
                 out[idx] = _perm_sign(list(perm)) * v
         return out
-
-    def inner(self, a: np.ndarray, b: np.ndarray):
-        """Euclidean inner product in the orthonormal combination basis."""
-        return np.dot(a, b)
 
 
 def _perm_sign(perm) -> int:

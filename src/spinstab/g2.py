@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
+from .clifford import OrientationError
 from .exterior import ExteriorAlgebra
+from .torus.fields import ModeField
+from .torus.operators import _constant_traceless_basis, _nonzero_mode_kernel_dim, _sym_basis
 
 EXT7 = ExteriorAlgebra(7)
 
@@ -35,18 +39,34 @@ def _coeffs_from_terms(terms, p):
     return out
 
 
-class OrientationError(RuntimeError):
-    """The displayed dual 4-form disagrees with the computed Hodge star."""
-
-
 @dataclass(frozen=True)
 class G2Structure:
-    """Fundamental forms and cross-product table, all integer-exact."""
+    """Fundamental forms and cross-product table, all integer-exact.
+
+    Tables derived from the forms are computed on first use and held on the
+    structure itself, so they live and die with it.
+    """
 
     phi3: np.ndarray        # compact 35-vector, int
     star_phi4: np.ndarray   # compact 35-vector, int
     phi_tensor: np.ndarray  # full antisymmetric (7,7,7), int
     cross_table: np.ndarray  # cross_table[i, j] = P(e_i, e_j) as a 7-vector
+
+    @cached_property
+    def star_phi_tensor(self) -> np.ndarray:
+        """*phi as a full antisymmetric (7,7,7,7) array."""
+        return EXT7.to_tensor(self.star_phi4, 4)
+
+    @cached_property
+    def embedding_matrix(self) -> np.ndarray:
+        """(35, 49) matrix of sym_to_three_form on row-major flattened h."""
+        cols = []
+        for i in range(7):
+            for j in range(7):
+                e = np.zeros((7, 7), dtype=np.int64)
+                e[i, j] = 1
+                cols.append([int(v) for v in sym_to_three_form(self, e)])
+        return np.array(cols, dtype=float).T
 
     def cross(self, x, y) -> np.ndarray:
         """P(x, y)_k = phi(x, y, e_k); bilinear and antisymmetric."""
@@ -85,7 +105,7 @@ def cross_identity_residuals(g2: G2Structure, x, y, z) -> dict:
         (4) X _| (Y _| *phi) = -P(X,Y) _| phi + X* ^ Y*
     """
     x, y, z = (np.asarray(v, dtype=np.int64) for v in (x, y, z))
-    star_t = _star_phi_tensor(g2)
+    star_t = g2.star_phi_tensor
     pxy = g2.cross(x, y)
     r1 = int(np.abs(pxy + g2.cross(y, x)).max())
     r2 = int(abs(pxy @ g2.cross(x, z) - ((x @ x) * (y @ z) - (x @ y) * (x @ z))))
@@ -94,16 +114,6 @@ def cross_identity_residuals(g2: G2Structure, x, y, z) -> dict:
     rhs4 = -np.einsum("m,mkl->kl", pxy, g2.phi_tensor) + np.outer(x, y) - np.outer(y, x)
     r4 = int(np.abs(lhs4 - rhs4).max())
     return {1: r1, 2: r2, 3: r3, 4: r4}
-
-
-_STAR_TENSOR_CACHE = {}
-
-
-def _star_phi_tensor(g2: G2Structure) -> np.ndarray:
-    key = id(g2)
-    if key not in _STAR_TENSOR_CACHE:
-        _STAR_TENSOR_CACHE[key] = EXT7.to_tensor(g2.star_phi4, 4)
-    return _STAR_TENSOR_CACHE[key]
 
 
 def verify_cross_identities(g2: G2Structure, seed: int = 0, samples: int = 100) -> dict:
@@ -229,18 +239,6 @@ class ThreeFormTypes:
         w7 = EXT7.wedge(a, 3, np.asarray(self.g2.star_phi4, dtype=object), 4)
         return w6, w7
 
-    def project_numeric(self, alpha: np.ndarray):
-        """Float/complex version of the projection for field amplitudes."""
-        alpha = np.asarray(alpha)
-        phi = np.asarray(self.g2.phi3, dtype=float)
-        c1 = (alpha @ phi) / float(self.phi_norm_sq)
-        p1 = c1 * phi
-        p7 = np.zeros_like(alpha)
-        for w in self.seven_basis:
-            wf = np.array([float(v) for v in w])
-            p7 = p7 + ((alpha @ wf) / float(self.seven_norm_sq)) * wf
-        return p1, p7, alpha - p1 - p7
-
     def projector_ranks(self):
         """Ranks of the three projectors on the 35-dimensional space."""
         dim = EXT7.dim(3)
@@ -314,29 +312,15 @@ def sym_to_three_form_rank(g2: G2Structure) -> int:
 
 # -- fields over T^7 ---------------------------------------------------------
 
-class FormField:
-    """p-form field on T^7 with complex Fourier amplitudes per mode."""
+class FormField(ModeField):
+    """p-form field on T^7: per mode a compact coefficient vector."""
 
     def __init__(self, p: int, modes: dict):
+        super().__init__(7, modes)
         self.p = p
-        self.modes = {
-            tuple(int(v) for v in k): np.asarray(a, dtype=complex)
-            for k, a in modes.items()
-        }
 
-    def __sub__(self, other):
-        modes = {k: a.copy() for k, a in self.modes.items()}
-        for k, a in other.modes.items():
-            modes[k] = modes.get(k, 0) - a
+    def _like(self, modes: dict) -> "FormField":
         return FormField(self.p, modes)
-
-    def max_amp(self) -> float:
-        return max((float(np.abs(a).max()) for a in self.modes.values()),
-                   default=0.0)
-
-    def l2_norm(self) -> float:
-        acc = sum(float(np.sum(np.abs(a) ** 2)) for a in self.modes.values())
-        return np.sqrt(acc * (2 * np.pi) ** 7)
 
     def exterior_d(self) -> "FormField":
         out = {}
@@ -367,65 +351,21 @@ class FormField:
 
 def sym_field_to_three_form(g2: G2Structure, h) -> FormField:
     """Apply the tensor-to-3-form embedding mode by mode to a T^7 field."""
-    modes = {}
-    mat = _embedding_matrix(g2)  # (35, 49)
-    for k in h.mode_set():
-        modes[k] = mat @ h.mode_matrix(k).reshape(-1)
-    return FormField(3, modes)
+    mat = g2.embedding_matrix  # (35, 49)
+    return FormField(3, {k: mat @ h.mode_matrix(k).reshape(-1) for k in h.mode_set()})
 
 
-_EMBED_CACHE = {}
+# Octonion-spinor fields, valued in (R + TM) (x) T*M, are ModeFields on T^7
+# with an (8, 7) array per mode: row 0 the scalar part, rows 1-7 the vector
+# part, and the column the coframe index.
 
-
-def _embedding_matrix(g2: G2Structure) -> np.ndarray:
-    key = id(g2)
-    if key not in _EMBED_CACHE:
-        cols = []
-        for i in range(7):
-            for j in range(7):
-                e = np.zeros((7, 7), dtype=np.int64)
-                e[i, j] = 1
-                cols.append([int(v) for v in sym_to_three_form(g2, e)])
-        _EMBED_CACHE[key] = np.array(cols, dtype=float).T
-    return _EMBED_CACHE[key]
-
-
-class OctonionSpinorField:
-    """Field valued in (R + TM) (x) T*M: per mode a scalar 7-vector part
-    and a (7, 7) tensor part (vector index first, coframe second)."""
-
-    def __init__(self, modes: dict):
-        self.modes = {
-            tuple(int(v) for v in k): (np.asarray(a, dtype=complex),
-                                       np.asarray(b, dtype=complex))
-            for k, (a, b) in modes.items()
-        }
-
-    def __sub__(self, other):
-        modes = {}
-        keys = set(self.modes) | set(other.modes)
-        zero = (np.zeros(7, dtype=complex), np.zeros((7, 7), dtype=complex))
-        for k in keys:
-            a1, b1 = self.modes.get(k, zero)
-            a2, b2 = other.modes.get(k, zero)
-            modes[k] = (a1 - a2, b1 - b2)
-        return OctonionSpinorField(modes)
-
-    def max_amp(self) -> float:
-        worst = 0.0
-        for a, b in self.modes.values():
-            worst = max(worst, float(np.abs(a).max()), float(np.abs(b).max()))
-        return worst
-
-
-def octonion_dirac_by_action(g2: G2Structure, h) -> OctonionSpinorField:
+def octonion_dirac_by_action(g2: G2Structure, h) -> ModeField:
     """Dirac of the embedded tensor, computed from the Clifford action:
     per coframe index j, sum_k e_k . (0, d_k h_(.)j)."""
     modes = {}
     for k in h.mode_set():
         hk = h.mode_matrix(k)
-        scal = np.zeros(7, dtype=complex)
-        vect = np.zeros((7, 7), dtype=complex)
+        out = np.zeros((8, 7), dtype=complex)
         for ax, kv in enumerate(k):
             if kv == 0:
                 continue
@@ -433,23 +373,22 @@ def octonion_dirac_by_action(g2: G2Structure, h) -> OctonionSpinorField:
             for j in range(7):
                 w = dh[:, j]
                 # e_ax . (0, w) = (-w_ax, P(e_ax, w))
-                scal[j] += -w[ax]
-                vect[:, j] += np.einsum(
+                out[0, j] += -w[ax]
+                out[1:, j] += np.einsum(
                     "ik,i->k", g2.phi_tensor[ax], w).astype(complex)
-        modes[k] = (scal, vect)
-    return OctonionSpinorField(modes)
+        modes[k] = out
+    return ModeField(7, modes)
 
 
-def octonion_dirac_closed_form(g2: G2Structure, h) -> OctonionSpinorField:
+def octonion_dirac_closed_form(g2: G2Structure, h) -> ModeField:
     """The displayed closed form (div h, -h_(ij,k) P(e_i, e_k) (x) e^j)."""
     modes = {}
     for k in h.mode_set():
         hk = h.mode_matrix(k)
         dh = np.stack([1j * kv * hk for kv in k])  # dh[a, i, j] = d_a h_ij
-        scal = -np.einsum("iij->j", dh)
-        vect = -np.einsum("kij,ikm->mj", dh, g2.phi_tensor)
-        modes[k] = (scal, vect.astype(complex))
-    return OctonionSpinorField(modes)
+        modes[k] = np.vstack([-np.einsum("iij->j", dh),
+                              -np.einsum("kij,ikm->mj", dh, g2.phi_tensor)])
+    return ModeField(7, modes)
 
 
 def codifferential_identity_residual(g2: G2Structure, h) -> float:
@@ -518,27 +457,19 @@ def harmonic_constraint_basis(n_modes_cutoff: int = 1):
     returned basis consists of the 27 constant traceless tensors; nonzero
     modes are scanned to confirm they contribute nothing.
     """
-    from .torus.fields import _freq_box
-    from .torus.operators import _constant_traceless_basis
+    phi = standard_g2_structure().phi_tensor.astype(float)
 
-    g2 = standard_g2_structure()
-    extra = 0
-    for k in _freq_box(7, n_modes_cutoff):
+    def constraints(k):
         kv = np.array(k, dtype=float)
         rows = []
-        for i in range(7):
-            for j in range(i, 7):
-                e = np.zeros((7, 7))
-                e[i, j] = e[j, i] = 1.0
-                cons = [np.trace(e)]
-                cons.extend(kv @ e)
-                contraction = np.einsum(
-                    "ij,k,ikm->mj", e, kv, g2.phi_tensor.astype(float))
-                cons.extend(contraction.reshape(-1))
-                rows.append(np.array(cons))
-        a = np.array(rows).T
-        s = np.linalg.svd(a, compute_uv=False)
-        extra += int(np.sum(s <= 1e-10 * max(1.0, s[0])))
+        for e in _sym_basis(7):
+            cons = [np.trace(e)]
+            cons.extend(kv @ e)
+            cons.extend(np.einsum("ij,k,ikm->mj", e, kv, phi).reshape(-1))
+            rows.append(np.array(cons))
+        return np.array(rows).T
+
+    extra = _nonzero_mode_kernel_dim(7, n_modes_cutoff, constraints)
     if extra:
         raise AssertionError(
             f"unexpected nonconstant harmonic solutions ({extra})")

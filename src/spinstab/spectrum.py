@@ -23,9 +23,7 @@ def tt_probe_fields(n: int, cutoff: int, limit: int | None = None):
               for m in ops._constant_traceless_basis(n)]
     freqs = sorted(_freq_box(n, cutoff), key=lambda k: sum(v * v for v in k))
     for k in freqs:
-        kv = np.array(k, dtype=float)
-        basis = _tt_basis_for_mode(n, kv)
-        for b in basis:
+        for b in _tt_basis_for_mode(n, k):
             probes.append((f"cos{k}", FourierSymTensor.from_mode(n, k, b)))
             probes.append(
                 (f"sin{k}", FourierSymTensor.from_mode(n, k, b, phase=np.pi / 2)))
@@ -34,17 +32,9 @@ def tt_probe_fields(n: int, cutoff: int, limit: int | None = None):
     return probes[:limit] if limit is not None else probes
 
 
-def _tt_basis_for_mode(n: int, kv: np.ndarray):
+def _tt_basis_for_mode(n: int, k):
     """Orthonormal basis of symmetric matrices with A k = 0 and tr A = 0."""
-    proj = np.eye(n) - np.outer(kv, kv) / (kv @ kv)
-    cand = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            e = proj @ e @ proj
-            e -= np.trace(e) / (n - 1) * proj
-            cand.append(e.reshape(-1))
+    cand = [ops.tt_mode_projection(e, k).reshape(-1) for e in ops._sym_basis(n)]
     q, r = np.linalg.qr(np.array(cand).T)
     keep = [q[:, idx].reshape(n, n) for idx in range(q.shape[1])
             if abs(r[idx, idx]) > 1e-10]
@@ -73,12 +63,8 @@ def rayleigh_rows(metric: FourierMetric, count: int, cutoff: int = 1,
         for name, h in tt_probe_fields(n, cutoff, probe_limit or 24):
             hv = h.sample_matrix(grid)
             lh = geo.lichnerowicz(hv)
-            num = grid.integrate(
-                np.einsum("ia...,jb...,ij...,ab...->...", geo.ginv, geo.ginv,
-                          lh, hv) * geo.sqrt_det)
-            den = grid.integrate(
-                np.einsum("ia...,jb...,ij...,ab...->...", geo.ginv, geo.ginv,
-                          hv, hv) * geo.sqrt_det)
+            num = grid.integrate(geo.inner_sym2(lh, hv) * geo.sqrt_det)
+            den = grid.integrate(geo.inner_sym2(hv, hv) * geo.sqrt_det)
             values.append(num / den)
     values.sort()
     rows = []

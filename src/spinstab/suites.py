@@ -57,13 +57,16 @@ def default_config() -> dict:
 
 
 def merge_config(overrides: dict | None) -> dict:
-    cfg = default_config()
-    if overrides:
-        for key, val in overrides.items():
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
+    """The defaults with `overrides` merged in at every depth."""
+    return _merge_into(default_config(), overrides or {})
+
+
+def _merge_into(cfg: dict, overrides: dict) -> dict:
+    for key, val in overrides.items():
+        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+            _merge_into(cfg[key], val)
+        else:
+            cfg[key] = val
     return cfg
 
 
@@ -117,12 +120,7 @@ def run_clifford(seed: int, cfg: dict) -> VerificationReport:
         for ax in range(n):
             da = FourierSymTensor(
                 n, {key: f.deriv(ax) for key, f in h.components.items()})
-            diff = ops.spinor_embed_field(da, g).modes
-            for k, mat in lhs.modes.items():
-                step = diff.get(k)
-                ref = 1j * k[ax] * mat
-                worst = max(worst, float(np.abs(
-                    (step if step is not None else 0) - ref).max()))
+            worst = max(worst, (ops.spinor_embed_field(da, g) - lhs.deriv(ax)).max_amp())
     rep.add("embedding_derivative",
             "d_a embed(h) = embed(d_a h) on flat tori",
             worst, _tol(cfg, 1e-10), watch.lap())
@@ -377,12 +375,10 @@ def run_torus(seed: int, cfg: dict) -> VerificationReport:
     hv = FourierSymTensor.random_real(3, 2, rng, scale=0.3, count=2).sample_matrix(grid3)
     wv = np.stack([FourierScalarField.random_real(3, 2, rng, 0.3, count=2).sample(grid3)
                    for _ in range(3)])
-    lhs = grid3.integrate(np.einsum(
-        "ia...,jb...,ij...,ab...->...", geo_nf.ginv, geo_nf.ginv,
-        geo_nf.sym_derivative_oneform(wv), hv) * geo_nf.sqrt_det)
-    rhs = grid3.integrate(np.einsum(
-        "ij...,i...,j...->...", geo_nf.ginv,
-        geo_nf.divergence_sym2(hv), wv) * geo_nf.sqrt_det)
+    lhs = grid3.integrate(
+        geo_nf.inner_sym2(geo_nf.sym_derivative_oneform(wv), hv) * geo_nf.sqrt_det)
+    rhs = grid3.integrate(
+        geo_nf.inner_oneform(geo_nf.divergence_sym2(hv), wv) * geo_nf.sqrt_det)
     rep.add("divergence_adjoint",
             "<delta* w, h> = <w, delta h> by discrete integration by parts",
             abs(lhs - rhs) / max(1.0, abs(lhs)), _tol(cfg, 1e-10), watch.lap())
@@ -436,12 +432,9 @@ def run_torus(seed: int, cfg: dict) -> VerificationReport:
         phi = ops.spinor_embed_field(h, g)
         dd = ops.twisted_dirac(ops.twisted_dirac(phi, g), g)
         target = ops.spinor_embed_field(h.rough_laplacian_flat(), g)
-        diff = dd - target
-        resid = max((float(np.abs(a).max()) for a in diff.modes.values()),
-                    default=0.0)
         rep.add(f"dirac_square_n{n}",
                 "Dirac^2 embed(h) = embed(connection Laplacian h), flat",
-                resid, _tol(cfg, 1e-10), watch.lap())
+                (dd - target).max_amp(), _tol(cfg, 1e-10), watch.lap())
         lhs = float(np.real(ops.lichnerowicz_flat(h).l2_inner(h)))
         rhs = ops.twisted_dirac(phi, g).l2_norm_sq()
         rep.add(f"quadratic_identity_n{n}",
@@ -469,11 +462,8 @@ def run_torus(seed: int, cfg: dict) -> VerificationReport:
     tt, lie, conf = ops.tt_split(h)
     rep.add("tt_defect", "trace and divergence of the TT part vanish",
             ops.tt_defect(tt), _tol(cfg, 1e-10), watch.lap())
-    recon = (tt + lie + conf) - h
-    rec_res = max((max((abs(a) for a in f.modes.values()), default=0.0)
-                   for f in recon.components.values()), default=0.0)
     rep.add("tt_reconstruction", "tt + lie + conformal parts resum to h",
-            rec_res, _tol(cfg, 1e-10), watch.lap())
+            ((tt + lie + conf) - h).max_amp(), _tol(cfg, 1e-10), watch.lap())
     ortho = max(abs(complex(tt.l2_inner(lie))), abs(complex(tt.l2_inner(conf))))
     rep.add("tt_orthogonality",
             "TT part is L2-orthogonal to the lie and conformal parts",
@@ -493,14 +483,11 @@ def run_torus(seed: int, cfg: dict) -> VerificationReport:
     ph = ops.cover_pullback(h2, (2, 3))
     comm = ops.cover_lichnerowicz(ph, (2, 3)) - ops.cover_pullback(
         ops.lichnerowicz_flat(h2), (2, 3))
-    comm_res = max((max((abs(a) for a in f.modes.values()), default=0.0)
-                    for f in comm.components.values()), default=0.0)
+    comm_res = comm.max_amp()
     rep.add("cover_commutation",
             "pullback commutes with the Lichnerowicz operator (exact)",
             comm_res, 0.0, watch.lap(), passed=comm_res == 0.0)
-    iden = ops.cover_pullback(h2, (1, 1)) - h2
-    iden_res = max((max((abs(a) for a in f.modes.values()), default=0.0)
-                    for f in iden.components.values()), default=0.0)
+    iden_res = (ops.cover_pullback(h2, (1, 1)) - h2).max_amp()
     rep.add("cover_identity", "unit fold counts give the identity",
             iden_res, 0.0, watch.lap(), passed=iden_res == 0.0)
     num = ops.cover_l2_inner(ops.cover_lichnerowicz(ph, (2, 3)), ph, (2, 3))
@@ -632,15 +619,10 @@ def run_torus(seed: int, cfg: dict) -> VerificationReport:
 
 def _tt_matrix(n: int, kvec, rng) -> np.ndarray:
     """Random symmetric matrix with A k = 0 and zero trace."""
-    kv = np.array(kvec, dtype=float)
     a = rng.standard_normal((n, n))
-    a = 0.5 * (a + a.T)
-    p = np.eye(n) - np.outer(kv, kv) / (kv @ kv)
-    a = p @ a @ p
-    a -= np.trace(a) / np.trace(p) * p
+    a = ops.tt_mode_projection(0.5 * (a + a.T), kvec)
     if np.abs(a).max() < 1e-3:
-        a = p @ np.diag(np.arange(1.0, n + 1)) @ p
-        a -= np.trace(a) / np.trace(p) * p
+        a = ops.tt_mode_projection(np.diag(np.arange(1.0, n + 1)), kvec)
     return a / np.abs(a).max()
 
 
@@ -804,32 +786,19 @@ def run_warped(seed: int, cfg: dict) -> VerificationReport:
             prod_res, _tol(cfg, 1e-12), watch.lap())
 
     worst_oracle = 0.0
-    worst_margin = np.inf
     worst_trace = 0.0
     per_metric = sub["oracle_samples"]
-    for name, w, (r_lo, r_hi) in test_metrics:
-        points = w.family.sample_points()
-        count = 0
-        attempts = 0
-        while count < per_metric and attempts < per_metric * 10:
-            attempts += 1
-            r = float(rng.uniform(r_lo, r_hi))
-            bad = any(abs(r - b) < 0.05 * max(1.0, r)
-                      for b in (w.profile.breakpoints
-                                + ((w.r2, w.r3) if w.r2 is not None else ())))
-            if bad:
-                continue
-            q = points[int(rng.integers(0, len(points)))]
+    for name, w, r_range in test_metrics:
+        points = wmod.sample_oracle_points(w, r_range, per_metric, rng)
+        for r, q in points:
             formula = wmod.warped_scalar(w, r, q)
             oracle = wmod.fd_curvature_oracle(w, r, q)
             err = abs(formula - oracle["estimate"])
             tol_here = max(_tol(cfg, 1e-6), 3.0 * oracle["error_bar"])
             worst_oracle = max(worst_oracle, err / tol_here)
-            worst_margin = min(worst_margin, tol_here - err)
             ric = wmod.warped_ricci(w, r, q)
             worst_trace = max(worst_trace, abs(ric["trace"] - formula))
-            count += 1
-        if count < per_metric:
+        if len(points) < per_metric:
             rep.add(f"oracle_sampling_{name}", "sampling away from breakpoints",
                     1.0, 0.0, watch.lap(), passed=False)
     rep.add("scalar_vs_oracle",

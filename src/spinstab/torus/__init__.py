@@ -4,6 +4,6 @@ from .fields import (
     FourierScalarField,
     FourierMetric,
     FourierSymTensor,
-    TwistedSpinorField,
     Grid,
+    ModeField,
 )

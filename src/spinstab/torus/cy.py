@@ -18,6 +18,7 @@ import numpy as np
 
 from ..clifford import CYCliffordModel, cy_clifford_model
 from .fields import _freq_box
+from .operators import dirac_symbol
 
 
 def dbar_symbol(model: CYCliffordModel, k) -> np.ndarray:
@@ -41,14 +42,6 @@ def dbar_star_symbol(model: CYCliffordModel, k) -> np.ndarray:
     return out
 
 
-def dirac_symbol_cy(model: CYCliffordModel, k) -> np.ndarray:
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for a, ka in enumerate(k):
-        if ka != 0:
-            out += 1j * ka * model.gamma[a]
-    return out
-
-
 def dirac_vs_dolbeault(m: int, cutoff: int = 2) -> dict:
     """Operator-difference and adjointness diagnostics over all modes.
 
@@ -62,7 +55,7 @@ def dirac_vs_dolbeault(m: int, cutoff: int = 2) -> dict:
     adj_defect = 0.0
     eye = np.eye(model.dim)
     for k in list(_freq_box(2 * m, cutoff)) + [(0,) * (2 * m)]:
-        d_cliff = dirac_symbol_cy(model, k)
+        d_cliff = dirac_symbol(model.gamma, k)
         db = dbar_symbol(model, k)
         dbs = dbar_star_symbol(model, k)
         comb = np.sqrt(2.0) * (db - dbs)
@@ -85,6 +78,6 @@ def single_mode_check(m: int, k, state_index: int = 1) -> float:
     model = cy_clifford_model(m)
     v = np.zeros(model.dim, dtype=complex)
     v[state_index] = 1.0
-    lhs = dirac_symbol_cy(model, k) @ v
+    lhs = dirac_symbol(model.gamma, k) @ v
     rhs = np.sqrt(2.0) * (dbar_symbol(model, k) - dbar_star_symbol(model, k)) @ v
     return float(np.abs(lhs - rhs).max())

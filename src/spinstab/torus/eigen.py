@@ -287,16 +287,7 @@ def _stencil_values(metric: FourierMetric, h: FourierSymTensor, grid: Grid,
     # walk outward from t = 0 so each solve can warm-start from a neighbor
     guesses = {}
     for t in sorted(steps, key=abs):
-        if t == 0.0:
-            gt = metric
-        else:
-            gt = FourierMetric(
-                metric.n,
-                {
-                    key: (metric.component(*key) + t * h.component(*key))
-                    for key in set(metric.components) | set(h.components)
-                },
-            )
+        gt = metric if t == 0.0 else metric + t * h
         near = min(guesses, key=lambda s: abs(s - t)) if guesses else None
         pair = conformal_eigenvalue(
             gt, grid, tol=tol,
@@ -324,11 +315,7 @@ def eigenvalue_variations(
     if base_step is None:
         # keep products resolved: amplitude * harmonics must stay below the
         # grid Nyquist tail at the eigen-solver tolerance
-        amp = max(
-            (max(abs(a) for a in f.modes.values()) if f.modes else 0.0)
-            for f in h.components.values()
-        )
-        base_step = min(0.04, 0.02 / max(amp, 1e-9))
+        base_step = min(0.04, 0.02 / max(h.max_amp(), 1e-9))
     s = base_step
     pts = sorted({c * s for c in (-2, -1, -0.5, -0.25, 0.25, 0.5, 1, 2)} | {0.0})
     vals = _stencil_values(metric, h, grid, pts, tol)

@@ -78,9 +78,6 @@ class Grid:
         """Quadrature over the torus (exact for resolved trigonometric data)."""
         return float(np.sum(values) * self.cell_volume)
 
-    def l2_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(a * b) * self.cell_volume)
-
 
 def _canonical_modes(n: int, modes: dict) -> dict:
     out = {}
@@ -203,9 +200,8 @@ class FourierScalarField:
             acc = np.conj(acc)
         return complex(acc * (2 * np.pi) ** self.n)
 
-    @property
-    def mean(self) -> float:
-        return float(np.real(self.modes.get((0,) * self.n, 0j)))
+    def max_amp(self) -> float:
+        return max((abs(a) for a in self.modes.values()), default=0.0)
 
     def to_json_obj(self):
         return {
@@ -260,6 +256,9 @@ class _ComponentField:
     def cutoff(self) -> int:
         return max((f.cutoff for f in self.components.values()), default=0)
 
+    def max_amp(self) -> float:
+        return max((f.max_amp() for f in self.components.values()), default=0.0)
+
     def _binary(self, other, op):
         keys = set(self.components) | set(other.components)
         comp = {k: op(self.component(*k), other.component(*k)) for k in keys}
@@ -299,14 +298,6 @@ class _ComponentField:
         for f in self.components.values():
             keys |= set(f.modes)
         return sorted(keys)
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "components": {
-                f"{i} {j}": f.to_json_obj() for (i, j), f in sorted(self.components.items())
-            },
-        }
 
 
 class FourierSymTensor(_ComponentField):
@@ -410,15 +401,12 @@ class FourierMetric(_ComponentField):
             a = spec[tuple(v % g.size for v in k)]
             if abs(a) > 1e-15:
                 modes[k] = a
-                modes[tuple(-v for v in k)] = np.conj(spec[tuple((-v) % g.size for v in k)])
+                modes[tuple(-v for v in k)] = np.conj(a)
         mean = spec[(0,) * u.n]
         modes[(0,) * u.n] = mean
         f = FourierScalarField(u.n, min(cut, MAX_CUTOFF[u.n] * 2), modes)
         pert = f + FourierScalarField.constant(u.n, -1.0)
         return cls(u.n, {(i, i): pert for i in range(u.n)})
-
-    def perturbation(self) -> FourierSymTensor:
-        return FourierSymTensor(self.n, dict(self.components))
 
     def sample_matrix(self, grid: Grid) -> np.ndarray:
         out = super().sample_matrix(grid)
@@ -436,36 +424,53 @@ class FourierMetric(_ComponentField):
         return float(w.min())
 
 
-class TwistedSpinorField:
-    """Spinor-tensor-valued field: per mode an (n, spin_dim) amplitude."""
+class ModeField:
+    """Array-valued field: per frequency vector one complex amplitude array.
 
-    def __init__(self, n: int, spin_dim: int, modes: dict):
+    Holds the twisted spinors of the flat Dirac identity (an (n, spin_dim)
+    array per mode), the octonion spinors of the G2 model (an (8, 7) array,
+    row 0 the scalar part) and, through g2.FormField, forms on T^7.
+    """
+
+    def __init__(self, n: int, modes: dict):
         self.n = n
-        self.spin_dim = spin_dim
         self.modes = {
             tuple(int(v) for v in k): np.asarray(a, dtype=complex)
             for k, a in modes.items()
         }
 
-    def __add__(self, other):
-        modes = {k: a.copy() for k, a in self.modes.items()}
+    def _like(self, modes: dict) -> "ModeField":
+        """A field of the same kind with the given amplitudes."""
+        return ModeField(self.n, modes)
+
+    def _merge(self, other, op):
+        modes = dict(self.modes)
         for k, a in other.modes.items():
-            modes[k] = modes.get(k, 0) + a
-        return TwistedSpinorField(self.n, self.spin_dim, modes)
+            modes[k] = op(modes.get(k, 0), a)
+        return self._like(modes)
+
+    def __add__(self, other):
+        return self._merge(other, lambda a, b: a + b)
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return self._merge(other, lambda a, b: a - b)
 
     def __rmul__(self, c: float):
-        return TwistedSpinorField(self.n, self.spin_dim,
-                                  {k: c * a for k, a in self.modes.items()})
+        return self._like({k: c * a for k, a in self.modes.items()})
+
+    def deriv(self, axis: int) -> "ModeField":
+        return self._like({k: 1j * k[axis] * a for k, a in self.modes.items()})
+
+    def max_amp(self) -> float:
+        return max((float(np.abs(a).max()) for a in self.modes.values()),
+                   default=0.0)
 
     def l2_norm_sq(self) -> float:
         """Parseval norm: volume times sum of squared amplitudes."""
         acc = sum(float(np.sum(np.abs(a) ** 2)) for a in self.modes.values())
         return acc * (2 * np.pi) ** self.n
 
-    def l2_inner_real(self, other: "TwistedSpinorField") -> float:
+    def l2_inner_real(self, other: "ModeField") -> float:
         acc = 0.0
         for k, a in self.modes.items():
             b = other.modes.get(k)

@@ -192,13 +192,6 @@ class MetricGeometry:
     def inner_oneform(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("ij...,i...,j...->...", self.ginv, a, b)
 
-    def l2_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Scalar L2 pairing with the metric volume element."""
-        return self.grid.integrate(a * b * self.sqrt_det)
-
-    def volume(self) -> float:
-        return self.grid.integrate(self.sqrt_det)
-
 
 def metric_curvature(metric: FourierMetric, grid: Grid | None = None) -> dict:
     """Full curvature data of a torus metric as pointwise grid fields."""
@@ -292,14 +285,7 @@ def fd_variation(
     Richardson/order diagnostics.
     """
     def at(t: float):
-        gt = FourierMetric(
-            metric.n,
-            {
-                key: (metric.component(*key) + t * h.component(*key))
-                for key in set(metric.components) | set(h.components)
-            },
-        )
-        return quantity(MetricGeometry(gt, grid))
+        return quantity(MetricGeometry(metric + t * h, grid))
 
     d1 = (at(step) - at(-step)) / (2 * step)
     d2 = (at(step / 2) - at(-step / 2)) / step

@@ -9,42 +9,38 @@ from __future__ import annotations
 import numpy as np
 
 from ..clifford import GammaRep, Spinor, unit_spinor
-from .fields import FourierScalarField, FourierSymTensor, TwistedSpinorField
-
-TT_TOL = 1e-10
+from .fields import FourierScalarField, FourierSymTensor, ModeField, _freq_box
 
 
 def spinor_embed_field(
     h: FourierSymTensor, rep: GammaRep, sigma0: Spinor | None = None
-) -> TwistedSpinorField:
+) -> ModeField:
     """Mode-wise tensor-to-twisted-spinor embedding h_ij -> h_ij (g_i s0) e^j."""
     sig = unit_spinor(rep) if sigma0 is None else sigma0
     gam_sig = np.stack([g @ sig.components for g in rep.gamma])  # (n, spin_dim)
     modes = {}
     for k in h.mode_set():
         modes[k] = h.mode_matrix(k).T @ gam_sig
-    return TwistedSpinorField(h.n, rep.spin_dim, modes)
+    return ModeField(h.n, modes)
 
 
-def dirac_symbol(rep: GammaRep, k) -> np.ndarray:
-    """sum_a i k_a gamma_a (a Hermitian matrix)."""
-    mat = np.zeros((rep.spin_dim, rep.spin_dim), dtype=complex)
+def dirac_symbol(gamma, k) -> np.ndarray:
+    """sum_a i k_a gamma_a; Hermitian for skew-adjoint generators."""
+    mat = np.zeros(gamma[0].shape, dtype=complex)
     for a, ka in enumerate(k):
         if ka != 0:
-            mat += 1j * ka * rep.gamma[a]
+            mat += 1j * ka * gamma[a]
     return mat
 
 
-def twisted_dirac(phi: TwistedSpinorField, rep: GammaRep) -> TwistedSpinorField:
+def twisted_dirac(phi: ModeField, rep: GammaRep) -> ModeField:
     """Clifford contraction of the flat derivative on the spinor slot.
 
     Acts as identity on the coframe slot.  The symbol is Hermitian, so the
     operator is its own formal adjoint (checked discretely in tests).
     """
-    modes = {}
-    for k, a in phi.modes.items():
-        modes[k] = a @ dirac_symbol(rep, k).T
-    return TwistedSpinorField(phi.n, phi.spin_dim, modes)
+    return ModeField(phi.n, {k: a @ dirac_symbol(rep.gamma, k).T
+                             for k, a in phi.modes.items()})
 
 
 def lichnerowicz_flat(h: FourierSymTensor) -> FourierSymTensor:
@@ -105,20 +101,23 @@ def tt_project(h: FourierSymTensor) -> FourierSymTensor:
 
 def tt_defect(h: FourierSymTensor) -> float:
     """Max amplitude of trace and divergence over all modes."""
-    worst = 0.0
-    tr = h.trace_flat()
-    for a in tr.modes.values():
-        worst = max(worst, abs(a))
-    for f in h.divergence_flat():
-        for a in f.modes.values():
-            worst = max(worst, abs(a))
-    return worst
+    return max(0.0, h.trace_flat().max_amp(),
+               *(f.max_amp() for f in h.divergence_flat()))
+
+
+def tt_mode_projection(a: np.ndarray, kvec) -> np.ndarray:
+    """Project a symmetric amplitude matrix at frequency k onto the TT
+    amplitudes (A k = 0, tr A = 0): P a P minus its trace along P."""
+    kv = np.array(kvec, dtype=float)
+    p = np.eye(len(kv)) - np.outer(kv, kv) / (kv @ kv)
+    a = p @ a @ p
+    return a - np.trace(a) / np.trace(p) * p
 
 
 def _mode_constraint_matrix(n: int, rep: GammaRep, gam_sig: np.ndarray, k) -> np.ndarray:
     """Complex constraint matrix (trace, divergence, Dirac) on Sym_C at mode k."""
     kv = np.array(k, dtype=float)
-    sym = dirac_symbol(rep, k)
+    sym = dirac_symbol(rep.gamma, k)
     rows = []
     for e in _sym_basis(n):
         cons = [np.trace(e)]
@@ -138,13 +137,10 @@ def stability_kernel_basis(n: int, rep: GammaRep, cutoff: int = 2):
     nonzero pair comes out trivial and the kernel is exactly the constant
     traceless tensors.
     """
-    basis = _constant_traceless_basis(n)
     sig = unit_spinor(rep)
     gam_sig = np.stack([g @ sig.components for g in rep.gamma])
-    from .fields import _freq_box
 
-    extra = 0
-    for k in _freq_box(n, cutoff):
+    def real_system(k):
         m_plus = _mode_constraint_matrix(n, rep, gam_sig, k)
         m_minus = _mode_constraint_matrix(n, rep, gam_sig, tuple(-v for v in k))
         # real field: amplitude x + i y at k forces x - i y at -k
@@ -152,13 +148,27 @@ def stability_kernel_basis(n: int, rep: GammaRep, cutoff: int = 2):
         for m, sgn in ((m_plus, 1.0), (m_minus, -1.0)):
             blocks.append(np.hstack([m.real, sgn * -m.imag]))
             blocks.append(np.hstack([m.imag, sgn * m.real]))
-        a = np.vstack(blocks)
-        s = np.linalg.svd(a, compute_uv=False)
-        extra += int(np.sum(s <= 1e-10 * max(1.0, s[0])))
+        return np.vstack(blocks)
+
+    extra = _nonzero_mode_kernel_dim(n, cutoff, real_system)
     if extra:
         raise AssertionError(
             f"nonzero-frequency kernel of dimension {extra}: operator bug")
-    return [FourierSymTensor.from_constant(m) for m in basis]
+    return [FourierSymTensor.from_constant(m) for m in _constant_traceless_basis(n)]
+
+
+def _nonzero_mode_kernel_dim(n: int, cutoff: int, constraints) -> int:
+    """Summed null dimension of the per-mode constraint matrices
+    `constraints(k)` over the nonzero frequencies, one per +-k pair.
+
+    One SVD per mode: a batched SVD over the whole box would hold every
+    matrix at once (about 125 MB for the 1093 modes of T^7 at cutoff 1).
+    """
+    extra = 0
+    for k in _freq_box(n, cutoff):
+        s = np.linalg.svd(constraints(k), compute_uv=False)
+        extra += int(np.sum(s <= 1e-10 * max(1.0, s[0])))
+    return extra
 
 
 def _sym_basis(n: int):

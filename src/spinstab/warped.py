@@ -36,11 +36,6 @@ class MassProfile:
     def dm(self, r):
         raise NotImplementedError
 
-    def check_horizon(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(2.0 * self.m(r) >= r):
-            raise HorizonError("2 m(r) >= r in the requested range")
-
     def to_json_obj(self):
         return {"kind": type(self).__name__, "m_inf": self.m_inf,
                 "breakpoints": list(self.breakpoints)}
@@ -662,6 +657,26 @@ def fd_curvature_oracle(w: WarpedMetric, r: float, q, base_rel_step: float = 1e-
     error_bar = abs(s_half - s_full) / 3.0 + roundoff
     return {"estimate": estimate, "error_bar": error_bar,
             "coarse": s_full, "fine": s_half}
+
+
+def sample_oracle_points(w: WarpedMetric, r_range, samples: int, rng) -> list:
+    """Up to `samples` seeded (r, q) oracle points with r in r_range.
+
+    Radii within 5% of a profile breakpoint or of the schedule ends are
+    redrawn; after 10 * samples radius draws the points found so far are
+    returned.  Each accepted radius is followed by the draw of its fiber
+    sample point.
+    """
+    qs = w.family.sample_points()
+    breaks = tuple(w.profile.breakpoints) + ((w.r2, w.r3) if w.r2 is not None else ())
+    out = []
+    for _ in range(10 * samples):
+        if len(out) == samples:
+            break
+        r = float(rng.uniform(*r_range))
+        if not any(abs(r - b) < 0.05 * max(1.0, r) for b in breaks):
+            out.append((r, qs[int(rng.integers(0, len(qs)))]))
+    return out
 
 
 # ---------------------------------------------------------------------------

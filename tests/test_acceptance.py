@@ -6,9 +6,12 @@ on the relevant check records and prints a pass/fail line.  Run with
     pytest tests/test_acceptance.py -v -s
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from spinstab.suites import run_suite
+from spinstab.suites import SUITES, run_suite
 
 SEED = 0
 
@@ -168,6 +171,22 @@ def test_criterion_12_determinism():
     ok = first == second
     _announce(12, "verify all twice with one seed: identical numeric fields",
               ok)
+
+
+def test_report_contract_is_pinned(reports):
+    # tests/data/records_seed0.json holds, for every record of verify all at
+    # seed 0, its suite, id, anchor, tolerance and detail keys, plus the value
+    # of every exact (tolerance 0) check
+    pinned = json.loads((Path(__file__).parent / "data" / "records_seed0.json").read_text())
+    current = []
+    for suite in SUITES:
+        for r in reports[suite].records:
+            entry = {"suite": suite, "id": r.check_id, "anchor": r.anchor,
+                     "tolerance": r.tolerance, "detail_keys": sorted(r.detail)}
+            if r.tolerance == 0:
+                entry["value"] = r.value
+            current.append(entry)
+    assert current == pinned
 
 
 def test_overall_runtime_budget(reports):

@@ -4,6 +4,7 @@ import pytest
 
 from spinstab.cli import main
 from spinstab.report import VerificationReport
+from spinstab.suites import default_config, merge_config
 
 
 def test_report_json_roundtrip():
@@ -64,6 +65,29 @@ def test_verify_tolerance_scale_flag(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["tolerance_scale"] == 10.0
+
+
+def test_merge_config_merges_nested_dicts():
+    cfg = merge_config({"torus": {"grids": {"3": 16}}, "tolerance_scale": 2.0})
+    assert cfg["torus"]["grids"] == {"2": 32, "3": 16, "4": 12, "7": 0}
+    assert cfg["torus"]["cutoff"] == 2
+    assert cfg["tolerance_scale"] == 2.0
+    assert merge_config(None) == default_config()
+
+
+def test_warped_oracle_product(tmp_path):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({
+        "fiber": {"kind": "sphere", "radius": 1.0},
+        "profile": {"kind": "zero"},
+        "oracle": {"samples": 3},
+    }))
+    out = tmp_path / "oracle.csv"
+    code = main(["warped", "oracle", "--family", str(fam), "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "r,formula,fd_estimate,error_bar,within_tolerance"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["1", "1", "1"]
 
 
 def test_warped_scan_product(tmp_path):

@@ -4,10 +4,10 @@ from spinstab.clifford import cy_clifford_model
 from spinstab.torus.cy import (
     dbar_star_symbol,
     dbar_symbol,
-    dirac_symbol_cy,
     dirac_vs_dolbeault,
     single_mode_check,
 )
+from spinstab.torus.operators import dirac_symbol
 
 
 def test_constant_form_killed():
@@ -15,7 +15,7 @@ def test_constant_form_killed():
     k = (0, 0)
     v = np.zeros(2, dtype=complex)
     v[0] = 1.0
-    assert np.abs(dirac_symbol_cy(model, k) @ v).max() == 0.0
+    assert np.abs(dirac_symbol(model.gamma, k) @ v).max() == 0.0
     assert np.abs(dbar_symbol(model, k) @ v).max() == 0.0
 
 

@@ -8,7 +8,9 @@ from spinstab.torus.fields import (
     FourierScalarField,
     FourierSymTensor,
     Grid,
+    ModeField,
 )
+from spinstab.torus.geometry import metric_curvature
 
 
 def test_reality_enforced():
@@ -108,3 +110,39 @@ def test_grid_cutoff_guard():
     f = FourierScalarField.cosine(2, (8, 0), 1.0)
     with pytest.raises(ValueError):
         f.sample(Grid(2, 16))
+
+
+def test_conformal_flat_with_complex_amplitudes():
+    # sin(x) has imaginary amplitudes: the -k mode must hold the conjugate
+    # of the +k amplitude for the metric to be real
+    grid = Grid(2, 32)
+    u = FourierScalarField.cosine(2, (1, 0), 0.1, phase=-np.pi / 2)
+    scalar = metric_curvature(FourierMetric.conformal_flat(u, grid), grid)["scalar"]
+    uv = u.sample(grid)
+    lap = grid.deriv(grid.deriv(uv, 0), 0) + grid.deriv(grid.deriv(uv, 1), 1)
+    assert np.abs(scalar + 2.0 * np.exp(-2.0 * uv) * lap).max() <= 1e-9
+
+
+def test_mode_field_arithmetic_and_norms():
+    a = ModeField(2, {(1, 0): [[1.0, 2j]], (0, 1): [[3.0, 0.0]]})
+    b = ModeField(2, {(1, 0): [[1.0, 1.0]], (2, 0): [[0.0, -4.0]]})
+    diff = a - b
+    assert set(diff.modes) == {(1, 0), (0, 1), (2, 0)}
+    assert np.array_equal(diff.modes[(1, 0)], np.array([[0.0, 2j - 1.0]]))
+    assert np.array_equal(diff.modes[(2, 0)], np.array([[0.0, 4.0]]))
+    assert diff.max_amp() == 4.0
+    assert ((a + b) - b - a).max_amp() == 0.0
+    assert (2.0 * a).max_amp() == 6.0
+    assert np.array_equal(a.deriv(0).modes[(1, 0)], np.array([[1j, -2.0]]))
+    vol = (2 * np.pi) ** 2
+    assert a.l2_norm_sq() == 14.0 * vol
+    assert a.l2_inner_real(b) == 1.0 * vol
+    assert ModeField(2, {}).max_amp() == 0.0
+
+
+def test_fourier_max_amp():
+    f = FourierScalarField.cosine(2, (1, 0), 0.5) + FourierScalarField.constant(2, -2.0)
+    assert f.max_amp() == 2.0
+    h = FourierSymTensor.from_mode(2, (1, 1), np.array([[1.0, 3.0], [3.0, 0.0]]))
+    assert h.max_amp() == 1.5
+    assert FourierSymTensor.zero(2).max_amp() == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,31 @@ def test_constrained_fields_are_harmonic():
         hm = FourierSymTensor.from_constant(mat)
         psi = sym_field_to_three_form(G2, hm)
         assert psi.exterior_d().max_amp() + psi.codifferential().max_amp() <= 1e-10
+
+
+def test_derived_tables_belong_to_their_structure():
+    # a discarded structure's id is reused by the next one built; the star
+    # tensor and the embedding matrix must follow the forms of the new one
+    h = FourierSymTensor.from_constant(np.eye(7))
+    neg_phi, neg_star = -G2.phi3, -G2.star_phi4
+    for _ in range(50):
+        g = standard_g2_structure()
+        assert cross_identity_residuals(g, E[0], E[1], E[2])[4] == 0
+        sym_field_to_three_form(g, h)
+        del g
+        flipped = dataclasses.replace(G2, phi3=neg_phi, star_phi4=neg_star)
+        assert cross_identity_residuals(flipped, E[0], E[1], E[2])[4] > 0
+        psi = sym_field_to_three_form(flipped, h).modes[(0,) * 7]
+        assert np.array_equal(psi, 3.0 * neg_phi)
+        del flipped
+
+
+def test_form_field_keeps_degree_under_arithmetic():
+    a = FormField(3, {(1, 0, 0, 0, 0, 0, 0): np.ones(35)})
+    b = FormField(3, {(0, 1, 0, 0, 0, 0, 0): np.ones(35)})
+    for c in (a - b, a + b, 2.0 * a):
+        assert isinstance(c, FormField) and c.p == 3 and c.n == 7
+    assert (a - b).max_amp() == 1.0
 
 
 def test_form_field_d_and_codifferential_adjoint():

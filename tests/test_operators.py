@@ -26,7 +26,7 @@ def max_amp(t: FourierSymTensor) -> float:
 def test_dirac_symbol_squares_to_ksq():
     rep = build_gamma_rep(4)
     k = (1, -2, 0, 3)
-    sym = dirac_symbol(rep, k)
+    sym = dirac_symbol(rep.gamma, k)
     assert np.abs(sym @ sym - 14.0 * np.eye(4)).max() < 1e-12
     assert np.abs(sym - sym.conj().T).max() < 1e-15  # Hermitian symbol
 

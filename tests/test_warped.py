@@ -19,6 +19,7 @@ from spinstab.warped import (
     construct_negative_mass,
     fd_curvature_oracle,
     mass_and_order,
+    sample_oracle_points,
     scalar_curvature_fd,
     scalar_lower_bound,
     scan_scalar_positivity,
@@ -159,6 +160,25 @@ def test_sphere_family_formula_vs_oracle():
         formula = warped_scalar(metric, r, q)
         out = fd_curvature_oracle(metric, r, q)
         assert abs(formula - out["estimate"]) <= max(1e-6, 3 * out["error_bar"])
+
+
+def test_oracle_sampler_avoids_breakpoints_and_caps_draws():
+    metric, _ = construct_negative_mass(desk_family(), scan_points=800)
+    prof = metric.profile
+    breaks = tuple(prof.breakpoints) + (metric.r2, metric.r3)
+    points = sample_oracle_points(metric, (prof.r2 * 1.03, prof.r3 * 0.97), 20,
+                                  np.random.default_rng(0))
+    assert len(points) == 20
+    for r, q in points:
+        assert all(abs(r - b) >= 0.05 * max(1.0, r) for b in breaks)
+        assert any(np.array_equal(q, p) for p in metric.family.sample_points())
+    # every radius of this range is excluded: 10 x 5 draws, then give up
+    rng = np.random.default_rng(1)
+    b = prof.breakpoints[-1]
+    assert sample_oracle_points(metric, (b - 0.01, b + 0.01), 5, rng) == []
+    ref = np.random.default_rng(1)
+    ref.uniform(size=50)
+    assert rng.uniform() == ref.uniform()
 
 
 def test_oracle_guards_breakpoints():
