@@ -40,7 +40,7 @@ def _anticommutator_residual(gamma) -> float:
     return worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaRep:
     """A realization of Cl(n) by complex matrices.
 
@@ -105,7 +105,7 @@ def chirality_operator(rep: GammaRep) -> np.ndarray:
     return (-1j) ** m * out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spinor:
     components: np.ndarray
 
@@ -120,7 +120,7 @@ def unit_spinor(rep: GammaRep, index: int = 0) -> Spinor:
     return Spinor(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistedSpinor:
     """Element of (spinors) tensor (coframe): one spinor per coframe index."""
 
@@ -138,7 +138,7 @@ class TwistedSpinor:
         return float(np.sum(np.abs(self.components) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymTensor:
     """Pointwise symmetric 2-tensor."""
 

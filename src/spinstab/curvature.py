@@ -29,7 +29,7 @@ class CurvatureSymmetryError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgCurvature:
     """Validated algebraic curvature tensor R_ijkl.
 
@@ -107,7 +107,7 @@ def _rho(r: AlgCurvature, rep: GammaRep, k: int, l: int) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinCompatibleCurvature:
     """Curvature together with a gamma representation and a kernel spinor.
 

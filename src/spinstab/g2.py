@@ -39,7 +39,7 @@ def _coeffs_from_terms(terms, p):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class G2Structure:
     """Fundamental forms and cross-product table, all integer-exact.
 
@@ -142,7 +142,7 @@ def verify_cross_identities(g2: G2Structure, seed: int = 0, samples: int = 100) 
 
 # -- spinor model -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OctonionSpinor:
     """Element (a, Y) of the rank-8 spinor model R + TM."""
 

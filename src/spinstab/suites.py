@@ -86,13 +86,13 @@ def run_clifford(seed: int, cfg: dict) -> VerificationReport:
 
     for n in sub["dims"]:
         g = cliff.build_gamma_rep(n)
+        relation = g.relation_residual()
         rep.add(f"relation_n{n}",
                 "gamma_i gamma_j + gamma_j gamma_i = -2 delta_ij Id (exact)",
-                g.relation_residual(), 0.0, watch.lap(),
-                passed=g.relation_residual() == 0.0)
+                relation, 0.0, watch.lap(), passed=relation == 0.0)
+        skew = g.skew_residual()
         rep.add(f"skew_n{n}", "gamma_i^H = -gamma_i (exact)",
-                g.skew_residual(), 0.0, watch.lap(),
-                passed=g.skew_residual() == 0.0)
+                skew, 0.0, watch.lap(), passed=skew == 0.0)
 
     # isometry of the tensor-to-spinor embedding
     worst = 0.0
@@ -147,14 +147,14 @@ def run_clifford(seed: int, cfg: dict) -> VerificationReport:
 
     for m in sub["cy_dims"]:
         model = cliff.cy_clifford_model(m)
+        relation = model.relation_residual()
         rep.add(f"cy_relation_m{m}",
                 "form-model Clifford relation (exact)",
-                model.relation_residual(), 0.0, watch.lap(),
-                passed=model.relation_residual() == 0.0)
+                relation, 0.0, watch.lap(), passed=relation == 0.0)
+        parity = model.parity_residual()
         rep.add(f"cy_parity_m{m}",
                 "generators swap even/odd form degree (exact)",
-                model.parity_residual(), 0.0, watch.lap(),
-                passed=model.parity_residual() == 0.0)
+                parity, 0.0, watch.lap(), passed=parity == 0.0)
         _, resid = model.intertwiner(cliff.build_gamma_rep(2 * m))
         rep.add(f"cy_intertwiner_m{m}",
                 "unitary intertwiner against the Pauli-product realization",
@@ -697,9 +697,9 @@ def run_g2(seed: int, cfg: dict) -> VerificationReport:
     rep.add("traceless_type27",
             "embedded traceless tensors satisfy both wedge conditions (exact)",
             worst, 0.0, watch.lap(), passed=worst == 0)
+    rank = g2mod.sym_to_three_form_rank(g2)
     rep.add("embed_rank", "embedding is injective on traceless tensors",
-            g2mod.sym_to_three_form_rank(g2) - 27, 0.0, watch.lap(),
-            passed=g2mod.sym_to_three_form_rank(g2) == 27)
+            rank - 27, 0.0, watch.lap(), passed=rank == 27)
 
     h = FourierSymTensor.random_real(7, 1, rng, scale=0.7, count=sub["field_modes"])
     two = (g2mod.octonion_dirac_by_action(g2, h)

@@ -7,6 +7,15 @@ lowest eigenpair comes from Fourier-preconditioned correction equations
 preconditioned block iteration as the cold-start fallback.  The first and
 second t-derivatives of the eigenvalue along metric lines g + t h are
 estimated from symmetric 5-point stencils with an empirically chosen step.
+
+Both first derivatives of the divergence form are real spectral derivatives,
+so on an even grid they apply the wavenumber 0 at the Nyquist bin (a real
+field's derivative cannot carry that mode).  The 2^n - 1 pure checkerboard
+modes therefore have no stiffness: they carry only the potential, which puts
+them in a near-degenerate cluster close to the ground eigenvalue (at a flat
+metric they share it).  The preconditioner symbol 1 / (sum_a k~_a^2 + 1) uses
+the same wavenumbers k~ (Grid.half_symbols), so it matches the operator's
+symbol and is 1 on the checkerboards.
 """
 
 from __future__ import annotations
@@ -15,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FourierMetric, FourierSymTensor, Grid, fftn, ifftn
+# fftn/ifftn stay module attributes: tracing tools rebind the transforms here
+from .fields import (FourierMetric, FourierSymTensor, Grid, fftn, ifftn,  # noqa: F401
+                     irfftn, rfftn)
 from .geometry import MetricGeometry
 from .operators import lichnerowicz_flat, tt_split
 
@@ -57,26 +68,17 @@ class _ConformalOperator:
         self.sqrt_w = np.sqrt(self.w)
         self.pot = c_n * geo.scalar()
         self.wginv = geo.ginv * self.w  # (n, n) + shape
-        k2 = np.zeros(self.grid.shape)
-        for ax in range(self.n):
-            k2 = k2 + self.grid.wavenumbers[ax] ** 2
+        self._ik, k2 = self.grid.half_symbols
         self._precond_symbol = 1.0 / (k2 + 1.0)
-        self.pot_min = float(self.pot.min())
-        self.pot_max = float(self.pot.max())
 
     def apply_raw(self, psi: np.ndarray) -> np.ndarray:
         """(-Lap_g + c_n S) psi in divergence form."""
         axes = range(-self.n, 0)
-        spec = fftn(psi, axes=axes)
-        dpsi = [
-            ifftn(1j * self.grid.wavenumbers[ax] * spec, axes=axes).real
-            for ax in range(self.n)
-        ]
-        acc = np.zeros(self.grid.shape, dtype=complex)
-        for i in range(self.n):
-            flux = sum(self.wginv[i, j] * dpsi[j] for j in range(self.n))
-            acc += 1j * self.grid.wavenumbers[i] * fftn(flux, axes=axes)
-        div = ifftn(acc, axes=axes).real
+        shape = self.grid.shape
+        dpsi = irfftn(self._ik * rfftn(psi, axes=axes), shape, axes=axes)
+        flux = np.einsum("ij...,j...->i...", self.wginv, dpsi)
+        div_spec = (self._ik * rfftn(flux, axes=axes)).sum(axis=0)
+        div = irfftn(div_spec, shape, axes=axes)
         return -div / self.w + self.pot * psi
 
     def apply_sym(self, phi: np.ndarray) -> np.ndarray:
@@ -85,7 +87,7 @@ class _ConformalOperator:
         return self.sqrt_w * self.apply_raw(psi)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        return ifftn(self._precond_symbol * fftn(r)).real
+        return irfftn(self._precond_symbol * rfftn(r), self.grid.shape)
 
 
 def _lobpcg_stage(op: "_ConformalOperator", phi0: np.ndarray, grid: Grid):
@@ -151,7 +153,7 @@ def _jd_refine(op: "_ConformalOperator", phi: np.ndarray, tol: float,
         def corr_pre(v):
             return proj(op.precondition(proj(v)))
 
-        r = op.apply_sym(phi) - lam * phi
+        r = a_phi - lam * phi
         # inner relative tolerance 1e-4 gives one to two orders of residual
         # reduction per outer step at moderate inner cost
         z, its = _pcg(corr_op, corr_pre, -r, 1e-4, min(maxiter, 400))

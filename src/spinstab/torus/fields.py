@@ -10,7 +10,7 @@ where pointwise products are exact up to aliasing of the unresolved tail.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as _sfft
@@ -27,6 +27,16 @@ def fftn(a, axes=None):
 
 def ifftn(a, axes=None):
     return _sfft.ifftn(a, axes=axes, workers=FFT_WORKERS)
+
+
+def rfftn(a, axes=None):
+    return _sfft.rfftn(a, axes=axes, workers=FFT_WORKERS)
+
+
+def irfftn(a, s, axes=None):
+    """Inverse of rfftn; `s` is the real output shape over `axes`."""
+    return _sfft.irfftn(a, s=s, axes=axes, workers=FFT_WORKERS)
+
 
 # default collocation grid sizes per dimension (2x-padded relative to the
 # default working cutoffs: K <= 8 for n <= 3, smaller in higher dimension)
@@ -73,6 +83,24 @@ class Grid:
             d = ifftn(1j * self.wavenumbers[ax] * spec, axes=range(-self.n, 0))
             parts.append(d.real if np.isrealobj(values) else d)
         return np.stack(parts)
+
+    @cached_property
+    def half_symbols(self):
+        """Derivative symbols on the rfftn half box: (i k~, sum_a k~_a^2).
+
+        i k~ has the n axes stacked on a leading axis.  k~ is the integer
+        wavenumber, except 0 at an even grid's Nyquist bin: a real field's
+        spectral first derivative cannot carry the Nyquist mode, so that is
+        the wavenumber a real derivative actually applies.
+        """
+        k1 = np.fft.fftfreq(self.size) * self.size
+        if self.size % 2 == 0:
+            k1[self.size // 2] = 0.0
+        last = k1[: self.size // 2 + 1]
+        k = np.meshgrid(*([k1] * (self.n - 1) + [last]), indexing="ij",
+                        sparse=True)
+        ik = np.stack(np.broadcast_arrays(*(1j * ka for ka in k)))
+        return ik, sum(ka ** 2 for ka in k)
 
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature over the torus (exact for resolved trigonometric data)."""

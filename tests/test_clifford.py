@@ -5,6 +5,7 @@ from spinstab.clifford import (
     CYCliffordModel,
     Spinor,
     SymTensor,
+    TwistedSpinor,
     build_gamma_rep,
     chirality_operator,
     cy_clifford_model,
@@ -193,3 +194,21 @@ def test_cy_intertwiner(m):
     u, resid = model.intertwiner(rep)
     assert resid < 1e-12
     assert np.abs(u @ u.conj().T - np.eye(model.dim)).max() < 1e-12
+
+
+def _array_holders():
+    rep = build_gamma_rep(4)
+    return [
+        (rep, lambda: build_gamma_rep(4)),
+        (unit_spinor(rep), lambda: unit_spinor(rep)),
+        (TwistedSpinor(np.ones((4, 4))), lambda: TwistedSpinor(np.ones((4, 4)))),
+        (SymTensor(np.eye(3)), lambda: SymTensor(np.eye(3))),
+    ]
+
+
+def test_array_holding_values_compare_by_identity():
+    for value, rebuild in _array_holders():
+        twin = rebuild()
+        assert value == value and value != twin
+        assert hash(value) == hash(value)
+        assert len({value, twin}) == 2

@@ -159,3 +159,11 @@ def test_bochner_identity_on_identity_tensor():
     out = bochner_curvature_identity(sample, SymTensor(np.eye(4)))
     assert max(out["ring_contraction"]) <= 1e-10
     assert max(out["ricci_contraction"]) <= 1e-10
+
+
+def test_curvature_values_compare_by_identity():
+    block = np.diag([2.0, -1.0, -1.0])
+    first, second = (spin_compatible_from_block(block) for _ in range(2))
+    assert first == first and first != second
+    assert first.base != second.base
+    assert len({first, second, first.base, second.base}) == 4

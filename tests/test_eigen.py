@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from spinstab.torus.eigen import (
+    _ConformalOperator,
     conformal_coefficient,
     conformal_eigenvalue,
     conformal_rescale,
@@ -13,9 +16,100 @@ from spinstab.torus.fields import (
     FourierScalarField,
     FourierSymTensor,
     Grid,
+    fftn,
+    ifftn,
 )
+from spinstab.torus.geometry import MetricGeometry
 
 GRID3 = Grid(3, 16)
+
+
+def _perturbed_operator(n, size, seed, scale=0.05):
+    rng = np.random.default_rng(seed)
+    h = FourierSymTensor.random_real(n, 1, rng, scale=scale, count=2)
+    metric = FourierMetric.from_perturbation(h)
+    geo = MetricGeometry(metric, Grid(n, size))
+    return _ConformalOperator(geo, conformal_coefficient(n)), metric, rng
+
+
+def _apply_raw_complex_fft(op, psi):
+    """Reference matvec: 2n + 2 complex transforms, real part of each."""
+    axes = range(-op.n, 0)
+    k = op.grid.wavenumbers
+    spec = fftn(psi, axes=axes)
+    dpsi = [ifftn(1j * k[ax] * spec, axes=axes).real for ax in range(op.n)]
+    acc = np.zeros(op.grid.shape, dtype=complex)
+    for i in range(op.n):
+        flux = sum(op.wginv[i, j] * dpsi[j] for j in range(op.n))
+        acc += 1j * k[i] * fftn(flux, axes=axes)
+    return -ifftn(acc, axes=axes).real / op.w + op.pot * psi
+
+
+@pytest.mark.parametrize("n,size", [(2, 8), (3, 16), (4, 12), (3, 15)])
+def test_matvec_matches_complex_fft_reference(n, size):
+    op, _, rng = _perturbed_operator(n, size, seed=11)
+    for _ in range(2):
+        psi = rng.standard_normal(op.grid.shape)
+        ref = _apply_raw_complex_fft(op, psi)
+        err = np.abs(op.apply_raw(psi) - ref).max() / np.abs(ref).max()
+        assert err <= 1e-12
+
+
+def _dense_lowest_and_solver(n, size, seed, scale):
+    op, metric, _ = _perturbed_operator(n, size, seed, scale)
+    dim = int(np.prod(op.grid.shape))
+    dense = np.stack([op.apply_sym(e.reshape(op.grid.shape)).reshape(-1)
+                      for e in np.eye(dim)], axis=1)
+    assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+    return np.linalg.eigvalsh(dense)[0], conformal_eigenvalue(metric, op.grid).lam
+
+
+@pytest.mark.parametrize("n,size", [(2, 8), (3, 6)])
+def test_solver_finds_smallest_dense_eigenvalue(n, size):
+    # on (3, 6) the checkerboard cluster sits within 5e-6 of the ground state
+    for seed in range(3):
+        lowest, lam = _dense_lowest_and_solver(n, size, seed, scale=0.005)
+        assert abs(lam - lowest) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: from the constant start "
+                   "the correction iteration converges to an interior eigenpair "
+                   "once aliasing on a coarse grid mixes the ground state with "
+                   "the checkerboard cluster")
+def test_solver_finds_smallest_dense_eigenvalue_coarse_grid_strong_metric():
+    lowest, lam = _dense_lowest_and_solver(3, 6, 0, scale=0.05)
+    assert abs(lam - lowest) <= 1e-10
+
+
+@pytest.mark.parametrize("n,size", [(3, 16), (4, 12)])
+def test_preconditioner_is_identity_on_checkerboards(n, size):
+    # the Nyquist-free derivative annihilates every pure checkerboard mode,
+    # so the operator is the potential there and the preconditioner is 1
+    op, _, _ = _perturbed_operator(n, size, seed=2)
+    x = op.grid.points()
+    half = size // 2
+    for axes in itertools.product((0, 1), repeat=n):
+        if not any(axes):
+            continue
+        assert op._precond_symbol[tuple(half * a for a in axes)] == 1.0
+        psi = np.cos(sum(half * a * xa for a, xa in zip(axes, x)))
+        assert np.abs(op.apply_raw(psi) - op.pot * psi).max() <= 1e-12
+
+
+def test_half_symbols_zero_only_the_nyquist_bin():
+    _, k2 = Grid(3, 15).half_symbols
+    assert k2[7, 14, 7] == 7**2 + 1**2 + 7**2  # odd grid: no Nyquist bin
+    ik, k2 = Grid(2, 8).half_symbols
+    assert k2[3, 2] == 13 and k2[5, 2] == 13 and k2[4, 3] == 9
+    assert ik[:, 5, 2].tolist() == [-3j, 2j]
+
+
+def test_cold_solve_t4_inner_iterations():
+    rng = np.random.default_rng(3)
+    h = FourierSymTensor.random_real(4, 1, rng, scale=0.03, count=2)
+    pair = conformal_eigenvalue(FourierMetric.from_perturbation(h), Grid(4, 12))
+    assert pair.residual <= 1e-9
+    assert pair.iterations <= 150
 
 
 def test_coefficient_values():

@@ -220,3 +220,15 @@ def test_exterior_algebra_star_signs():
 def test_octonion_spinor_norm():
     s = OctonionSpinor(2, np.array([1, 0, 2, 0, 0, 0, 0]))
     assert s.norm_sq == 4 + 5
+
+
+def test_structure_and_spinor_compare_by_identity():
+    other = standard_g2_structure()
+    assert G2 == G2 and G2 != other
+    assert len({G2, other, SIGMA0}) == 3
+    spinor = OctonionSpinor(1, np.zeros(7, dtype=np.int64))
+    assert spinor != SIGMA0 and hash(spinor) == hash(spinor)
+    # the cached tables still live on each structure
+    assert other.star_phi_tensor is other.star_phi_tensor
+    assert np.array_equal(other.star_phi_tensor, G2.star_phi_tensor)
+    assert np.array_equal(other.embedding_matrix, G2.embedding_matrix)
