@@ -1,11 +1,15 @@
 """Verification batteries behind the `verify` command.
 
 Each suite runs the module's invariants and property checks at pinned
-tolerances and returns a VerificationReport.  Seeds are explicit; repeated
+tolerances and fills a VerificationReport; a check that raises ends its
+suite with a failed `suite_error` record.  Seeds are explicit; repeated
 runs with the same seed and configuration produce identical numbers.
 """
 
 from __future__ import annotations
+
+import os
+import traceback
 
 import numpy as np
 
@@ -78,8 +82,7 @@ def _tol(cfg: dict, value: float) -> float:
 # clifford
 # ---------------------------------------------------------------------------
 
-def run_clifford(seed: int, cfg: dict) -> VerificationReport:
-    rep = VerificationReport("clifford", seed, cfg)
+def run_clifford(rep: VerificationReport, seed: int, cfg: dict) -> None:
     sub = cfg["clifford"]
     watch = Stopwatch()
     rng = np.random.default_rng(seed)
@@ -182,15 +185,13 @@ def run_clifford(seed: int, cfg: dict) -> VerificationReport:
         rep.add(f"cy_vacuum_m{m}",
                 "constant function is annihilated by all contractions",
                 worst, 0.0, watch.lap(), passed=worst == 0.0)
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # curvalg
 # ---------------------------------------------------------------------------
 
-def run_curvalg(seed: int, cfg: dict) -> VerificationReport:
-    rep = VerificationReport("curvalg", seed, cfg)
+def run_curvalg(rep: VerificationReport, seed: int, cfg: dict) -> None:
     sub = cfg["curvalg"]
     watch = Stopwatch()
     rng = np.random.default_rng(seed)
@@ -276,7 +277,6 @@ def run_curvalg(seed: int, cfg: dict) -> VerificationReport:
         for k in range(4) for l in range(4))
     rep.add("nondegenerate", "opposite-chirality spinor is not annihilated",
             worst, 0.0, watch.lap(), passed=worst > 1e-3)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +293,7 @@ def _seeded_nonflat_metric(n: int, rng, amplitude: float = 0.02) -> FourierMetri
     return FourierMetric.from_perturbation(h)
 
 
-def run_torus(seed: int, cfg: dict) -> VerificationReport:
-    rep = VerificationReport("torus", seed, cfg)
+def run_torus(rep: VerificationReport, seed: int, cfg: dict) -> None:
     sub = cfg["torus"]
     watch = Stopwatch()
     rng = np.random.default_rng(seed)
@@ -573,7 +572,7 @@ def run_torus(seed: int, cfg: dict) -> VerificationReport:
         tt_scale[n] = abs(pred)
     rep.add("second_variation_tt",
             "d2/dt2 lambda matches -(n-2)/(8(n-1)) mean |grad h_tt|^2",
-            worst_second, _tol(cfg, 2e-2), watch.lap(), modes=modes)
+            worst_second, _tol(cfg, 2e-5), watch.lap(), modes=modes)
 
     # diffeomorphism directions leave lambda flat
     worst_lie = 0.0
@@ -614,7 +613,6 @@ def run_torus(seed: int, cfg: dict) -> VerificationReport:
                 out["operator_residual"], _tol(cfg, 1e-10), watch.lap(),
                 adjoint_defect=out["adjoint_defect"],
                 square_residual=out["square_residual"])
-    return rep
 
 
 def _tt_matrix(n: int, kvec, rng) -> np.ndarray:
@@ -630,8 +628,7 @@ def _tt_matrix(n: int, kvec, rng) -> np.ndarray:
 # g2
 # ---------------------------------------------------------------------------
 
-def run_g2(seed: int, cfg: dict) -> VerificationReport:
-    rep = VerificationReport("g2", seed, cfg)
+def run_g2(rep: VerificationReport, seed: int, cfg: dict) -> None:
     sub = cfg["g2"]
     watch = Stopwatch()
     rng = np.random.default_rng(seed)
@@ -730,15 +727,13 @@ def run_g2(seed: int, cfg: dict) -> VerificationReport:
     rep.add("constraint_space_dim",
             "constraint space on the flat 7-torus is the 27 constants",
             len(basis) - 27, 0.0, watch.lap(), passed=len(basis) == 27)
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # warped
 # ---------------------------------------------------------------------------
 
-def run_warped(seed: int, cfg: dict) -> VerificationReport:
-    rep = VerificationReport("warped", seed, cfg)
+def run_warped(rep: VerificationReport, seed: int, cfg: dict) -> None:
     sub = cfg["warped"]
     watch = Stopwatch()
     rng = np.random.default_rng(seed)
@@ -872,7 +867,6 @@ def run_warped(seed: int, cfg: dict) -> VerificationReport:
             "reparametrized family passes and the construction certifies",
             min(0.0, shrink["certificate"].min_scalar), _tol(cfg, 1e-9),
             watch.lap(), eps=shrink["eps"])
-    return rep
 
 
 RUNNERS = {
@@ -886,8 +880,21 @@ RUNNERS = {
 
 def run_suite(name: str, seed: int = 0, config: dict | None = None):
     cfg = merge_config(config)
-    if name == "all":
-        return [RUNNERS[s](seed, cfg) for s in SUITES]
-    if name not in RUNNERS:
+    if name != "all" and name not in RUNNERS:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-    return [RUNNERS[name](seed, cfg)]
+    return [_run_one(s, seed, cfg) for s in (SUITES if name == "all" else (name,))]
+
+
+def _run_one(name: str, seed: int, cfg: dict) -> VerificationReport:
+    """One suite's report; a check that raises ends the suite with a failed
+    `suite_error` record after the records made so far."""
+    rep = VerificationReport(name, seed, cfg)
+    try:
+        RUNNERS[name](rep, seed, cfg)
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        rep.add("suite_error", "every check of the suite runs to completion", 1.0,
+                0.0, passed=False, error=f"{type(exc).__name__}: {exc}",
+                where=f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+                after=rep.records[-1].check_id if rep.records else None)
+    return rep

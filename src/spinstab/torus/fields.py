@@ -76,13 +76,20 @@ class Grid:
         return out.real if np.isrealobj(values) else out
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
-        """All partial derivatives, stacked on a new leading axis."""
-        spec = fftn(values, axes=range(-self.n, 0))
-        parts = []
+        """All partial derivatives of real values, on a new leading axis.
+
+        The grid axes are the last n axes; leading axes are batched, so an
+        (n, n) + shape input gives (n, n, n) + shape, derivative index first.
+        Real transforms with the half_symbols wavenumbers: 0 at an even
+        grid's Nyquist bin, whose derivative has no real part anyway.
+        """
+        axes = range(-self.n, 0)
+        spec = rfftn(values, axes=axes)
+        ik, _ = self.half_symbols
+        out = np.empty((self.n,) + values.shape)
         for ax in range(self.n):
-            d = ifftn(1j * self.wavenumbers[ax] * spec, axes=range(-self.n, 0))
-            parts.append(d.real if np.isrealobj(values) else d)
-        return np.stack(parts)
+            out[ax] = irfftn(ik[ax] * spec, self.shape, axes=axes)
+        return out
 
     @cached_property
     def half_symbols(self):

@@ -1,18 +1,52 @@
 """Nonlinear Levi-Civita pipeline for perturbed torus metrics.
 
-All derivatives are exact spectral derivatives of the grid samples; all
-products are pointwise on the grid.  Curvature conventions are fixed so
-that the round 2-sphere pattern has R_1212 = +1 and ricci_jl = sum_i R_ijil
-(matching the pointwise algebra in spinstab.curvature), i.e. the rank-4
-tensor here is the negative of the textbook lowered R(X,Y)Z convention.
+All derivatives are exact real spectral derivatives of the grid samples,
+with the wavenumber 0 at an even grid's Nyquist bin (Grid.gradient);
+products are pointwise, grid axes last, e.g. (n, n) + grid.shape.
+Pointwise elimination gives the inverse metric and the determinant, and its
+pivots check positivity; the metric's derivatives are not stored.
+
+Curvature conventions are fixed so that the round 2-sphere pattern has
+R_1212 = +1 and ricci_jl = sum_i R_ijil (matching the pointwise algebra in
+spinstab.curvature), i.e. the rank-4 tensor here is the negative of the
+textbook lowered R(X,Y)Z convention.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import (FourierMetric, FourierScalarField, FourierSymTensor,
-                     Grid, fftn, ifftn)
+# fftn/ifftn stay module attributes: tracing tools rebind the transforms here
+from .fields import (FourierMetric, FourierScalarField, FourierSymTensor,  # noqa: F401
+                     Grid, fftn, ifftn, irfftn, rfftn)
+
+
+def _spd_inverse(g: np.ndarray):
+    """Inverse and determinant of a symmetric matrix field g, (n, n) + shape.
+
+    Gauss-Jordan elimination without pivoting, pointwise over the grid.  The
+    k-th pivot is the ratio of the k-th to the (k-1)-th leading principal
+    minor, so all pivots are positive exactly where g is positive definite
+    (Sylvester), and their product is det g.
+    """
+    n = g.shape[0]
+    a, inv = g.astype(float), np.zeros(g.shape)
+    inv[range(n), range(n)] = 1.0
+    det = np.ones(g.shape[2:])
+    for p in range(n):
+        piv = a[p, p].copy()
+        if not np.all(piv > 0):
+            w = np.linalg.eigvalsh(np.moveaxis(g.reshape(n, n, -1), -1, 0)).min()
+            raise ValueError(f"metric not positive on grid (min eig {w:.3e})")
+        det *= piv
+        # columns < p of `a` and > p of `inv` are still identity columns
+        a[p, p:] /= piv
+        inv[p, :p + 1] /= piv
+        for i in range(n):
+            if i != p:  # inv first: it reads a[i, p] before a's row update zeroes it
+                inv[i, :p + 1] -= a[i, p] * inv[p, :p + 1]
+                a[i, p:] -= a[i, p] * a[p, p:]
+    return inv, det
 
 
 class MetricGeometry:
@@ -26,30 +60,25 @@ class MetricGeometry:
         self.grid = grid
         if isinstance(metric, np.ndarray):
             g = metric
-            self.n = g.shape[0]
+            self.n = n = g.shape[0]
         else:
-            self.n = metric.n
+            self.n = n = metric.n
             g = metric.sample_matrix(grid)  # (n, n) + shape
         self.g = g
-        flat = np.moveaxis(g.reshape(self.n, self.n, -1), -1, 0)
-        w = np.linalg.eigvalsh(flat)
-        if w.min() <= 0:
-            raise ValueError(f"metric not positive on grid (min eig {w.min():.3e})")
-        ginv_flat = np.linalg.inv(flat)
-        self.ginv = np.moveaxis(ginv_flat, 0, -1).reshape(g.shape)
-        self.sqrt_det = np.sqrt(np.linalg.det(flat)).reshape(grid.shape)
-        # dg[a, i, j] = partial_a g_ij
-        self.dg = np.stack([
-            np.stack([grid.gradient(g[i, j]) for j in range(self.n)], axis=1)
-            for i in range(self.n)
-        ], axis=1)
+        self.ginv, det = _spd_inverse(g)
+        self.sqrt_det = np.sqrt(det)
+        # dg[a, i, j] = partial_a g_ij; g is symmetric
+        dg = np.empty((n, n, n) + grid.shape)
+        for i in range(n):
+            for j in range(i, n):
+                dg[:, i, j] = dg[:, j, i] = grid.gradient(g[i, j])
         # Christoffel: G^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij);
-        # dg[a, i, j] = d_a g_ij, so the bracket indexed (i, j, l) is
-        # dg + dg.T(1,0,2) - dg.T(1,2,0)
-        dg = self.dg
+        # the bracket indexed (i, j, l) is dg + dg.T(1,0,2) - dg.T(1,2,0)
         rest = tuple(range(3, dg.ndim))
-        bracket = dg + dg.transpose(1, 0, 2, *rest) - dg.transpose(1, 2, 0, *rest)
-        self.gamma = 0.5 * np.einsum("kl...,ijl...->kij...", self.ginv, bracket)
+        bracket = dg + dg.transpose(1, 0, 2, *rest)
+        bracket -= dg.transpose(1, 2, 0, *rest)
+        del dg
+        self.gamma = np.einsum("kl...,ijl...->kij...", 0.5 * self.ginv, bracket)
         self._dgamma = None
 
     @property
@@ -62,8 +91,7 @@ class MetricGeometry:
                 for i in range(n):
                     for j in range(i, n):
                         d = grid.gradient(self.gamma[k, i, j])
-                        out[:, k, i, j] = d
-                        out[:, k, j, i] = d
+                        out[:, k, i, j] = out[:, k, j, i] = d
             self._dgamma = out
         return self._dgamma
 
@@ -82,29 +110,26 @@ class MetricGeometry:
         """Ricci tensor (positive for the round sphere).
 
         Built from contracted Christoffel derivatives directly, which needs
-        far fewer transforms than the full rank-4 tensor.
+        far fewer transforms than the full rank-4 tensor: the textbook
+        Ric_jk = d_i G^i_jk - d_j C_k + G^i_im G^m_jk - G^i_jm G^m_ik, C_k =
+        G^i_ik, symmetrized (it equals g^{ik} R_ijkl here).  The derivative
+        terms are summed in the half spectrum, one inverse per (j, k).
         """
-        n, grid = self.n, self.grid
-        # div-type term: sum_i partial_i Gamma^i_jk
-        div_g = np.empty((n, n) + grid.shape)
+        n, grid, gamma = self.n, self.grid, self.gamma
+        axes = range(-n, 0)
+        ik, _ = grid.half_symbols
+        c = np.einsum("iik...->k...", gamma)
+        c_hat = rfftn(c, axes=axes)
+        out = np.empty((n, n) + grid.shape)
         for j in range(n):
             for k in range(j, n):
-                spec = fftn(self.gamma[:, j, k], axes=range(-n, 0))
-                acc = np.zeros(grid.shape, dtype=complex)
-                for i in range(n):
-                    acc += 1j * grid.wavenumbers[i] * spec[i]
-                val = ifftn(acc).real
-                div_g[j, k] = val
-                div_g[k, j] = val
-        # gradient of the contracted symbol C_k = sum_i Gamma^i_ik
-        c = np.einsum("iik...->k...", self.gamma)
-        dc = np.stack([grid.gradient(c[k]) for k in range(n)], axis=1)
-        term = div_g - dc
-        term += np.einsum("iim...,mjk...->jk...", self.gamma, self.gamma)
-        term -= np.einsum("ijm...,mik...->jk...", self.gamma, self.gamma)
-        # term = textbook Ric_jk = R^i_ijk; equals g^{ik} R_ijkl in the
-        # convention of this module, hence symmetric
-        return 0.5 * (term + np.swapaxes(term, 0, 1))
+                spec = (ik * rfftn(gamma[:, j, k], axes=axes)).sum(axis=0)
+                spec -= 0.5 * (ik[j] * c_hat[k] + ik[k] * c_hat[j])
+                out[j, k] = out[k, j] = irfftn(spec, grid.shape, axes=axes)
+        quad = np.einsum("m...,mjk...->jk...", c, gamma)
+        quad -= np.einsum("ijm...,mik...->jk...", gamma, gamma)
+        out += 0.5 * (quad + np.swapaxes(quad, 0, 1))
+        return out
 
     def scalar(self) -> np.ndarray:
         return np.einsum("jk...,jk...->...", self.ginv, self.ricci())
@@ -116,7 +141,7 @@ class MetricGeometry:
     def hessian(self, f: np.ndarray) -> np.ndarray:
         """D^2 f_ij = d_i d_j f - Gamma^m_ij d_m f."""
         df = self.grid.gradient(f)
-        ddf = np.stack([self.grid.gradient(df[i]) for i in range(self.n)], axis=1)
+        ddf = self.grid.gradient(df)
         ddf = 0.5 * (ddf + np.swapaxes(ddf, 0, 1))
         return ddf - np.einsum("mij...,m...->ij...", self.gamma, df)
 
@@ -126,23 +151,15 @@ class MetricGeometry:
 
     def nabla_sym2(self, h: np.ndarray) -> np.ndarray:
         """(nabla h)[a, i, j] = nabla_a h_ij for a symmetric 2-tensor field."""
-        n = self.n
-        dh = np.stack([
-            np.stack([self.grid.gradient(h[i, j]) for j in range(n)], axis=1)
-            for i in range(n)
-        ], axis=1)
-        out = dh - np.einsum("mai...,mj...->aij...", self.gamma, h) \
-                 - np.einsum("maj...,im...->aij...", self.gamma, h)
-        return out
+        return (self.grid.gradient(h)
+                - np.einsum("mai...,mj...->aij...", self.gamma, h)
+                - np.einsum("maj...,im...->aij...", self.gamma, h))
 
     def nabla_3tensor(self, t: np.ndarray) -> np.ndarray:
         """Covariant derivative of a covariant 3-tensor t[a, i, j]."""
-        n = self.n
-        dt = np.empty((n,) + t.shape)
-        for a in range(n):
-            for i in range(n):
-                for j in range(n):
-                    dt[:, a, i, j] = self.grid.gradient(t[a, i, j])
+        dt = np.empty((self.n,) + t.shape)
+        for a, i, j in np.ndindex(t.shape[:3]):
+            dt[:, a, i, j] = self.grid.gradient(t[a, i, j])
         out = dt - np.einsum("mba...,mij...->baij...", self.gamma, t) \
                  - np.einsum("mbi...,amj...->baij...", self.gamma, t) \
                  - np.einsum("mbj...,aim...->baij...", self.gamma, t)
@@ -161,14 +178,12 @@ class MetricGeometry:
 
     def divergence_oneform(self, w: np.ndarray) -> np.ndarray:
         """delta w = -g^{ij} nabla_i w_j."""
-        dw = np.stack([self.grid.gradient(w[j]) for j in range(self.n)], axis=1)
-        ndw = dw - np.einsum("mij...,m...->ij...", self.gamma, w)
+        ndw = self.grid.gradient(w) - np.einsum("mij...,m...->ij...", self.gamma, w)
         return -np.einsum("ij...,ij...->...", self.ginv, ndw)
 
     def sym_derivative_oneform(self, w: np.ndarray) -> np.ndarray:
         """(delta* w)_ij = (nabla_i w_j + nabla_j w_i) / 2, adjoint of delta."""
-        dw = np.stack([self.grid.gradient(w[j]) for j in range(self.n)], axis=1)
-        ndw = dw - np.einsum("mij...,m...->ij...", self.gamma, w)
+        ndw = self.grid.gradient(w) - np.einsum("mij...,m...->ij...", self.gamma, w)
         return 0.5 * (ndw + np.swapaxes(ndw, 0, 1))
 
     def ring_action(self, h: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spinstab import suites
 from spinstab.cli import main
 from spinstab.report import VerificationReport
 from spinstab.suites import default_config, merge_config
@@ -44,6 +45,45 @@ def test_verify_unknown_suite_exits_2():
 
 def test_verify_bad_cutoff_exits_2():
     assert main(["verify", "torus", "--cutoff", "99"]) == 2
+
+
+def test_verify_unreadable_config_exits_2(tmp_path):
+    assert main(["verify", "clifford", "--config", str(tmp_path / "none.json")]) == 2
+
+
+def _crashing_runner(exc):
+    def run(rep, seed, cfg):
+        rep.add("before_crash", "runs before the crash", 0.0, 0.0)
+        raise exc
+    return run
+
+
+def test_verify_check_that_raises_is_a_failed_record(tmp_path, monkeypatch, capsys):
+    error = RuntimeError("eigen-solver failed: residual 9.1e-08 after 4261 inner iterations")
+    monkeypatch.setitem(suites.RUNNERS, "torus", _crashing_runner(error))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "torus", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    records = payload["reports"][0]["records"]
+    assert [r["id"] for r in records] == ["before_crash", "suite_error"]
+    assert records[0]["passed"] and not records[1]["passed"]
+    detail = records[1]["detail"]
+    assert detail["error"] == f"RuntimeError: {error}"
+    assert detail["after"] == "before_crash"
+    assert detail["where"].startswith("test_cli.py:") and detail["where"].endswith(" in run")
+    assert "[FAIL] torus.suite_error" in capsys.readouterr().out
+
+
+def test_verify_value_error_inside_suite_exits_1_and_other_suites_run(monkeypatch):
+    error = ValueError("metric not positive on grid (min eig -5.000e-01)")
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.RUNNERS, name, lambda rep, seed, cfg: None)
+    monkeypatch.setitem(suites.RUNNERS, "curvalg", _crashing_runner(error))
+    reports = suites.run_suite("all", seed=0)
+    assert [r.suite for r in reports] == list(suites.SUITES)
+    assert [r.passed for r in reports] == [True, False, True, True, True]
+    assert main(["verify", "all"]) == 1
 
 
 def test_verify_clifford_writes_report(tmp_path, capsys):

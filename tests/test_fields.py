@@ -146,3 +146,42 @@ def test_fourier_max_amp():
     h = FourierSymTensor.from_mode(2, (1, 1), np.array([[1.0, 3.0], [3.0, 0.0]]))
     assert h.max_amp() == 1.5
     assert FourierSymTensor.zero(2).max_amp() == 0.0
+
+
+def _complex_gradient(grid, f):
+    """The complex-FFT derivative formula: ifftn(1j k fftn(f)).real per axis."""
+    axes = range(-grid.n, 0)
+    spec = np.fft.fftn(f, axes=axes)
+    return np.stack([np.fft.ifftn(1j * k * spec, axes=axes).real
+                     for k in grid.wavenumbers])
+
+
+def _rel_err(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def test_real_gradient_matches_complex_formula_with_nyquist_energy():
+    grid = Grid(3, 8)
+    f = np.random.default_rng(0).standard_normal(grid.shape)
+    # white noise carries energy in every Nyquist bin
+    nyq = np.fft.fftn(f)[4]
+    assert np.abs(nyq).max() > 1.0
+    assert _rel_err(grid.gradient(f), _complex_gradient(grid, f)) < 1e-12
+
+
+def test_real_gradient_matches_complex_formula_odd_grid():
+    grid = Grid(2, 15)
+    f = np.random.default_rng(1).standard_normal(grid.shape)
+    assert _rel_err(grid.gradient(f), _complex_gradient(grid, f)) < 1e-12
+
+
+def test_gradient_batches_leading_axes():
+    grid = Grid(3, 10)
+    h = np.random.default_rng(2).standard_normal((3, 3) + grid.shape)
+    out = grid.gradient(h)
+    assert out.shape == (3, 3, 3) + grid.shape
+    for i in range(3):
+        for j in range(3):
+            part = grid.gradient(h[i, j])
+            assert _rel_err(out[:, i, j], part) < 1e-12
+            assert _rel_err(out[:, i, j], _complex_gradient(grid, h[i, j])) < 1e-12

@@ -57,6 +57,23 @@ def test_non_positive_metric_rejected():
         MetricGeometry(FourierMetric.from_perturbation(h), Grid(2, 16))
 
 
+def test_indefinite_metric_with_positive_diagonal_rejected():
+    grid = Grid(2, 16)
+    x, _ = grid.points()
+    one, c = np.ones(grid.shape), 1.5 * np.cos(x)
+    with pytest.raises(ValueError, match="min eig -5.000e-01"):
+        MetricGeometry(np.array([[one, c], [c, one]]), grid)
+
+
+def test_metric_with_zero_eigenvalue_rejected():
+    # [[1, cos x], [cos x, 1]] is singular where cos x = 1, i.e. at x = 0
+    grid = Grid(2, 16)
+    x, _ = grid.points()
+    one, c = np.ones(grid.shape), np.cos(x)
+    with pytest.raises(ValueError, match="not positive"):
+        MetricGeometry(np.array([[one, c], [c, one]]), grid)
+
+
 def test_ricci_perturbation_slope():
     rng = np.random.default_rng(1)
     h = FourierSymTensor.random_real(3, 1, rng, scale=1.0, count=1)
@@ -169,3 +186,72 @@ def test_lichnerowicz_reduces_to_rough_laplacian_on_flat():
     hv = h.sample_matrix(grid)
     out = geo.lichnerowicz(hv)
     assert np.abs(out - 2.0 * hv).max() < 1e-11  # |k|^2 = 2
+
+
+class _ComplexGrid(Grid):
+    """Grid whose gradient is the complex-FFT formula ifftn(1j k fftn(f)).real."""
+
+    def gradient(self, values):
+        axes = range(-self.n, 0)
+        spec = np.fft.fftn(values, axes=axes)
+        return np.stack([np.fft.ifftn(1j * k * spec, axes=axes).real
+                         for k in self.wavenumbers])
+
+
+def _reference_geometry(g, size):
+    """MetricGeometry as built with batched LAPACK and complex transforms."""
+    n = g.shape[0]
+    ref = MetricGeometry.__new__(MetricGeometry)
+    ref.grid, ref.n, ref.g, ref._dgamma = _ComplexGrid(n, size), n, g, None
+    flat = np.moveaxis(g.reshape(n, n, -1), -1, 0)
+    assert np.linalg.eigvalsh(flat).min() > 0
+    ref.ginv = np.moveaxis(np.linalg.inv(flat), 0, -1).reshape(g.shape)
+    ref.sqrt_det = np.sqrt(np.linalg.det(flat)).reshape(ref.grid.shape)
+    dg = np.stack([np.stack([ref.grid.gradient(g[i, j]) for j in range(n)], axis=1)
+                   for i in range(n)], axis=1)
+    rest = tuple(range(3, dg.ndim))
+    bracket = dg + dg.transpose(1, 0, 2, *rest) - dg.transpose(1, 2, 0, *rest)
+    ref.gamma = 0.5 * np.einsum("kl...,ijl...->kij...", ref.ginv, bracket)
+    return ref
+
+
+def _reference_ricci(ref):
+    n, grid = ref.n, ref.grid
+    div_g = np.empty((n, n) + grid.shape)
+    for j in range(n):
+        for k in range(n):
+            spec = np.fft.fftn(ref.gamma[:, j, k], axes=range(-n, 0))
+            acc = sum(1j * grid.wavenumbers[i] * spec[i] for i in range(n))
+            div_g[j, k] = np.fft.ifftn(acc).real
+    c = np.einsum("iik...->k...", ref.gamma)
+    dc = np.stack([grid.gradient(c[k]) for k in range(n)], axis=1)
+    term = div_g - dc
+    term += np.einsum("iim...,mjk...->jk...", ref.gamma, ref.gamma)
+    term -= np.einsum("ijm...,mik...->jk...", ref.gamma, ref.gamma)
+    return 0.5 * (term + np.swapaxes(term, 0, 1))
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 15), (3, 24), (4, 12)])
+def test_geometry_matches_lapack_complex_fft_build(n, size):
+    rng = np.random.default_rng(100 + n + size)
+    grid = Grid(n, size)
+    metric = FourierMetric.from_perturbation(
+        FourierSymTensor.random_real(n, 2, rng, scale=0.02, count=3))
+    hv = FourierSymTensor.random_real(n, 2, rng, scale=0.3, count=2).sample_matrix(grid)
+    geo = MetricGeometry(metric, grid)
+    ref = _reference_geometry(metric.sample_matrix(grid), size)
+    assert geo.ginv.flags.c_contiguous
+    ric, ref_ric = geo.ricci(), _reference_ricci(ref)
+    pairs = {
+        "ginv": (geo.ginv, ref.ginv),
+        "sqrt_det": (geo.sqrt_det, ref.sqrt_det),
+        "gamma": (geo.gamma, ref.gamma),
+        "ricci": (ric, ref_ric),
+        "scalar": (geo.scalar(), np.einsum("jk...,jk...->...", ref.ginv, ref_ric)),
+        "riemann": (geo.riemann(), ref.riemann()),
+        "lichnerowicz": (geo.lichnerowicz(hv), ref.lichnerowicz(hv)),
+    }
+    for name, (new, old) in pairs.items():
+        assert new.shape == old.shape, name
+        err = np.abs(new - old).max() / np.abs(old).max()
+        assert err < 1e-12, (name, err)
