@@ -65,7 +65,7 @@ def cmd_verify(args) -> int:
         cfg = merge_config(overrides)
         reports = run_suite(args.suite, seed=args.seed, config=overrides)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
     all_pass = all(r.passed for r in reports)
     for r in reports:
@@ -183,9 +183,9 @@ def cmd_warped(args) -> int:
         rows = []
         worst = np.inf
         for qi, q in enumerate(metric.family.sample_points()):
-            for r in radii:
-                s_val = wmod.warped_scalar(metric, float(r), q)
-                worst = min(worst, s_val)
+            values = wmod.warped_scalar(metric, radii, q)
+            worst = min(worst, float(values.min()))
+            for r, s_val in zip(radii, values.tolist()):
                 bound = ""
                 if adm is not None and metric.r2 <= r <= metric.r3:
                     bound = wmod.scalar_lower_bound(adm, metric, float(r))["bound"]

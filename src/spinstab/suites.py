@@ -61,14 +61,16 @@ def default_config() -> dict:
 
 
 def merge_config(overrides: dict | None) -> dict:
-    """The defaults with `overrides` merged in at every depth."""
-    return _merge_into(default_config(), overrides or {})
+    """The defaults with `overrides` merged in at every depth; unknown keys raise."""
+    return _merge_into(default_config(), overrides or {}, "")
 
 
-def _merge_into(cfg: dict, overrides: dict) -> dict:
+def _merge_into(cfg: dict, overrides: dict, prefix: str) -> dict:
     for key, val in overrides.items():
-        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-            _merge_into(cfg[key], val)
+        if key not in cfg:
+            raise KeyError(f"unknown config key {prefix + str(key)!r}")
+        if isinstance(val, dict) and isinstance(cfg[key], dict):
+            _merge_into(cfg[key], val, f"{prefix}{key}.")
         else:
             cfg[key] = val
     return cfg
@@ -491,9 +493,10 @@ def run_torus(rep: VerificationReport, seed: int, cfg: dict) -> None:
             iden_res, 0.0, watch.lap(), passed=iden_res == 0.0)
     num = ops.cover_l2_inner(ops.cover_lichnerowicz(ph, (2, 3)), ph, (2, 3))
     den = float(np.real(ops.lichnerowicz_flat(h2).l2_inner(h2)))
+    # num == 6 den holds exactly; the quotient fl(6 den) / den can be 6 + 1 ulp
     rep.add("cover_quadratic_ratio",
             "cover quadratic form = fold count times the base form",
-            num / den - 6.0, 0.0, watch.lap(), passed=(num / den) == 6.0)
+            num - 6.0 * den, 0.0, watch.lap(), passed=num == 6.0 * den)
 
     # --- eigenvalue of the conformal Laplacian -------------------------------
     grid3e = _grid_for(cfg, 3)

@@ -7,6 +7,12 @@ against an independent finite-difference curvature oracle in coordinates.
 The negative-mass construction assembles a piecewise profile (cubic core,
 Hermite transition, linear ramp, inverse-radius tail) whose scan certifies
 nonnegative scalar curvature.
+
+The scalar pipeline (`WarpedMetric.schedule` through `warped_scalar`, and
+the fiber families) maps a float radius or path parameter to floats and
+(k, k) blocks, and an array to arrays and (..., k, k) blocks equal to the
+float calls bit for bit; squares are products there, since numpy's `**`
+and the C `pow` behind a float `**` can round differently.
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ class MassProfile:
 
 class ZeroMass(MassProfile):
     def m(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
+        return np.zeros_like(np.asarray(r, dtype=float))[()]
 
     def dm(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
+        return np.zeros_like(np.asarray(r, dtype=float))[()]
 
 
 class ConstantMass(MassProfile):
@@ -57,10 +63,10 @@ class ConstantMass(MassProfile):
         self.m_inf = float(m0)
 
     def m(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.m0)
+        return np.full_like(np.asarray(r, dtype=float), self.m0)[()]
 
     def dm(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
+        return np.zeros_like(np.asarray(r, dtype=float))[()]
 
 
 class InverseTail(MassProfile):
@@ -164,23 +170,25 @@ class StabilityMassProfile(MassProfile):
             _Segment(self.r2, self.r3, linear, dlinear),
             _Segment(self.r3, np.inf, tail, dtail),
         ]
+        # the joins whose slopes disagree get a smoothstep blend
+        self._kinked = [
+            (left, right) for left, right in zip(self._segments, self._segments[1:])
+            if abs(float(left.dm(left.hi)) - float(right.dm(left.hi)))
+            >= 1e-14 * (1 + abs(float(left.dm(left.hi))))]
 
     def _piecewise(self, r, which: str):
-        r = np.asarray(r, dtype=float)
+        scalar = np.isscalar(r)
+        r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.zeros_like(r)
         for seg in self._segments:
             mask = (r >= seg.lo) & (r < seg.hi)
-            if np.any(mask):
+            if mask.any():
                 out[mask] = getattr(seg, which)(r[mask])
-        # smoothstep blend across joins whose slopes disagree
-        for idx in range(len(self._segments) - 1):
-            left, right = self._segments[idx], self._segments[idx + 1]
+        for left, right in self._kinked:
             b = left.hi
-            if abs(float(left.dm(b)) - float(right.dm(b))) < 1e-14 * (1 + abs(float(left.dm(b)))):
-                continue
             w = self.width
             mask = (r > b - w) & (r < b + w)
-            if not np.any(mask):
+            if not mask.any():
                 continue
             u = (r[mask] - (b - w)) / (2 * w)
             s = _smoothstep(u)
@@ -190,17 +198,13 @@ class StabilityMassProfile(MassProfile):
                 ds = _smoothstep_d(u) / (2 * w)
                 out[mask] = ((1 - s) * left.dm(r[mask]) + s * right.dm(r[mask])
                              + ds * (right.m(r[mask]) - left.m(r[mask])))
-        return out
+        return float(out[0]) if scalar else out
 
     def m(self, r):
-        scalar = np.isscalar(r)
-        out = self._piecewise(np.atleast_1d(r), "m")
-        return float(out[0]) if scalar else out
+        return self._piecewise(r, "m")
 
     def dm(self, r):
-        scalar = np.isscalar(r)
-        out = self._piecewise(np.atleast_1d(r), "dm")
-        return float(out[0]) if scalar else out
+        return self._piecewise(r, "dm")
 
     def to_json_obj(self):
         return {
@@ -223,20 +227,21 @@ class FiberFamily:
 
     Subclasses provide the metric block in a fixed chart together with its
     first two s-derivatives, the scalar curvature and the Ricci tensor.
+    All but `ricci` also take an array of s: (..., k, k) blocks, an array.
     """
 
     dim: int
 
-    def metric(self, s: float, q) -> np.ndarray:
+    def metric(self, s, q) -> np.ndarray:
         raise NotImplementedError
 
-    def dmetric(self, s: float, q) -> np.ndarray:
+    def dmetric(self, s, q) -> np.ndarray:
         raise NotImplementedError
 
-    def d2metric(self, s: float, q) -> np.ndarray:
+    def d2metric(self, s, q) -> np.ndarray:
         raise NotImplementedError
 
-    def scalar(self, s: float, q) -> float:
+    def scalar(self, s, q):
         raise NotImplementedError
 
     def ricci(self, s: float, q) -> np.ndarray:
@@ -254,6 +259,11 @@ def _stereographic_conformal(q) -> float:
     return 2.0 / (1.0 + float(q @ q))
 
 
+def _identity_blocks(x, s, eye: np.ndarray) -> np.ndarray:
+    """x I_k at each entry of s; 0 * s spreads an x constant in s over s."""
+    return np.multiply.outer(x + 0.0 * s, eye)
+
+
 class ConformalSphereFamily(FiberFamily):
     """Round 2-spheres of radius f(s), in the stereographic chart.
 
@@ -263,6 +273,7 @@ class ConformalSphereFamily(FiberFamily):
     """
 
     dim = 2
+    _eye = np.eye(2)
 
     def __init__(self, f, df, d2f):
         self.f, self.df, self.d2f = f, df, d2f
@@ -289,19 +300,22 @@ class ConformalSphereFamily(FiberFamily):
         return cls(lambda s: radius, lambda s: 0.0, lambda s: 0.0)
 
     def metric(self, s, q):
-        rho = _stereographic_conformal(q)
-        return (self.f(s) * rho) ** 2 * np.eye(2)
+        x = self.f(s) * _stereographic_conformal(q)
+        return _identity_blocks(x * x, s, self._eye)
 
     def dmetric(self, s, q):
         rho = _stereographic_conformal(q)
-        return 2.0 * self.f(s) * self.df(s) * rho**2 * np.eye(2)
+        return _identity_blocks(2.0 * self.f(s) * self.df(s) * (rho * rho), s, self._eye)
 
     def d2metric(self, s, q):
         rho = _stereographic_conformal(q)
-        return 2.0 * (self.df(s) ** 2 + self.f(s) * self.d2f(s)) * rho**2 * np.eye(2)
+        df = self.df(s)
+        return _identity_blocks(
+            2.0 * (df * df + self.f(s) * self.d2f(s)) * (rho * rho), s, self._eye)
 
     def scalar(self, s, q):
-        return 2.0 / self.f(s) ** 2
+        f = self.f(s)
+        return 2.0 / (f * f) + 0.0 * s
 
     def ricci(self, s, q):
         rho = _stereographic_conformal(q)
@@ -320,20 +334,22 @@ class FlatTorusConformalFamily(FiberFamily):
     """g_s = c(s)^2 delta on a k-torus: scalar flat for every s."""
 
     def __init__(self, k: int, c, dc, d2c):
-        self.dim = k
+        self.dim, self._eye = k, np.eye(k)
         self.c, self.dc, self.d2c = c, dc, d2c
 
     def metric(self, s, q):
-        return self.c(s) ** 2 * np.eye(self.dim)
+        c = self.c(s)
+        return _identity_blocks(c * c, s, self._eye)
 
     def dmetric(self, s, q):
-        return 2.0 * self.c(s) * self.dc(s) * np.eye(self.dim)
+        return _identity_blocks(2.0 * self.c(s) * self.dc(s), s, self._eye)
 
     def d2metric(self, s, q):
-        return 2.0 * (self.dc(s) ** 2 + self.c(s) * self.d2c(s)) * np.eye(self.dim)
+        dc = self.dc(s)
+        return _identity_blocks(2.0 * (dc * dc + self.c(s) * self.d2c(s)), s, self._eye)
 
     def scalar(self, s, q):
-        return 0.0
+        return 0.0 * s
 
     def ricci(self, s, q):
         return np.zeros((self.dim, self.dim))
@@ -381,6 +397,11 @@ class ReparametrizedFamily(FiberFamily):
 # admissibility and the lower bound
 # ---------------------------------------------------------------------------
 
+def _trace(a):
+    """Trace over the last two axes: a float for one block, an array for a stack."""
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
 COND_BOUND = 1.0 / 200.0
 
 
@@ -412,19 +433,16 @@ def admissibility_check(family: FiberFamily, s_count: int = 65) -> Admissibility
     """
     c1 = c2 = c3 = s_minus = 0.0
     a0 = np.inf
+    s = family.sample_s(s_count)
     for q in family.sample_points():
-        for s in family.sample_s(s_count):
-            g = family.metric(s, q)
-            gi = np.linalg.inv(g)
-            gs = family.dmetric(s, q)
-            gss = family.d2metric(s, q)
-            a = gi @ gs
-            # d_s g_ab d_s g^ab = -tr((g^-1 g_s)^2)
-            c1 = max(c1, abs(-float(np.trace(a @ a))))
-            c2 = max(c2, abs(float(np.trace(a))))
-            gp2 = float(np.trace(-a @ a + gi @ gss))
-            c3 = max(c3, abs(gp2))
-            s_minus = max(s_minus, max(0.0, -family.scalar(s, q)))
+        gi = np.linalg.inv(family.metric(s, q))
+        a = gi @ family.dmetric(s, q)
+        aa = a @ a
+        # d_s g_ab d_s g^ab = -tr((g^-1 g_s)^2)
+        c1 = max(c1, float(np.abs(_trace(aa)).max()))
+        c2 = max(c2, float(np.abs(_trace(a)).max()))
+        c3 = max(c3, float(np.abs(_trace(gi @ family.d2metric(s, q) - aa)).max()))
+        s_minus = max(s_minus, -float(np.min(family.scalar(s, q))))
         a0 = min(a0, family.scalar(1.0, q))
     violations = []
     for name, val in (("C1", c1), ("C2", c2), ("C3", c3)):
@@ -460,34 +478,32 @@ class WarpedMetric:
     def fiber_dim(self) -> int:
         return self.family.dim
 
-    def schedule(self, r: float):
-        """(s, ds/dr) at radius r."""
+    def schedule(self, r):
+        """(s, ds/dr) at radius r, or arrays of both at an array of radii."""
         if self.r2 is None:
-            return self.s_frozen, 0.0
-        if r <= self.r2:
-            return 1.0, 0.0
-        if r >= self.r3:
-            return 0.0, 0.0
+            return self.s_frozen + 0.0 * r, 0.0 * r
         span = self.r3 - self.r2
-        return (self.r3 - r) / span, -1.0 / span
+        ramp = (r > self.r2) & (r < self.r3)
+        # mask arithmetic keeps floats as floats, and +0.0 (not -0.0) off the ramp
+        return ramp * ((self.r3 - r) / span) + (r <= self.r2), (0.0 - ramp) / span
 
-    def fiber_data(self, r: float, q):
+    def fiber_data(self, r, q):
         """Fiber block with its first two radial derivatives at (r, q)."""
         s, dsdr = self.schedule(r)
+        dsdr = np.asarray(dsdr)[..., None, None]
         g = self.family.metric(s, q)
         gs = self.family.dmetric(s, q)
         gss = self.family.d2metric(s, q)
-        return g, dsdr * gs, dsdr**2 * gss, s
+        return g, dsdr * gs, (dsdr * dsdr) * gss, s
 
-    def radial_invariants(self, r: float, q):
+    def radial_invariants(self, r, q):
         """(g', g'', Q2, S_M) with g' = tr(g^-1 d_r g), Q2 = tr((g^-1 d_r g)^2)."""
         g, gr, grr, s = self.fiber_data(r, q)
         gi = np.linalg.inv(g)
         a = gi @ gr
-        gp = float(np.trace(a))
-        q2 = float(np.trace(a @ a))
-        gpp = float(np.trace(-a @ a + gi @ grr))
-        return gp, gpp, q2, self.family.scalar(s, q)
+        aa = a @ a
+        return (_trace(a), _trace(gi @ grr - aa), _trace(aa),
+                self.family.scalar(s, q))
 
     def to_json_obj(self):
         return {
@@ -498,19 +514,23 @@ class WarpedMetric:
         }
 
 
-def warped_scalar(w: WarpedMetric, r: float, q) -> float:
-    """Scalar curvature of the warped metric at radius r and fiber point q."""
-    m = float(w.profile.m(r))
-    if 2.0 * m >= r:
-        raise HorizonError(f"2 m(r) = {2 * m:.3e} >= r = {r:.3e}")
-    dm = float(w.profile.dm(r))
+def warped_scalar(w: WarpedMetric, r, q):
+    """Scalar curvature of the warped metric at fiber point q and radius r, or
+    at each radius of an array r; HorizonError where 2 m(r) >= r."""
+    m = w.profile.m(r)
+    over = np.asarray(2.0 * m >= r)
+    if over.any():
+        i = np.argmax(over)
+        raise HorizonError(f"2 m(r) = {2 * np.ravel(m)[i]:.3e} >= r = {np.ravel(r)[i]:.3e}")
+    dm = w.profile.dm(r)
     gp, gpp, q2, s_m = w.radial_invariants(r, q)
     lapse = 1.0 - 2.0 * m / r
+    rr = r * r
     return (
         s_m
-        + dm * (4.0 / r**2 + gp / r)
-        - (m / r**2) * gp
-        - lapse * (gpp + 2.0 * gp / r + 0.25 * gp**2 + 0.25 * q2)
+        + dm * (4.0 / rr + gp / r)
+        - (m / rr) * gp
+        - lapse * (gpp + 2.0 * gp / r + 0.25 * (gp * gp) + 0.25 * q2)
     )
 
 
@@ -730,9 +750,8 @@ def scan_scalar_positivity(w: WarpedMetric, scan_points: int = 4000,
     points = w.family.sample_points()
     worst = np.inf
     arg_r, arg_q = radii[0], 0
-    min_margin = np.inf
     for qi, q in enumerate(points):
-        vals = np.array([warped_scalar(w, r, q) for r in radii])
+        vals = warped_scalar(w, radii, q)
         i = int(np.argmin(vals))
         if vals[i] < worst:
             worst, arg_r, arg_q = float(vals[i]), float(radii[i]), qi
@@ -787,18 +806,11 @@ def mass_and_order(w: WarpedMetric, radii=None) -> dict:
         base = max(w.r3 if w.r3 is not None else 10.0, 16.0 * abs(m_inf), 10.0)
         radii = base * 2.0 ** np.arange(1, 8)
     radii = np.asarray(radii, dtype=float)
-    devs = []
-    points = w.family.sample_points()
-    g_limits = [w.family.metric(w.schedule(radii[-1] * 4)[0], q) for q in points]
-    for r in radii:
-        m = float(prof.m(r))
-        dev = abs(1.0 / (1.0 - 2.0 * m / r) - 1.0)
-        s, _ = w.schedule(r)
-        for q, g_lim in zip(points, g_limits):
-            diff = w.family.metric(s, q) - g_lim
-            dev = max(dev, float(np.abs(diff).max()))
-        devs.append(dev)
-    devs = np.asarray(devs)
+    s, _ = w.schedule(radii)
+    devs = np.abs(1.0 / (1.0 - 2.0 * prof.m(radii) / radii) - 1.0)
+    for q in w.family.sample_points():
+        g_lim = w.family.metric(w.schedule(radii[-1] * 4)[0], q)
+        devs = np.maximum(devs, np.abs(w.family.metric(s, q) - g_lim).max(axis=(-2, -1)))
     if np.all(devs == 0.0):
         return {"mass": m_inf, "order": np.inf, "radii": radii, "deviations": devs}
     good = devs > 0

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from spinstab import suites
-from spinstab.cli import main
+from spinstab.cli import _metric_from_descriptor, main
 from spinstab.report import VerificationReport
 from spinstab.suites import default_config, merge_config
+from spinstab.warped import warped_scalar
 
 
 def test_report_json_roundtrip():
@@ -107,6 +108,20 @@ def test_verify_tolerance_scale_flag(tmp_path):
     assert payload["config"]["tolerance_scale"] == 10.0
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ({"tolerance_scal": 2.0}, "tolerance_scal"),
+    ({"warped": {"scan_point": 10}}, "warped.scan_point"),
+    ({"torus": {"grids": {"5": 16}}}, "torus.grids.5"),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, path):
+    with pytest.raises(KeyError, match=path):
+        merge_config(overrides)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    assert main(["verify", "clifford", "--config", str(cfg)]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_merge_config_merges_nested_dicts():
     cfg = merge_config({"torus": {"grids": {"3": 16}}, "tolerance_scale": 2.0})
     assert cfg["torus"]["grids"] == {"2": 32, "3": 16, "4": 12, "7": 0}
@@ -145,6 +160,27 @@ def test_warped_scan_product(tmp_path):
     assert lines[0] == "r,q_index,scalar,lower_bound"
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert max(abs(v - 2.0) for v in values) <= 1e-12  # S == S_M == 2
+
+
+def test_warped_scan_sphere_path_matches_pointwise_scalar(tmp_path):
+    desc = {
+        "fiber": {"kind": "sphere_path", "radius_start": 0.2, "radius_end": 0.20002},
+        "profile": {"kind": "construct"},
+        "scan": {"points": 60},
+    }
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps(desc))
+    out = tmp_path / "scan.csv"
+    assert main(["warped", "scan", "--family", str(fam), "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "r,q_index,scalar,lower_bound"
+    rows = [line.split(",") for line in lines[1:]]
+    metric, _ = _metric_from_descriptor(desc)
+    points = metric.family.sample_points()
+    assert len(rows) == 60 * len(points)
+    for r, qi, scalar, bound in rows:
+        assert float(scalar) == warped_scalar(metric, float(r), points[int(qi)])
+        assert (bound != "") == (metric.r2 <= float(r) <= metric.r3)
 
 
 def test_warped_build_reports_mass(tmp_path):

@@ -187,6 +187,18 @@ def test_cover_quadratic_ratio_exact():
     assert num / den == 6.0
 
 
+@pytest.mark.parametrize("fold", [(2, 3), (3, 2), (1, 5), (4, 4)])
+def test_cover_quadratic_form_is_fold_count_times_base(fold):
+    # exact as a product: the cover sum before the fold factor is the base
+    # sum bit for bit, while the quotient num / den can round off the count
+    for seed in range(8):
+        h = FourierSymTensor.random_real(2, 2, np.random.default_rng(seed), count=3)
+        ph = cover_pullback(h, fold)
+        num = cover_l2_inner(cover_lichnerowicz(ph, fold), ph, fold)
+        den = float(np.real(lichnerowicz_flat(h).l2_inner(h)))
+        assert num == float(np.prod(fold)) * den
+
+
 def test_cover_guards():
     h = FourierSymTensor.from_constant(np.eye(2))
     with pytest.raises(ValueError):

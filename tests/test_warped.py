@@ -351,3 +351,261 @@ def test_reparametrized_family_scaling():
     assert np.allclose(rep.metric(1.0, q), fam.metric(0.5, q))
     assert np.allclose(rep.dmetric(1.0, q), 0.5 * fam.dmetric(0.5, q))
     assert np.allclose(rep.d2metric(1.0, q), 0.25 * fam.d2metric(0.5, q))
+
+
+# ---------------------------------------------------------------------------
+# array evaluation: one code path, equal to the float calls
+# ---------------------------------------------------------------------------
+
+def _parent_blocks(fam, s, q):
+    """(g, d_s g, d_s^2 g, S_M) at one float s, as the per-point code wrote
+    them: Python floats, `**` squares, one (k, k) block per call."""
+    if isinstance(fam, ReparametrizedFamily):
+        g, gs, gss, s_m = _parent_blocks(fam.base, fam.eps * s, q)
+        return g, fam.eps * gs, fam.eps**2 * gss, s_m
+    if isinstance(fam, ConformalSphereFamily):
+        q = np.asarray(q, dtype=float)
+        rho = 2.0 / (1.0 + float(q @ q))
+        f, df, d2f, eye = fam.f(s), fam.df(s), fam.d2f(s), np.eye(2)
+        return ((f * rho) ** 2 * eye, 2.0 * f * df * rho**2 * eye,
+                2.0 * (df**2 + f * d2f) * rho**2 * eye, 2.0 / f**2)
+    c, dc, d2c, eye = fam.c(s), fam.dc(s), fam.d2c(s), np.eye(fam.dim)
+    return c**2 * eye, 2.0 * c * dc * eye, 2.0 * (dc**2 + c * d2c) * eye, 0.0
+
+
+def _parent_scalar(w, r, q):
+    """The scalar curvature at one radius as the per-point code computed it."""
+    if w.r2 is None:
+        s, dsdr = w.s_frozen, 0.0
+    elif r <= w.r2:
+        s, dsdr = 1.0, 0.0
+    elif r >= w.r3:
+        s, dsdr = 0.0, 0.0
+    else:
+        s, dsdr = (w.r3 - r) / (w.r3 - w.r2), -1.0 / (w.r3 - w.r2)
+    g, gs, gss, s_m = _parent_blocks(w.family, s, q)
+    gi = np.linalg.inv(g)
+    a = gi @ (dsdr * gs)
+    gp = float(np.trace(a))
+    q2 = float(np.trace(a @ a))
+    gpp = float(np.trace(-a @ a + gi @ (dsdr**2 * gss)))
+    m, dm = float(w.profile.m(r)), float(w.profile.dm(r))
+    lapse = 1.0 - 2.0 * m / r
+    return (s_m + dm * (4.0 / r**2 + gp / r) - (m / r**2) * gp
+            - lapse * (gpp + 2.0 * gp / r + 0.25 * gp**2 + 0.25 * q2))
+
+
+def _parent_admissibility(fam, s_count=65):
+    c1 = c2 = c3 = s_minus = 0.0
+    a0 = np.inf
+    for q in fam.sample_points():
+        for s in fam.sample_s(s_count):
+            g, gs, gss, s_m = _parent_blocks(fam, float(s), q)
+            gi = np.linalg.inv(g)
+            a = gi @ gs
+            c1 = max(c1, abs(-float(np.trace(a @ a))))
+            c2 = max(c2, abs(float(np.trace(a))))
+            c3 = max(c3, abs(float(np.trace(-a @ a + gi @ gss))))
+            s_minus = max(s_minus, max(0.0, -s_m))
+        a0 = min(a0, _parent_blocks(fam, 1.0, q)[3])
+    return c1, c2, c3, s_minus, a0
+
+
+def _parent_piecewise(prof, r, which):
+    """StabilityMassProfile._piecewise as it was: every join's slopes are
+    compared on every call."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    for seg in prof._segments:
+        mask = (r >= seg.lo) & (r < seg.hi)
+        if np.any(mask):
+            out[mask] = getattr(seg, which)(r[mask])
+    for left, right in zip(prof._segments, prof._segments[1:]):
+        b = left.hi
+        if abs(float(left.dm(b)) - float(right.dm(b))) < 1e-14 * (1 + abs(float(left.dm(b)))):
+            continue
+        w = prof.width
+        mask = (r > b - w) & (r < b + w)
+        if not np.any(mask):
+            continue
+        u = (r[mask] - (b - w)) / (2 * w)
+        s = u * u * (3.0 - 2.0 * u)
+        if which == "m":
+            out[mask] = (1 - s) * left.m(r[mask]) + s * right.m(r[mask])
+        else:
+            ds = 6.0 * u * (1.0 - u) / (2 * w)
+            out[mask] = ((1 - s) * left.dm(r[mask]) + s * right.dm(r[mask])
+                         + ds * (right.m(r[mask]) - left.m(r[mask])))
+    return out
+
+
+SCAN = 4000  # the suite's scan: 1-ulp rounding slips show up at this count
+
+
+def _construction_radii(prof, count):
+    """The scan radii, the joins r1, r2, r3 and the mollified window at r3."""
+    w = prof.width
+    marks = [prof.r1, prof.r2, prof.r3, prof.r3 - w, prof.r3 + w,
+             np.nextafter(prof.r2, 0.0), np.nextafter(prof.r3, np.inf)]
+    window = np.linspace(prof.r3 - w, prof.r3 + w, 41)
+    return np.concatenate([np.linspace(4 * prof.r3 / count, 4 * prof.r3, count),
+                           marks, window])
+
+
+@pytest.fixture(scope="module")
+def array_fixtures():
+    """name -> (metric, radii, per-point parent values for each fiber sample)."""
+    metric, _ = construct_negative_mass(desk_family(), scan_points=200)
+    shrink = construct_from_positive_path(
+        ConformalSphereFamily.smooth_radius_path(1.0, 0.9), scan_points=200)["metric"]
+    flat = FlatTorusConformalFamily(2, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
+    fixtures = {
+        "construction": (metric, _construction_radii(metric.profile, SCAN)),
+        "shrink_path": (shrink, _construction_radii(shrink.profile, 400)),
+        "product": (WarpedMetric(profile=ZeroMass(),
+                                 family=ConformalSphereFamily.constant(2.0), s_frozen=0.3),
+                    np.linspace(0.5, 30.0, 200)),
+        "schwarzschild_slice": (WarpedMetric(profile=ConstantMass(1.0), family=flat),
+                                np.linspace(2.5, 30.0, 200)),
+    }
+    return {name: (w, radii, [np.array([_parent_scalar(w, float(r), q) for r in radii])
+                              for q in w.family.sample_points()])
+            for name, (w, radii) in fixtures.items()}
+
+
+@pytest.mark.parametrize("name", ["construction", "shrink_path", "product",
+                                  "schwarzschild_slice"])
+def test_array_scalar_equals_float_calls(array_fixtures, name):
+    w, radii, parent = array_fixtures[name]
+    for q, parent_q in zip(w.family.sample_points(), parent):
+        values = warped_scalar(w, radii, q)
+        assert values.shape == radii.shape
+        pointwise = np.array([warped_scalar(w, float(r), q) for r in radii])
+        assert np.array_equal(values, pointwise)
+        # the per-point formula before vectorization: same arithmetic up to
+        # the rounding of `**` squares against products
+        assert np.abs(values - parent_q).max() <= 1e-13
+        for r in radii[::37]:
+            inv = w.radial_invariants(float(r), q)
+            assert all(isinstance(v, float) for v in inv)
+            batch = w.radial_invariants(radii, q)
+            i = int(np.flatnonzero(radii == r)[0])
+            assert [float(b[i]) for b in batch] == [float(v) for v in inv]
+
+
+def test_array_schedule_matches_float_calls(array_fixtures):
+    for name in ("construction", "product"):
+        w, radii, _ = array_fixtures[name]
+        s, dsdr = w.schedule(radii)
+        for i, r in enumerate(radii):
+            s_i, dsdr_i = w.schedule(float(r))
+            assert isinstance(s_i, float) and isinstance(dsdr_i, float)
+            assert (s[i], dsdr[i]) == (s_i, dsdr_i)
+            assert not np.signbit(s_i) and (dsdr_i < 0.0 or not np.signbit(dsdr_i))
+        assert not np.signbit(s).any() and not np.signbit(dsdr[dsdr == 0.0]).any()
+    prof = array_fixtures["construction"][0].profile
+    w = array_fixtures["construction"][0]
+    assert w.schedule(prof.r2) == (1.0, 0.0) and not np.signbit(w.schedule(prof.r2)[1])
+    assert w.schedule(prof.r3) == (0.0, 0.0)
+    assert w.schedule(0.5 * (prof.r2 + prof.r3))[1] == -1.0 / (prof.r3 - prof.r2)
+
+
+def test_scan_matches_pointwise_loop(array_fixtures):
+    w, radii, parent = array_fixtures["construction"]
+    cert = scan_scalar_positivity(w, scan_points=SCAN)
+    radii = radii[:SCAN]
+    assert np.array_equal(cert.scan_radii, radii)
+    worst, arg_r, arg_q = np.inf, radii[0], 0
+    for qi, parent_q in enumerate(parent):
+        vals = parent_q[:SCAN]
+        i = int(np.argmin(vals))
+        if vals[i] < worst:
+            worst, arg_r, arg_q = float(vals[i]), float(radii[i]), qi
+    assert cert.passed == (worst >= -1e-9)
+    assert cert.argmin_q_index == arg_q
+    assert cert.argmin_r == arg_r
+    assert abs(cert.min_scalar - worst) <= 1e-13
+
+
+def test_admissibility_matches_pointwise_loop():
+    steep = ConformalSphereFamily.smooth_radius_path(1.0, 0.9)
+    families = [desk_family(), ConformalSphereFamily.constant(1.0),
+                FlatTorusConformalFamily(2, lambda s: 1.0 + 0.001 * s,
+                                         lambda s: 0.001, lambda s: 0.0)]
+    eps = 1.0
+    while True:  # the shrink path's eps chain, down to the first pass
+        families.append(ReparametrizedFamily(steep, eps))
+        if admissibility_check(families[-1]).passed:
+            break
+        eps *= 0.5
+    assert len(families) > 4
+    for fam in families:
+        rep = admissibility_check(fam)
+        c1, c2, c3, s_minus, a0 = _parent_admissibility(fam)
+        for new, old in ((rep.c1, c1), (rep.c2, c2), (rep.c3, c3)):
+            assert abs(new - old) <= 1e-15 * abs(old)
+        assert rep.s_minus == s_minus
+        assert abs(rep.a0 - a0) <= 1e-15 * abs(a0)
+        violations = []
+        for name, val in (("C1", c1), ("C2", c2), ("C3", c3)):
+            if val > COND_BOUND:
+                violations.append(f"{name} = {val:.3e} > 1/200")
+        if not a0 > 0:
+            violations.append(f"S(g_1) = {a0:.3e} not positive")
+        elif s_minus > a0 / 10.0:
+            violations.append(f"S^- = {s_minus:.3e} > a0/10 = {a0 / 10:.3e}")
+        assert rep.violations == violations
+        assert rep.passed == (not violations)
+
+
+def test_array_call_raises_horizon_error():
+    flat = FlatTorusConformalFamily(2, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
+    w = WarpedMetric(profile=ConstantMass(1.0), family=flat)
+    assert np.all(warped_scalar(w, np.array([2.5, 3.0, 9.0]), np.zeros(2)) == 0.0)
+    with pytest.raises(HorizonError, match="r = 2.000e"):
+        warped_scalar(w, np.array([5.0, 2.0, 9.0]), np.zeros(2))
+    with pytest.raises(HorizonError):
+        warped_scalar(w, np.array([1.5]), np.zeros(2))
+
+
+def test_family_methods_on_arrays_equal_scalar_calls():
+    s = np.linspace(0.0, 1.0, 17)
+    families = [
+        desk_family(),
+        ConformalSphereFamily.constant(2.0),
+        FlatTorusConformalFamily(3, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0),
+        FlatTorusConformalFamily(2, lambda s: 1.0 + 0.1 * s * s,
+                                 lambda s: 0.2 * s, lambda s: 0.2 + 0.0 * s),
+        ReparametrizedFamily(ConformalSphereFamily.smooth_radius_path(1.0, 0.9), 0.25),
+    ]
+    for fam in families:
+        k = fam.dim
+        for q in fam.sample_points():
+            for method in (fam.metric, fam.dmetric, fam.d2metric):
+                blocks = method(s, q)
+                assert blocks.shape == (len(s), k, k)
+                for i, si in enumerate(s):
+                    single = method(float(si), q)
+                    assert single.shape == (k, k)
+                    assert np.array_equal(blocks[i], single)
+            scal = fam.scalar(s, q)
+            assert scal.shape == s.shape
+            for i, si in enumerate(s):
+                single = fam.scalar(float(si), q)
+                assert isinstance(single, float)
+                assert scal[i] == single
+
+
+def test_profile_matches_per_call_join_test():
+    for a0 in (50.0, 0.3, 1000.0):
+        prof = StabilityMassProfile(a0=a0)
+        w = prof.width
+        r = np.concatenate([
+            np.linspace(1e-3, 4 * prof.r3, 3001),
+            [prof.r1, prof.r2, prof.r3, prof.r3 - w, prof.r3 + w],
+            np.linspace(prof.r3 - w, prof.r3 + w, 101)])
+        for which in ("m", "dm"):
+            ref = _parent_piecewise(prof, r, which)
+            assert np.array_equal(getattr(prof, which)(r), ref)
+            for ri, vi in zip(r[::50], ref[::50]):
+                assert getattr(prof, which)(float(ri)) == vi
