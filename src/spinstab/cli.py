@@ -102,18 +102,8 @@ def _family_from_descriptor(desc: dict) -> wmod.FiberFamily:
     if kind == "torus":
         start = float(fiber.get("scale_start", 1.0))
         end = float(fiber.get("scale_end", start))
-        delta = end - start
-
-        def c(s):
-            return start + delta * wmod._smoothstep(s)
-
-        def dc(s):
-            return delta * wmod._smoothstep_d(s)
-
-        def d2c(s):
-            return delta * (6.0 - 12.0 * s)
-
-        return wmod.FlatTorusConformalFamily(int(fiber.get("k", 2)), c, dc, d2c)
+        return wmod.FlatTorusConformalFamily(int(fiber.get("k", 2)),
+                                             *wmod.smooth_path(start, end))
     raise SystemExit(f"unknown fiber kind {kind!r}")
 
 
@@ -173,27 +163,22 @@ def cmd_warped(args) -> int:
 
     if args.action == "scan":
         scan = desc.get("scan", {})
-        points = int(scan.get("points", 2000))
-        factor = float(scan.get("r_max_factor", 4.0))
-        r_top = factor * (metric.r3 if metric.r3 is not None else 10.0)
-        radii = np.linspace(r_top / points, r_top, points)
+        cert = wmod.scan_scalar_positivity(metric, int(scan.get("points", 2000)),
+                                           float(scan.get("r_max_factor", 4.0)))
         adm = None
         if isinstance(metric.profile, wmod.StabilityMassProfile):
             adm = wmod.admissibility_check(metric.family)
         rows = []
-        worst = np.inf
-        for qi, q in enumerate(metric.family.sample_points()):
-            values = wmod.warped_scalar(metric, radii, q)
-            worst = min(worst, float(values.min()))
-            for r, s_val in zip(radii, values.tolist()):
+        for qi, values in enumerate(cert.scan_values):
+            for r, s_val in zip(cert.scan_radii, values.tolist()):
                 bound = ""
                 if adm is not None and metric.r2 <= r <= metric.r3:
                     bound = wmod.scalar_lower_bound(adm, metric, float(r))["bound"]
                 rows.append((r, qi, s_val, bound))
         _write_csv(args.out, ["r", "q_index", "scalar", "lower_bound"], rows)
-        print(f"scan: min scalar {worst:.6e} "
-              f"({'PASS' if worst >= wmod.SCAN_FLOOR else 'FAIL'})")
-        return 0 if worst >= wmod.SCAN_FLOOR else CHECK_FAILURE
+        print(f"scan: min scalar {cert.min_scalar:.6e} "
+              f"({'PASS' if cert.passed else 'FAIL'})")
+        return 0 if cert.passed else CHECK_FAILURE
 
     if args.action == "oracle":
         if metric.r2 is not None:
@@ -227,6 +212,9 @@ def cmd_warped(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    if args.count < 0:
+        print("error: --count must be nonnegative", file=sys.stderr)
+        return USAGE_ERROR
     desc = _load_json(args.descriptor) if args.descriptor else {"dim": 4}
     n = int(desc.get("dim", 4))
     if not 2 <= n <= 4:
@@ -248,13 +236,11 @@ def cmd_spectrum(args) -> int:
         metric = FourierMetric.from_perturbation(h)
     else:
         metric = FourierMetric.flat(n)
-    rows_tt, ground = rayleigh_rows(metric, args.count, cutoff, grid)
-    rows = [(r["kind"], r["index"], r["value"], r["multiplicity"], r["residual"])
-            for r in rows_tt]
-    rows.append((ground["kind"], ground["index"], ground["value"],
-                 ground["multiplicity"], ground["residual"]))
-    if args.count == 0:
-        rows = []
+    rows = []
+    if args.count > 0:
+        rows_tt, ground = rayleigh_rows(metric, args.count, cutoff, grid)
+        rows = [(r["kind"], r["index"], r["value"], r["multiplicity"], r["residual"])
+                for r in rows_tt + [ground]]
     _write_csv(args.out, ["kind", "index", "value", "multiplicity", "residual"],
                rows)
     return 0

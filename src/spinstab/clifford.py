@@ -114,9 +114,10 @@ class Spinor:
         return float(np.linalg.norm(self.components))
 
 
-def unit_spinor(rep: GammaRep, index: int = 0) -> Spinor:
+def unit_spinor(rep: GammaRep) -> Spinor:
+    """The first standard basis spinor."""
     v = np.zeros(rep.spin_dim, dtype=complex)
-    v[index] = 1.0
+    v[0] = 1.0
     return Spinor(v)
 
 

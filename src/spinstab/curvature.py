@@ -55,21 +55,20 @@ class AlgCurvature:
 
 
 def curvature_symmetry_violations(r: np.ndarray):
-    """Named residuals for each algebraic curvature identity."""
-    res = [
+    """Named residuals for each algebraic curvature identity.
+
+    Axes beyond the first four (a grid of points, say) are carried along,
+    and each residual is the max over all of them.
+    """
+    rest = tuple(range(4, r.ndim))
+    return [
         ("antisymmetry-first-pair", float(np.abs(r + np.swapaxes(r, 0, 1)).max())),
         ("antisymmetry-second-pair", float(np.abs(r + np.swapaxes(r, 2, 3)).max())),
-        ("pair-symmetry", float(np.abs(r - np.transpose(r, (2, 3, 0, 1))).max())),
-        (
-            "first-bianchi",
-            float(
-                np.abs(
-                    r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3))
-                ).max()
-            ),
-        ),
+        ("pair-symmetry", float(np.abs(r - np.transpose(r, (2, 3, 0, 1) + rest)).max())),
+        ("first-bianchi",
+         float(np.abs(r + np.transpose(r, (1, 2, 0, 3) + rest)
+                      + np.transpose(r, (2, 0, 1, 3) + rest)).max())),
     ]
-    return res
 
 
 def validate_curvature(r: np.ndarray) -> AlgCurvature:

@@ -449,13 +449,13 @@ def star_d_identity_residual(g2: G2Structure, h) -> float:
     return (lhs - rhs).max_amp()
 
 
-def harmonic_constraint_basis(n_modes_cutoff: int = 1):
+def harmonic_constraint_basis():
     """Mode-wise solutions of tr h = 0, div h = 0, P-contraction = 0 on T^7.
 
     On the flat torus the joint constraints kill every nonzero frequency
     (this is the flat-kernel statement for the octonionic model), so the
     returned basis consists of the 27 constant traceless tensors; nonzero
-    modes are scanned to confirm they contribute nothing.
+    modes up to cutoff 1 are scanned to confirm they contribute nothing.
     """
     phi = standard_g2_structure().phi_tensor.astype(float)
 
@@ -469,7 +469,7 @@ def harmonic_constraint_basis(n_modes_cutoff: int = 1):
             rows.append(np.array(cons))
         return np.array(rows).T
 
-    extra = _nonzero_mode_kernel_dim(7, n_modes_cutoff, constraints)
+    extra = _nonzero_mode_kernel_dim(7, 1, constraints)
     if extra:
         raise AssertionError(
             f"unexpected nonconstant harmonic solutions ({extra})")

@@ -41,8 +41,11 @@ def _tt_basis_for_mode(n: int, k):
     return keep
 
 
+PERTURBED_PROBES = 24  # probe fields on a perturbed metric; a flat one takes all
+
+
 def rayleigh_rows(metric: FourierMetric, count: int, cutoff: int = 1,
-                  grid: Grid | None = None, probe_limit: int | None = None):
+                  grid: Grid | None = None):
     """Grouped Rayleigh values of the Lichnerowicz operator on TT probes.
 
     Returns up to `count` rows (index, value, multiplicity) of distinct
@@ -54,13 +57,13 @@ def rayleigh_rows(metric: FourierMetric, count: int, cutoff: int = 1,
         grid = Grid(n)
     values = []
     if metric.is_flat():
-        for name, h in tt_probe_fields(n, cutoff, probe_limit):
+        for name, h in tt_probe_fields(n, cutoff):
             lh = ops.lichnerowicz_flat(h)
             norm = h.l2_norm_sq
             values.append(float(np.real(lh.l2_inner(h))) / norm)
     else:
         geo = geom.MetricGeometry(metric, grid)
-        for name, h in tt_probe_fields(n, cutoff, probe_limit or 24):
+        for name, h in tt_probe_fields(n, cutoff, PERTURBED_PROBES):
             hv = h.sample_matrix(grid)
             lh = geo.lichnerowicz(hv)
             num = grid.integrate(geo.inner_sym2(lh, hv) * geo.sqrt_det)

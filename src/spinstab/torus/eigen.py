@@ -3,8 +3,8 @@
 The operator is discretized in divergence form on the collocation grid and
 conjugated by the volume weight, which makes it exactly symmetric; the
 lowest eigenpair comes from Fourier-preconditioned correction equations
-(inverse iteration deflated against the current estimate), with a
-preconditioned block iteration as the cold-start fallback.  The first and
+(inverse iteration deflated against the current estimate), and a solve
+whose residual stays above HARD_RESIDUAL raises.  The first and
 second t-derivatives of the eigenvalue along metric lines g + t h are
 estimated from symmetric 5-point stencils with an empirically chosen step.
 
@@ -33,6 +33,7 @@ from .operators import lichnerowicz_flat, tt_split
 EIG_TOL = 1e-9
 HARD_RESIDUAL = 1e-8
 MAX_ITER = 10_000
+VARIATION_TOL = 1e-8  # eigen-solver tolerance of the stencil solves
 
 
 def conformal_coefficient(n: int) -> float:
@@ -88,41 +89,6 @@ class _ConformalOperator:
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         return irfftn(self._precond_symbol * rfftn(r), self.grid.shape)
-
-
-def _lobpcg_stage(op: "_ConformalOperator", phi0: np.ndarray, grid: Grid):
-    """Locally optimal block iteration toward the lowest eigenpair.
-
-    Deterministic: the second block vector is a fixed low-frequency field.
-    Returns (phi, lam, matvec_count); accuracy here is modest, the shifted
-    iteration afterwards does the polishing.
-    """
-    import warnings
-
-    from scipy.sparse.linalg import LinearOperator, lobpcg
-
-    n_dof = int(np.prod(grid.shape))
-    counter = {"n": 0}
-
-    def mv(x):
-        counter["n"] += 1
-        return op.apply_sym(x.reshape(grid.shape)).reshape(-1)
-
-    a_op = LinearOperator((n_dof, n_dof), matvec=mv)
-    m_op = LinearOperator(
-        (n_dof, n_dof),
-        matvec=lambda x: op.precondition(x.reshape(grid.shape)).reshape(-1))
-    second = op.sqrt_w * np.cos(grid.points()[0])
-    x0 = np.stack([phi0.reshape(-1), second.reshape(-1)], axis=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals, vecs = lobpcg(a_op, x0, M=m_op, largest=False,
-                            tol=1e-8, maxiter=150)
-    idx = int(np.argmin(vals))
-    phi = vecs[:, idx].reshape(grid.shape)
-    phi = phi / np.linalg.norm(phi)
-    lam = float(np.sum(phi * op.apply_sym(phi)))
-    return phi, lam, counter["n"]
 
 
 def _jd_refine(op: "_ConformalOperator", phi: np.ndarray, tol: float,
@@ -203,7 +169,6 @@ def conformal_eigenvalue(
     metric,
     grid: Grid | None = None,
     tol: float = EIG_TOL,
-    maxiter: int = MAX_ITER,
     initial: np.ndarray | None = None,
 ) -> ConformalEigenpair:
     """Smallest eigenpair of the conformal Laplacian of a torus metric.
@@ -229,15 +194,9 @@ def conformal_eigenvalue(
     # Correction-equation iteration (Jacobi-Davidson style): the projected
     # operator at the Rayleigh shift stays definite and well conditioned on
     # the orthogonal complement, so the inner solves are cheap even when
-    # nearly singular shifted systems would not be.  A preconditioned block
-    # stage is the fallback for a cold start that lands badly.
-    residual, phi, lam, total_cg = _jd_refine(op, phi, tol, maxiter)
-    if residual > tol:
-        phi2, lam2, its = _lobpcg_stage(op, phi, grid)
-        r2, phi2, lam2, cg2 = _jd_refine(op, phi2, tol, maxiter)
-        total_cg += its + cg2
-        if r2 < residual:
-            residual, phi, lam = r2, phi2, lam2
+    # nearly singular shifted systems would not be.  A solve that stalls
+    # above HARD_RESIDUAL raises.
+    residual, phi, lam, total_cg = _jd_refine(op, phi, tol, MAX_ITER)
     if residual > HARD_RESIDUAL:
         raise RuntimeError(
             f"eigen-solver failed: residual {residual:.3e} after "
@@ -284,7 +243,7 @@ class VariationEstimate:
 
 
 def _stencil_values(metric: FourierMetric, h: FourierSymTensor, grid: Grid,
-                    steps, tol: float) -> dict:
+                    steps) -> dict:
     values = {}
     # walk outward from t = 0 so each solve can warm-start from a neighbor
     guesses = {}
@@ -292,7 +251,7 @@ def _stencil_values(metric: FourierMetric, h: FourierSymTensor, grid: Grid,
         gt = metric if t == 0.0 else metric + t * h
         near = min(guesses, key=lambda s: abs(s - t)) if guesses else None
         pair = conformal_eigenvalue(
-            gt, grid, tol=tol,
+            gt, grid, tol=VARIATION_TOL,
             initial=None if near is None else guesses[near])
         values[t] = pair.lam
         guesses[t] = pair.psi
@@ -303,8 +262,6 @@ def eigenvalue_variations(
     metric: FourierMetric,
     h: FourierSymTensor,
     grid: Grid | None = None,
-    base_step: float | None = None,
-    tol: float = 1e-8,
 ) -> VariationEstimate:
     """First and second derivative of lambda(g + t h) at t = 0.
 
@@ -314,13 +271,11 @@ def eigenvalue_variations(
     """
     if grid is None:
         grid = Grid(metric.n)
-    if base_step is None:
-        # keep products resolved: amplitude * harmonics must stay below the
-        # grid Nyquist tail at the eigen-solver tolerance
-        base_step = min(0.04, 0.02 / max(h.max_amp(), 1e-9))
-    s = base_step
+    # keep products resolved: amplitude * harmonics must stay below the
+    # grid Nyquist tail at the eigen-solver tolerance
+    s = min(0.04, 0.02 / max(h.max_amp(), 1e-9))
     pts = sorted({c * s for c in (-2, -1, -0.5, -0.25, 0.25, 0.5, 1, 2)} | {0.0})
-    vals = _stencil_values(metric, h, grid, pts, tol)
+    vals = _stencil_values(metric, h, grid, pts)
 
     def five_point(step):
         lm2, lm1, l0, lp1, lp2 = (

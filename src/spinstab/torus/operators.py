@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..clifford import GammaRep, Spinor, unit_spinor
+from ..clifford import GammaRep, unit_spinor
 from .fields import FourierScalarField, FourierSymTensor, ModeField, _freq_box
 
 
-def spinor_embed_field(
-    h: FourierSymTensor, rep: GammaRep, sigma0: Spinor | None = None
-) -> ModeField:
-    """Mode-wise tensor-to-twisted-spinor embedding h_ij -> h_ij (g_i s0) e^j."""
-    sig = unit_spinor(rep) if sigma0 is None else sigma0
+def spinor_embed_field(h: FourierSymTensor, rep: GammaRep) -> ModeField:
+    """Mode-wise tensor-to-twisted-spinor embedding h_ij -> h_ij (g_i s0) e^j
+    with the unit spinor s0."""
+    sig = unit_spinor(rep)
     gam_sig = np.stack([g @ sig.components for g in rep.gamma])  # (n, spin_dim)
     modes = {}
     for k in h.mode_set():
@@ -63,21 +62,17 @@ def tt_split(h: FourierSymTensor):
         hk = h.mode_matrix(k)
         kv = np.array(k, dtype=float)
         k2 = float(kv @ kv)
+        t = np.trace(hk)
         if k2 == 0.0:
-            u = np.trace(hk) / n
-            conf = u * eye
+            conf = (t / n) * eye
+            tt = hk - conf
             lie = np.zeros_like(hk)
         else:
-            t = np.trace(hk)
-            b = kv @ hk
-            q = kv @ b
-            u = (t - q / k2) / (n - 1)
-            v = (t - n * u) / 2j
-            b_perp = b - (q / k2) * kv
-            x = b_perp / (1j * k2) + (v / k2) * kv
-            lie = 1j * (np.outer(kv, x) + np.outer(x, kv))
-            conf = u * eye
-        tt = hk - lie - conf
+            # u solves tr(h - u I) = (h - u I)(k, k) / |k|^2, the condition
+            # for h - u I to have a pure Lie (k x + x k) non-TT part
+            conf = ((t - (kv @ hk @ kv) / k2) / (n - 1)) * eye
+            tt = tt_mode_projection(hk, k)
+            lie = hk - tt - conf
         tt_modes[k], lie_modes[k], conf_modes[k] = tt, lie, conf
 
     def pack(mode_mats):

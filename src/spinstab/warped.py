@@ -93,6 +93,23 @@ def _smoothstep_d(u):
     return 6.0 * u * (1.0 - u)
 
 
+def smooth_path(start: float, end: float):
+    """(f, f', f'') of the path from start (s=0) to end (s=1) along a
+    smoothstep; f' vanishes at both ends, so radial schedules stay C^1."""
+    delta = end - start
+
+    def f(s):
+        return start + delta * _smoothstep(s)
+
+    def df(s):
+        return delta * _smoothstep_d(s)
+
+    def d2f(s):
+        return delta * (6.0 - 12.0 * s)
+
+    return f, df, d2f
+
+
 @dataclass
 class _Segment:
     lo: float
@@ -109,26 +126,24 @@ class StabilityMassProfile(MassProfile):
     (its derivative a0 r1^2 (3 t^2 - 1)/4... stays >= -(a0/4) r^2); a linear
     ramp of slope (a0/2) r1^2 on [r2, r3]; and the monotone tail
     m_inf - (m_inf - m(r3)) r3 / r.  Values: m(r3) = -(1/84) a0 r1^3 and
-    m_inf = -(1/168) a0 r1^3.  A smoothstep blend of relative width `mollify`
+    m_inf = -(1/168) a0 r1^3, with r1 = max(7, ceil(126 / sqrt(a0))) >= 7 as
+    the lower-bound constants need.  A smoothstep blend of width r1 / 100
     restores continuity of m' at the one genuinely kinked join (r3); the
     other joins are C^1 by construction and left untouched.
     """
 
-    def __init__(self, a0: float, r1: float | None = None, mollify: float = 0.01):
+    def __init__(self, a0: float):
         if a0 <= 0:
             raise ValueError("a0 must be positive")
         self.a0 = float(a0)
-        self.r1 = float(r1) if r1 is not None else float(
-            max(7, int(np.ceil(126.0 / np.sqrt(a0)))))
-        if self.r1 < 7:
-            raise ValueError("r1 >= 7 required for the lower-bound constants")
+        self.r1 = float(max(7, int(np.ceil(126.0 / np.sqrt(a0)))))
         self.r2 = self.r1 + 1.0
         self.r3 = self.r2 + self.r1 / 7.0
         self.slope_lin = 0.5 * self.a0 * self.r1**2
         self.m_r1 = -(self.a0 / 12.0) * self.r1**3
         self.m_r3 = self.m_r1 + self.slope_lin * (self.r3 - self.r2)
         self.m_inf = -(1.0 / 168.0) * self.a0 * self.r1**3
-        self.width = mollify * self.r1
+        self.width = 0.01 * self.r1
         self.breakpoints = (self.r1, self.r2, self.r3)
         a0_, r1_ = self.a0, self.r1
 
@@ -280,20 +295,8 @@ class ConformalSphereFamily(FiberFamily):
 
     @classmethod
     def smooth_radius_path(cls, r_start: float, r_end: float):
-        """Radius moving from r_start (s=0) to r_end (s=1) along a smoothstep
-        (endpoint derivatives vanish, so radial schedules stay C^1)."""
-        delta = r_end - r_start
-
-        def f(s):
-            return r_start + delta * _smoothstep(s)
-
-        def df(s):
-            return delta * _smoothstep_d(s)
-
-        def d2f(s):
-            return delta * (6.0 - 12.0 * s)
-
-        return cls(f, df, d2f)
+        """Radius moving from r_start (s=0) to r_end (s=1) along smooth_path."""
+        return cls(*smooth_path(r_start, r_end))
 
     @classmethod
     def constant(cls, radius: float):
@@ -403,6 +406,7 @@ def _trace(a):
 
 
 COND_BOUND = 1.0 / 200.0
+ADMISSIBILITY_S_COUNT = 65  # path parameters sampled on [0, 1]
 
 
 @dataclass
@@ -424,7 +428,7 @@ class AdmissibilityReport:
         }
 
 
-def admissibility_check(family: FiberFamily, s_count: int = 65) -> AdmissibilityReport:
+def admissibility_check(family: FiberFamily) -> AdmissibilityReport:
     """Constants of the contraction bounds and the negative-scalar margin.
 
     C1 = max |d_s g . d_s g^(-1)|, C2 = max |tr(g^-1 d_s g)|,
@@ -433,7 +437,7 @@ def admissibility_check(family: FiberFamily, s_count: int = 65) -> Admissibility
     """
     c1 = c2 = c3 = s_minus = 0.0
     a0 = np.inf
-    s = family.sample_s(s_count)
+    s = family.sample_s(ADMISSIBILITY_S_COUNT)
     for q in family.sample_points():
         gi = np.linalg.inv(family.metric(s, q))
         a = gi @ family.dmetric(s, q)
@@ -645,7 +649,10 @@ def warped_metric_function(w: WarpedMetric):
     return fn
 
 
-def fd_curvature_oracle(w: WarpedMetric, r: float, q, base_rel_step: float = 1e-3) -> dict:
+ORACLE_REL_STEP = 1e-3  # radial step over r; the other steps are twice it
+
+
+def fd_curvature_oracle(w: WarpedMetric, r: float, q) -> dict:
     """Independent scalar-curvature estimate with a Richardson error bar.
 
     The sample must sit away from r = 0 and from the schedule breakpoints
@@ -655,9 +662,7 @@ def fd_curvature_oracle(w: WarpedMetric, r: float, q, base_rel_step: float = 1e-
     k = w.fiber_dim
     p = np.array([0.35, -0.15])
     x0 = np.concatenate([[r], p, np.asarray(q, dtype=float)])
-    steps = np.concatenate([
-        [base_rel_step * r], base_rel_step * 2.0 * np.ones(2),
-        base_rel_step * 2.0 * np.ones(k)])
+    steps = ORACLE_REL_STEP * np.concatenate([[r], np.full(2 + k, 2.0)])
     guard = 10.0 * 2.0 * steps[0]
     for b in (0.0,) + tuple(w.profile.breakpoints) + (
             (w.r2, w.r3) if w.r2 is not None else ()):
@@ -673,7 +678,7 @@ def fd_curvature_oracle(w: WarpedMetric, r: float, q, base_rel_step: float = 1e-
     # the size of the Christoffel products (lapse^-1 ~ metric anisotropy).
     m = float(w.profile.m(r))
     aniso = 1.0 / (1.0 - 2.0 * m / r)
-    roundoff = 1e-16 * (1.0 + abs(aniso)) / base_rel_step**2 * 4.0
+    roundoff = 1e-16 * (1.0 + abs(aniso)) / ORACLE_REL_STEP**2 * 4.0
     error_bar = abs(s_half - s_full) / 3.0 + roundoff
     return {"estimate": estimate, "error_bar": error_bar,
             "coarse": s_full, "fine": s_half}
@@ -705,11 +710,15 @@ def sample_oracle_points(w: WarpedMetric, r_range, samples: int, rng) -> list:
 
 @dataclass
 class ConstructionCertificate:
+    """Scan of the scalar curvature: scan_values[q_index, i] is the value at
+    fiber sample q_index and radius scan_radii[i]."""
+
     min_scalar: float
     argmin_r: float
     argmin_q_index: int
     min_lapse_margin: float
     scan_radii: np.ndarray
+    scan_values: np.ndarray
     passed: bool
 
 
@@ -747,19 +756,15 @@ def scan_scalar_positivity(w: WarpedMetric, scan_points: int = 4000,
                            r_max_factor: float = 4.0) -> ConstructionCertificate:
     r_top = r_max_factor * (w.r3 if w.r3 is not None else 10.0)
     radii = np.linspace(r_top / scan_points, r_top, scan_points)
-    points = w.family.sample_points()
-    worst = np.inf
-    arg_r, arg_q = radii[0], 0
-    for qi, q in enumerate(points):
-        vals = warped_scalar(w, radii, q)
-        i = int(np.argmin(vals))
-        if vals[i] < worst:
-            worst, arg_r, arg_q = float(vals[i]), float(radii[i]), qi
+    values = np.array([warped_scalar(w, radii, q) for q in w.family.sample_points()])
+    # the first minimum in (fiber sample, radius) order
+    arg_q, i = np.unravel_index(np.argmin(values), values.shape)
+    worst = float(values[arg_q, i])
     margins = radii - 2.0 * np.asarray(w.profile.m(radii))
     min_margin = float(margins.min())
     return ConstructionCertificate(
-        min_scalar=worst, argmin_r=arg_r, argmin_q_index=arg_q,
-        min_lapse_margin=min_margin, scan_radii=radii,
+        min_scalar=worst, argmin_r=float(radii[i]), argmin_q_index=int(arg_q),
+        min_lapse_margin=min_margin, scan_radii=radii, scan_values=values,
         passed=(worst >= SCAN_FLOOR) and (min_margin > 0.0))
 
 
@@ -819,8 +824,10 @@ def mass_and_order(w: WarpedMetric, radii=None) -> dict:
             "deviations": devs}
 
 
-def construct_from_positive_path(family: FiberFamily, eps_floor: float = 1e-6,
-                                 scan_points: int = 4000) -> dict:
+SHRINK_EPS_FLOOR = 1e-6  # smallest arc fraction the shrinking path tries
+
+
+def construct_from_positive_path(family: FiberFamily, scan_points: int = 4000) -> dict:
     """Shrink the traversed arc until admissibility holds, then construct.
 
     Requires S(g_0) >= 0 and S(g_s) > 0 strictly for s in (0, 1); the
@@ -836,7 +843,7 @@ def construct_from_positive_path(family: FiberFamily, eps_floor: float = 1e-6,
                     f"S(g_s) must be strictly positive on (0, 1]; fails at s = {s}")
     eps = 1.0
     trace = []
-    while eps >= eps_floor:
+    while eps >= SHRINK_EPS_FLOOR:
         candidate = ReparametrizedFamily(family, eps)
         report = admissibility_check(candidate)
         trace.append({"eps": eps, "passed": report.passed,
@@ -847,4 +854,4 @@ def construct_from_positive_path(family: FiberFamily, eps_floor: float = 1e-6,
                     "admissibility": report, "trace": trace}
         eps *= 0.5
     raise ConstructionError(
-        f"no admissible reparametrization above eps = {eps_floor}")
+        f"no admissible reparametrization above eps = {SHRINK_EPS_FLOOR}")

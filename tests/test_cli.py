@@ -6,7 +6,7 @@ from spinstab import suites
 from spinstab.cli import _metric_from_descriptor, main
 from spinstab.report import VerificationReport
 from spinstab.suites import default_config, merge_config
-from spinstab.warped import warped_scalar
+from spinstab.warped import scan_scalar_positivity, warped_scalar
 
 
 def test_report_json_roundtrip():
@@ -124,7 +124,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, path):
 
 def test_merge_config_merges_nested_dicts():
     cfg = merge_config({"torus": {"grids": {"3": 16}}, "tolerance_scale": 2.0})
-    assert cfg["torus"]["grids"] == {"2": 32, "3": 16, "4": 12, "7": 0}
+    assert cfg["torus"]["grids"] == {"2": 32, "3": 16, "4": 12}
     assert cfg["torus"]["cutoff"] == 2
     assert cfg["tolerance_scale"] == 2.0
     assert merge_config(None) == default_config()
@@ -162,7 +162,7 @@ def test_warped_scan_product(tmp_path):
     assert max(abs(v - 2.0) for v in values) <= 1e-12  # S == S_M == 2
 
 
-def test_warped_scan_sphere_path_matches_pointwise_scalar(tmp_path):
+def test_warped_scan_sphere_path_matches_pointwise_scalar(tmp_path, capsys):
     desc = {
         "fiber": {"kind": "sphere_path", "radius_start": 0.2, "radius_end": 0.20002},
         "profile": {"kind": "construct"},
@@ -181,6 +181,11 @@ def test_warped_scan_sphere_path_matches_pointwise_scalar(tmp_path):
     for r, qi, scalar, bound in rows:
         assert float(scalar) == warped_scalar(metric, float(r), points[int(qi)])
         assert (bound != "") == (metric.r2 <= float(r) <= metric.r3)
+    # the CSV is the certificate of the suite's scan at the same radii
+    cert = scan_scalar_positivity(metric, 60)
+    assert [float(row[0]) for row in rows] == cert.scan_radii.tolist() * len(points)
+    assert [float(row[2]) for row in rows] == cert.scan_values.ravel().tolist()
+    assert f"min scalar {cert.min_scalar:.6e} (PASS)" in capsys.readouterr().out
 
 
 def test_warped_build_reports_mass(tmp_path):
@@ -237,6 +242,13 @@ def test_spectrum_count_zero_header_only(tmp_path):
                  "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines == ["kind,index,value,multiplicity,residual"]
+
+
+def test_spectrum_negative_count_exits_2(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--count", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--count" in capsys.readouterr().err
 
 
 def test_spectrum_bad_cutoff_exits_2(tmp_path):

@@ -167,3 +167,24 @@ def test_curvature_values_compare_by_identity():
     assert first == first and first != second
     assert first.base != second.base
     assert len({first, second, first.base, second.base}) == 4
+
+
+def test_symmetry_violations_batch_grid_axes_like_the_suite_check():
+    from spinstab.torus.fields import FourierMetric, FourierSymTensor, Grid
+    from spinstab.torus.geometry import MetricGeometry
+
+    rng = np.random.default_rng(5)
+    h = FourierSymTensor.random_real(3, 2, rng, scale=0.004, count=2)
+    riem = MetricGeometry(FourierMetric.from_perturbation(h), Grid(3, 8)).riemann()
+    assert riem.shape == (3, 3, 3, 3, 8, 8, 8)
+    rest = tuple(range(4, riem.ndim))
+    # the four expressions the torus suite's riemann_symmetries check wrote inline
+    inline = [
+        float(np.abs(riem + np.swapaxes(riem, 0, 1)).max()),
+        float(np.abs(riem + np.swapaxes(riem, 2, 3)).max()),
+        float(np.abs(riem - np.transpose(riem, (2, 3, 0, 1) + rest)).max()),
+        float(np.abs(riem + np.transpose(riem, (1, 2, 0, 3) + rest)
+                     + np.transpose(riem, (2, 0, 1, 3) + rest)).max()),
+    ]
+    assert [res for _, res in curvature_symmetry_violations(riem)] == inline
+    assert max(inline) > 0.0  # rounding-level, but not vacuously zero

@@ -1,8 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from spinstab.torus import eigen as eig
 from spinstab.torus.eigen import (
     _ConformalOperator,
     conformal_coefficient,
@@ -214,3 +216,19 @@ def test_tt_quadratic_form_value():
     amat = np.diag([0.0, 1.0, -1.0])
     h = FourierSymTensor.from_mode(3, (1, 0, 0), amat)
     assert abs(tt_quadratic_form(h) + (1.0 / 16.0)) < 1e-14
+
+
+def test_solve_that_runs_out_of_iterations_raises(monkeypatch):
+    # cold solves of the conformal_sign_invariance family (amplitude 0.05,
+    # grid 16); the budget is read at call time
+    monkeypatch.setattr(eig, "MAX_ITER", 1)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 2024])
+        h = FourierSymTensor.random_real(3, 1, rng, scale=0.05, count=2)
+        with pytest.raises(RuntimeError) as info:
+            conformal_eigenvalue(FourierMetric.from_perturbation(h), GRID3)
+        found = re.fullmatch(r"eigen-solver failed: residual (\S+) after (\d+) "
+                             r"inner iterations", str(info.value))
+        assert found is not None
+        assert float(found[1]) > eig.HARD_RESIDUAL
+        assert 1 <= int(found[2]) <= 3

@@ -12,6 +12,7 @@ from spinstab.torus.operators import (
     spinor_embed_field,
     stability_kernel_basis,
     tt_defect,
+    tt_mode_projection,
     tt_project,
     tt_split,
     twisted_dirac,
@@ -132,6 +133,55 @@ def test_tt_split_contract():
     # the TT part is the orthogonal projection onto the TT subspace
     assert abs(complex(tt.l2_inner(lie))) < 1e-9
     assert abs(complex(tt.l2_inner(conf))) < 1e-9
+
+
+def _closed_form_split_mode(hk, k):
+    """The mode-wise (tt, lie, conf) closed form tt_split used before it
+    took its TT part from tt_mode_projection."""
+    n = hk.shape[0]
+    kv = np.array(k, dtype=float)
+    k2 = float(kv @ kv)
+    if k2 == 0.0:
+        conf = np.trace(hk) / n * np.eye(n)
+        return hk - conf, np.zeros_like(hk), conf
+    t = np.trace(hk)
+    b = kv @ hk
+    q = kv @ b
+    u = (t - q / k2) / (n - 1)
+    v = (t - n * u) / 2j
+    b_perp = b - (q / k2) * kv
+    x = b_perp / (1j * k2) + (v / k2) * kv
+    lie = 1j * (np.outer(kv, x) + np.outer(x, kv))
+    conf = u * np.eye(n)
+    return hk - lie - conf, lie, conf
+
+
+def _split_inputs(n, rng):
+    """A random field with its k = 0 modes, and a field that is already TT."""
+    cutoff = 1 if n == 7 else 2
+    h = FourierSymTensor.random_real(n, cutoff, rng, scale=1.0, count=3)
+    a = rng.standard_normal((n, n))
+    h = h + FourierSymTensor.from_constant(0.5 * (a + a.T))
+    k = (1,) + (0,) * (n - 2) + (1,)
+    b = rng.standard_normal((n, n))
+    h_tt = FourierSymTensor.from_mode(n, k, tt_mode_projection(0.5 * (b + b.T), k))
+    return h, h_tt
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_tt_split_matches_closed_form(n):
+    h, h_tt = _split_inputs(n, np.random.default_rng(40 + n))
+    assert (0,) * n in h.mode_set()
+    for field in (h, h_tt):
+        parts = tt_split(field)
+        assert max_amp((parts[0] + parts[1] + parts[2]) - field) <= 1e-13
+        for k in field.mode_set():
+            ref = _closed_form_split_mode(field.mode_matrix(k), k)
+            for part, expect in zip(parts, ref):
+                assert np.abs(part.mode_matrix(k) - expect).max() <= 1e-13
+    tt, lie, conf = tt_split(h_tt)
+    assert max_amp(tt - h_tt) <= 1e-13
+    assert max_amp(lie) <= 1e-13 and max_amp(conf) <= 1e-13
 
 
 def test_tt_projection_is_idempotent():

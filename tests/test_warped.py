@@ -23,6 +23,7 @@ from spinstab.warped import (
     scalar_curvature_fd,
     scalar_lower_bound,
     scan_scalar_positivity,
+    smooth_path,
     warped_ricci,
     warped_scalar,
 )
@@ -515,6 +516,9 @@ def test_scan_matches_pointwise_loop(array_fixtures):
     cert = scan_scalar_positivity(w, scan_points=SCAN)
     radii = radii[:SCAN]
     assert np.array_equal(cert.scan_radii, radii)
+    assert cert.scan_values.shape == (len(parent), SCAN)
+    for qi, q in enumerate(w.family.sample_points()):
+        assert np.array_equal(cert.scan_values[qi], warped_scalar(w, cert.scan_radii, q))
     worst, arg_r, arg_q = np.inf, radii[0], 0
     for qi, parent_q in enumerate(parent):
         vals = parent_q[:SCAN]
@@ -609,3 +613,36 @@ def test_profile_matches_per_call_join_test():
             assert np.array_equal(getattr(prof, which)(r), ref)
             for ri, vi in zip(r[::50], ref[::50]):
                 assert getattr(prof, which)(float(ri)) == vi
+
+
+def _parent_smooth_closures(start, end):
+    """The smoothstep closures that ConformalSphereFamily.smooth_radius_path
+    and the CLI torus fiber each defined before smooth_path."""
+    delta = end - start
+
+    def f(s):
+        return start + delta * (s * s * (3.0 - 2.0 * s))
+
+    def df(s):
+        return delta * (6.0 * s * (1.0 - s))
+
+    def d2f(s):
+        return delta * (6.0 - 12.0 * s)
+
+    return f, df, d2f
+
+
+def test_smooth_path_matches_the_closures_of_both_families():
+    from spinstab.cli import _family_from_descriptor
+
+    s = np.linspace(0.0, 1.0, 33)
+    sphere = ConformalSphereFamily.smooth_radius_path(1.0, 0.9)
+    torus = _family_from_descriptor(
+        {"fiber": {"kind": "torus", "k": 2, "scale_start": 1.0, "scale_end": 1.3}})
+    for start, end, fns in ((1.0, 0.9, (sphere.f, sphere.df, sphere.d2f)),
+                            (1.0, 1.3, (torus.c, torus.dc, torus.d2c))):
+        for new, shared, old in zip(fns, smooth_path(start, end),
+                                    _parent_smooth_closures(start, end)):
+            assert np.array_equal(new(s), old(s))
+            assert np.array_equal(shared(s), old(s))
+            assert all(new(float(x)) == old(float(x)) for x in s)
