@@ -107,17 +107,20 @@ def _family_from_descriptor(desc: dict) -> wmod.FiberFamily:
     raise SystemExit(f"unknown fiber kind {kind!r}")
 
 
+def _scan_settings(desc: dict) -> tuple:
+    """(points, r_max_factor) of the descriptor's positivity scan."""
+    scan = desc.get("scan", {})
+    return int(scan.get("points", 4000)), float(scan.get("r_max_factor", 4.0))
+
+
 def _metric_from_descriptor(desc: dict):
+    """(metric, certificate); the certificate is the construction's scan,
+    None for a fixed profile."""
     family = _family_from_descriptor(desc)
     prof_desc = desc.get("profile", {"kind": "construct"})
     kind = prof_desc.get("kind", "construct")
     if kind == "construct":
-        scan = desc.get("scan", {})
-        metric, cert = wmod.construct_negative_mass(
-            family,
-            scan_points=int(scan.get("points", 4000)),
-            r_max_factor=float(scan.get("r_max_factor", 4.0)))
-        return metric, cert
+        return wmod.construct_negative_mass(family, *_scan_settings(desc))
     if kind == "zero":
         profile = wmod.ZeroMass()
     elif kind == "constant":
@@ -162,9 +165,8 @@ def cmd_warped(args) -> int:
         return 0
 
     if args.action == "scan":
-        scan = desc.get("scan", {})
-        cert = wmod.scan_scalar_positivity(metric, int(scan.get("points", 2000)),
-                                           float(scan.get("r_max_factor", 4.0)))
+        if cert is None:
+            cert = wmod.scan_scalar_positivity(metric, *_scan_settings(desc))
         adm = None
         if isinstance(metric.profile, wmod.StabilityMassProfile):
             adm = wmod.admissibility_check(metric.family)

@@ -245,14 +245,6 @@ class CYCliffordModel:
             c[i | bit, i] = sign
         return c
 
-    def act(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """Clifford action of the real vector x on a state vector alpha."""
-        out = np.zeros(self.dim, dtype=complex)
-        for a, g in zip(np.asarray(x, dtype=float), self.gamma):
-            if a != 0.0:
-                out = out + a * (g @ alpha)
-        return out
-
     def act_on_form(self, x: np.ndarray, coeffs: dict) -> dict:
         """The displayed wedge/contraction formula on dzbar-basis coefficients.
 

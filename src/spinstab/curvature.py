@@ -137,11 +137,11 @@ _DUAL4 = {(0, 1): ((2, 3), 1.0), (0, 2): ((1, 3), -1.0), (0, 3): ((1, 2), 1.0),
           (1, 2): ((0, 3), 1.0), (1, 3): ((0, 2), -1.0), (2, 3): ((0, 1), 1.0)}
 
 
-def _selfdual_basis(sign: float) -> np.ndarray:
-    """Rows: (anti)self-dual 2-forms as antisymmetric 4x4 matrices, times 2.
+def _selfdual_basis() -> np.ndarray:
+    """Rows: self-dual 2-forms as antisymmetric 4x4 matrices, times 2.
 
-    Row a is e_0 ^ e_(a+1) + sign * (its Hodge dual), left unnormalized so
-    entries stay integers; the 1/2 normalization is absorbed in the operator
+    Row a is e_0 ^ e_(a+1) + (its Hodge dual), left unnormalized so entries
+    stay integers; the 1/2 normalization is absorbed in the operator
     assembly.
     """
     basis = []
@@ -150,25 +150,25 @@ def _selfdual_basis(sign: float) -> np.ndarray:
         i, j = 0, a + 1
         w[i, j], w[j, i] = 1.0, -1.0
         (k, l), s = _DUAL4[(i, j)]
-        w[k, l] += sign * s
-        w[l, k] -= sign * s
+        w[k, l] += s
+        w[l, k] -= s
         basis.append(w)
     return np.stack(basis)
 
 
-def curvature_from_chirality_block(block: np.ndarray, sign: float = 1.0) -> AlgCurvature:
+def curvature_from_chirality_block(block: np.ndarray) -> AlgCurvature:
     """Ricci-flat algebraic curvature from a traceless symmetric 3x3 block.
 
     The operator on 2-forms is sum_ab block_ab w_a (x) w_b with w_a the
-    (anti)self-dual basis of the chosen sign; zero on the other chirality and
-    with no trace part, which kills Ricci and the Bianchi obstruction.
+    self-dual basis; zero on the anti-self-dual forms and with no trace part,
+    which kills Ricci and the Bianchi obstruction.
     """
     block = np.asarray(block, dtype=float)
     if block.shape != (3, 3):
         raise ValueError("block must be 3x3")
     if abs(np.trace(block)) > 1e-14 or np.abs(block - block.T).max() > 1e-14:
         raise ValueError("block must be symmetric and traceless")
-    w = _selfdual_basis(sign)  # (3, 4, 4), entries in {0, +-1}
+    w = _selfdual_basis()  # (3, 4, 4), entries in {0, +-1}
     # R_ijkl = sum_ab block_ab (w_a/2)_ij (w_b/2)_kl summed over the two
     # orderings of each unordered pair => factor 1/4 overall.
     r = 0.25 * np.einsum("ab,aij,bkl->ijkl", block, w, w)
@@ -186,7 +186,7 @@ def _annihilated_chirality(r: AlgCurvature, rep: GammaRep):
     return None
 
 
-def k3_sample(seed: int, rep: GammaRep | None = None) -> SpinCompatibleCurvature:
+def k3_sample(seed: int) -> SpinCompatibleCurvature:
     """Random spin-compatible Ricci-flat curvature in dimension 4.
 
     The traceless block has integer entries, so Bianchi and Ricci residuals
@@ -204,11 +204,11 @@ def k3_sample(seed: int, rep: GammaRep | None = None) -> SpinCompatibleCurvature
         ],
         dtype=float,
     )
-    return spin_compatible_from_block(block, rep=rep)
+    return spin_compatible_from_block(block)
 
 
-def spin_compatible_from_block(block: np.ndarray, rep: GammaRep | None = None) -> SpinCompatibleCurvature:
-    rep = rep if rep is not None else build_gamma_rep(4)
+def spin_compatible_from_block(block: np.ndarray) -> SpinCompatibleCurvature:
+    rep = build_gamma_rep(4)
     r = curvature_from_chirality_block(block)
     idx = _annihilated_chirality(r, rep)
     if idx is None:
@@ -224,12 +224,13 @@ def spin_compatible_from_block(block: np.ndarray, rep: GammaRep | None = None) -
     return out
 
 
-def joint_kernel_dimension(c: SpinCompatibleCurvature, tol: float = 1e-8) -> int:
-    """Dimension of the joint kernel of all rho_kl, via SVD of the stack."""
+def joint_kernel_dimension(c: SpinCompatibleCurvature) -> int:
+    """Dimension of the joint kernel of all rho_kl, via SVD of the stack
+    (singular values <= 1e-8 relative to the largest, floored at 1)."""
     n, d = c.base.n, c.rep.spin_dim
     stack = np.vstack([c.spinor_action(k, l) for k in range(n) for l in range(n)])
     s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(s <= tol * max(1.0, s[0])))
+    return int(np.sum(s <= 1e-8 * max(1.0, s[0])))
 
 
 def bochner_curvature_identity(c: SpinCompatibleCurvature, h: SymTensor):

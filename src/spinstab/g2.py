@@ -41,7 +41,7 @@ def _coeffs_from_terms(terms, p):
 
 @dataclass(frozen=True, eq=False)
 class G2Structure:
-    """Fundamental forms and cross-product table, all integer-exact.
+    """Fundamental forms, all integer-exact.
 
     Tables derived from the forms are computed on first use and held on the
     structure itself, so they live and die with it.
@@ -50,7 +50,6 @@ class G2Structure:
     phi3: np.ndarray        # compact 35-vector, int
     star_phi4: np.ndarray   # compact 35-vector, int
     phi_tensor: np.ndarray  # full antisymmetric (7,7,7), int
-    cross_table: np.ndarray  # cross_table[i, j] = P(e_i, e_j) as a 7-vector
 
     @cached_property
     def star_phi_tensor(self) -> np.ndarray:
@@ -89,11 +88,8 @@ def standard_g2_structure() -> G2Structure:
         raise OrientationError(
             "Hodge star of the fundamental 3-form does not match the "
             "displayed dual; orientation conventions are inconsistent")
-    phi_tensor = EXT7.to_tensor(phi3, 3)
-    basis = np.eye(7, dtype=np.int64)
-    cross = np.einsum("ijk,ai,bj->abk", phi_tensor, basis, basis)
-    return G2Structure(phi3=phi3, star_phi4=star4, phi_tensor=phi_tensor,
-                       cross_table=cross)
+    return G2Structure(phi3=phi3, star_phi4=star4,
+                       phi_tensor=EXT7.to_tensor(phi3, 3))
 
 
 def cross_identity_residuals(g2: G2Structure, x, y, z) -> dict:

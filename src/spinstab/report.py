@@ -2,8 +2,11 @@
 
 Each check produces one record: an identifier, the mathematical property it
 exercises (as a plain formula/property string), the measured value or
-residual, the tolerance it must meet and the outcome.  Reports serialize to
-JSON losslessly; wall times are informational and excluded from equality.
+residual, the tolerance it must meet and the outcome: |value| <= tolerance
+unless the check passes its own verdict.  A record's wall time is the time
+since the report's previous record (or since the report was made), so it
+includes set-up shared with later records.  Reports serialize to JSON
+losslessly; wall times are informational and excluded from equality.
 """
 
 from __future__ import annotations
@@ -49,13 +52,18 @@ class VerificationReport:
     seed: int
     config: dict
     records: list = field(default_factory=list)
+    # time of the previous record; the clock is looked up on each call
+    _last_add: float = field(default_factory=lambda: time.perf_counter(),
+                             init=False, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
     def add(self, check_id: str, anchor: str, value: float, tolerance: float,
-            wall_time: float = 0.0, passed: bool | None = None, **detail):
+            *, passed: bool | None = None, **detail):
+        now = time.perf_counter()
+        wall_time, self._last_add = now - self._last_add, now
         value = float(value)
         ok = (abs(value) <= tolerance) if passed is None else bool(passed)
         rec = CheckRecord(check_id, anchor, value, float(tolerance), ok,
@@ -98,14 +106,3 @@ class VerificationReport:
         for rec in obj["records"]:
             rec.pop("wall_time", None)
         return obj
-
-
-class Stopwatch:
-    def __init__(self):
-        self.t0 = time.perf_counter()
-
-    def lap(self) -> float:
-        now = time.perf_counter()
-        out = now - self.t0
-        self.t0 = now
-        return out

@@ -50,9 +50,6 @@ class ConformalEigenpair:
 
     lam: float
     psi: np.ndarray
-    metric: object
-    grid: Grid
-    c_n: float
     residual: float
     iterations: int
     min_psi: float
@@ -167,7 +164,7 @@ def _pcg(apply_a, precond, b, tol, maxiter):
 
 def conformal_eigenvalue(
     metric,
-    grid: Grid | None = None,
+    grid: Grid,
     tol: float = EIG_TOL,
     initial: np.ndarray | None = None,
 ) -> ConformalEigenpair:
@@ -177,13 +174,8 @@ def conformal_eigenvalue(
     `initial` warm-starts the iteration with a psi-space guess (e.g. the
     eigenfunction of a nearby metric).
     """
-    if grid is None:
-        if isinstance(metric, np.ndarray):
-            raise ValueError("grid required for raw metric values")
-        grid = Grid(metric.n)
     geo = MetricGeometry(metric, grid)
-    c_n = conformal_coefficient(geo.n)
-    op = _ConformalOperator(geo, c_n)
+    op = _ConformalOperator(geo, conformal_coefficient(geo.n))
 
     if initial is not None:
         phi = op.sqrt_w * initial
@@ -210,9 +202,6 @@ def conformal_eigenvalue(
     return ConformalEigenpair(
         lam=lam,
         psi=psi,
-        metric=metric,
-        grid=grid,
-        c_n=c_n,
         residual=residual,
         iterations=total_cg,
         min_psi=float(psi.min()),
@@ -238,7 +227,6 @@ class VariationEstimate:
     second: float
     first_error: float
     second_error: float
-    step: float
     lambdas: dict
 
 
@@ -261,7 +249,7 @@ def _stencil_values(metric: FourierMetric, h: FourierSymTensor, grid: Grid,
 def eigenvalue_variations(
     metric: FourierMetric,
     h: FourierSymTensor,
-    grid: Grid | None = None,
+    grid: Grid,
 ) -> VariationEstimate:
     """First and second derivative of lambda(g + t h) at t = 0.
 
@@ -269,8 +257,6 @@ def eigenvalue_variations(
     the half-step values refine the estimate (Richardson on the h^4 error
     model) and their disagreement is reported as the empirical error.
     """
-    if grid is None:
-        grid = Grid(metric.n)
     # keep products resolved: amplitude * harmonics must stay below the
     # grid Nyquist tail at the eigen-solver tolerance
     s = min(0.04, 0.02 / max(h.max_amp(), 1e-9))
@@ -295,7 +281,6 @@ def eigenvalue_variations(
         second=second,
         first_error=abs(d1_b - d1_a) / 15,
         second_error=abs(d2_b - d2_a) / 15,
-        step=s,
         lambdas=vals,
     )
 

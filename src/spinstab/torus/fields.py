@@ -150,8 +150,8 @@ class FourierScalarField:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, n: int, cutoff: int = 0):
-        return cls(n, cutoff, {})
+    def zero(cls, n: int):
+        return cls(n, 0, {})
 
     @classmethod
     def constant(cls, n: int, value: float):
@@ -425,15 +425,14 @@ class FourierMetric(_ComponentField):
         return cls(h.n, {k: t * f for k, f in h.components.items()})
 
     @classmethod
-    def conformal_flat(cls, u: FourierScalarField, grid: Grid | None = None):
+    def conformal_flat(cls, u: FourierScalarField, grid: Grid):
         """exp(2u) delta, truncated on the sampling grid."""
-        g = grid if grid is not None else Grid(u.n)
-        vals = np.exp(2.0 * u.sample(g))
-        spec = fftn(vals) / g.size**u.n
-        cut = g.size // 2 - 1
+        vals = np.exp(2.0 * u.sample(grid))
+        spec = fftn(vals) / grid.size**u.n
+        cut = grid.size // 2 - 1
         modes = {}
         for k in _freq_box(u.n, min(cut, MAX_CUTOFF[u.n] * 2)):
-            a = spec[tuple(v % g.size for v in k)]
+            a = spec[tuple(v % grid.size for v in k)]
             if abs(a) > 1e-15:
                 modes[k] = a
                 modes[tuple(-v for v in k)] = np.conj(a)

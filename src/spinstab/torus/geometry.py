@@ -208,9 +208,8 @@ class MetricGeometry:
         return np.einsum("ij...,i...,j...->...", self.ginv, a, b)
 
 
-def metric_curvature(metric: FourierMetric, grid: Grid | None = None) -> dict:
+def metric_curvature(metric: FourierMetric, grid: Grid) -> dict:
     """Full curvature data of a torus metric as pointwise grid fields."""
-    grid = grid if grid is not None else Grid(metric.n)
     geo = MetricGeometry(metric, grid)
     return {
         "geometry": geo,
@@ -221,37 +220,11 @@ def metric_curvature(metric: FourierMetric, grid: Grid | None = None) -> dict:
     }
 
 
-def tensor_calculus(
-    metric: FourierMetric,
-    f: FourierScalarField | None = None,
-    h: FourierSymTensor | None = None,
-    w: list | None = None,
-    grid: Grid | None = None,
-) -> dict:
-    """Hessian, Laplacian, divergence, trace and delta* on grid samples."""
-    grid = grid if grid is not None else Grid(metric.n)
-    geo = MetricGeometry(metric, grid)
-    out = {"geometry": geo}
-    if f is not None:
-        fv = f.sample(grid)
-        out["hessian"] = geo.hessian(fv)
-        out["laplacian"] = geo.laplacian(fv)
-    if h is not None:
-        hv = h.sample_matrix(grid)
-        out["divergence"] = geo.divergence_sym2(hv)
-        out["trace"] = np.einsum("ij...,ij...->...", geo.ginv, hv)
-    if w is not None:
-        wv = np.stack([c.sample(grid) for c in w])
-        out["sym_derivative"] = geo.sym_derivative_oneform(wv)
-        out["divergence_oneform"] = geo.divergence_oneform(wv)
-    return out
-
-
 def linearized_formulas(
     metric: FourierMetric,
     h: FourierSymTensor,
     f: FourierScalarField,
-    grid: Grid | None = None,
+    grid: Grid,
 ) -> dict:
     """First variations of Ricci, scalar curvature and the Laplacian.
 
@@ -262,7 +235,6 @@ def linearized_formulas(
 
     evaluated at the given base metric, as grid fields.
     """
-    grid = grid if grid is not None else Grid(metric.n)
     geo = MetricGeometry(metric, grid)
     hv = h.sample_matrix(grid)
     fv = f.sample(grid)

@@ -796,7 +796,7 @@ def scalar_lower_bound(report: AdmissibilityReport, w: WarpedMetric, r: float) -
     return {"A": a_r, "B": b_r, "bound": bound}
 
 
-def mass_and_order(w: WarpedMetric, radii=None) -> dict:
+def mass_and_order(w: WarpedMetric) -> dict:
     """Mass read off the profile plus the fitted asymptotic decay order.
 
     The deviation from the product metric is the sup of the radial lapse
@@ -806,11 +806,9 @@ def mass_and_order(w: WarpedMetric, radii=None) -> dict:
     """
     prof = w.profile
     m_inf = prof.m_inf
-    if radii is None:
-        # the mass term dominates the deviation only once r >> 2 |m|
-        base = max(w.r3 if w.r3 is not None else 10.0, 16.0 * abs(m_inf), 10.0)
-        radii = base * 2.0 ** np.arange(1, 8)
-    radii = np.asarray(radii, dtype=float)
+    # the mass term dominates the deviation only once r >> 2 |m|
+    base = max(w.r3 if w.r3 is not None else 10.0, 16.0 * abs(m_inf), 10.0)
+    radii = base * 2.0 ** np.arange(1, 8)
     s, _ = w.schedule(radii)
     devs = np.abs(1.0 / (1.0 - 2.0 * prof.m(radii) / radii) - 1.0)
     for q in w.family.sample_points():

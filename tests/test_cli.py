@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spinstab import suites
+from spinstab import report, suites
 from spinstab.cli import _metric_from_descriptor, main
 from spinstab.report import VerificationReport
 from spinstab.suites import default_config, merge_config
@@ -11,8 +11,8 @@ from spinstab.warped import scan_scalar_positivity, warped_scalar
 
 def test_report_json_roundtrip():
     rep = VerificationReport("demo", 3, {"a": 1})
-    rep.add("c1", "x = y", 1.25e-11, 1e-10, 0.5, note="hi")
-    rep.add("c2", "z = w", 2.0, 1e-10, 0.1)
+    rep.add("c1", "x = y", 1.25e-11, 1e-10, note="hi")
+    rep.add("c2", "z = w", 2.0, 1e-10)
     text = rep.to_json()
     back = VerificationReport.from_json(text)
     assert back.suite == "demo"
@@ -32,11 +32,36 @@ def test_report_pass_logic():
     assert [r.check_id for r in rep.failures()] == ["bad"]
 
 
+def test_report_default_rule_at_tolerance_zero():
+    rep = VerificationReport("demo", 0, {})
+    for value in (0.0, -0.0, float("nan"), 5e-324):
+        rep.add(repr(value), "exact", value, 0.0)
+    assert [r.passed for r in rep.records] == [True, True, False, False]
+
+
+def test_report_passed_is_keyword_only():
+    rep = VerificationReport("demo", 0, {})
+    with pytest.raises(TypeError):
+        rep.add("c", "x = y", 5.0, 1.0, True)
+    assert rep.records == []
+
+
+def test_report_wall_time_is_time_since_previous_record(monkeypatch):
+    clock = iter([10.0, 10.5, 12.0, 12.25])
+    monkeypatch.setattr(report.time, "perf_counter", lambda: next(clock))
+    rep = VerificationReport("demo", 0, {})  # reads 10.0
+    for check_id in ("a", "b", "c"):
+        rep.add(check_id, "trivial", 0.0, 0.0)
+    assert [r.wall_time for r in rep.records] == [0.5, 1.5, 0.25]
+
+
 def test_strip_timings_removes_wall_time():
     rep = VerificationReport("demo", 0, {})
-    rep.add("ok", "trivial", 0.0, 0.0, wall_time=1.23, passed=True)
+    rep.add("ok", "trivial", 0.0, 0.0, passed=True)
+    assert rep.records[0].wall_time >= 0.0
     obj = rep.strip_timings()
     assert "wall_time" not in obj["records"][0]
+    assert obj["records"][0]["detail"] == {}
 
 
 def test_verify_unknown_suite_exits_2():
@@ -186,6 +211,21 @@ def test_warped_scan_sphere_path_matches_pointwise_scalar(tmp_path, capsys):
     assert [float(row[0]) for row in rows] == cert.scan_radii.tolist() * len(points)
     assert [float(row[2]) for row in rows] == cert.scan_values.ravel().tolist()
     assert f"min scalar {cert.min_scalar:.6e} (PASS)" in capsys.readouterr().out
+
+
+def test_warped_scan_construct_reuses_certificate(tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({
+        "fiber": {"kind": "sphere_path", "radius_start": 0.2, "radius_end": 0.20002},
+        "profile": {"kind": "construct"},
+    }))
+    build = tmp_path / "build.json"
+    assert main(["warped", "build", "--family", str(fam), "--out", str(build)]) == 0
+    min_scalar = json.loads(build.read_text())["certificate"]["min_scalar"]
+    scan = tmp_path / "scan.csv"
+    assert main(["warped", "scan", "--family", str(fam), "--out", str(scan)]) == 0
+    assert len(scan.read_text().strip().splitlines()) == 1 + 4000 * 4
+    assert f"min scalar {min_scalar:.6e} (PASS)" in capsys.readouterr().out
 
 
 def test_warped_build_reports_mass(tmp_path):
