@@ -16,7 +16,7 @@ import numpy as np
 
 from . import warped as wmod
 from .spectrum import rayleigh_rows
-from .suites import SUITES, merge_config, run_suite
+from .suites import SUITES, run_suite
 from .torus.fields import MAX_CUTOFF, FourierMetric, FourierSymTensor, Grid
 
 USAGE_ERROR = 2
@@ -62,7 +62,6 @@ def cmd_verify(args) -> int:
             return USAGE_ERROR
         overrides.setdefault("torus", {})["cutoff"] = args.cutoff
     try:
-        cfg = merge_config(overrides)
         reports = run_suite(args.suite, seed=args.seed, config=overrides)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
@@ -77,7 +76,7 @@ def cmd_verify(args) -> int:
         payload = {
             "suite": args.suite,
             "seed": args.seed,
-            "config": cfg,
+            "config": reports[0].config,
             "passed": all_pass,
             "reports": [json.loads(r.to_json()) for r in reports],
         }

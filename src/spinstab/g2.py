@@ -348,7 +348,7 @@ class FormField(ModeField):
 def sym_field_to_three_form(g2: G2Structure, h) -> FormField:
     """Apply the tensor-to-3-form embedding mode by mode to a T^7 field."""
     mat = g2.embedding_matrix  # (35, 49)
-    return FormField(3, {k: mat @ h.mode_matrix(k).reshape(-1) for k in h.mode_set()})
+    return FormField(3, {k: mat @ m.reshape(-1) for k, m in h.mode_matrices().items()})
 
 
 # Octonion-spinor fields, valued in (R + TM) (x) T*M, are ModeFields on T^7
@@ -359,8 +359,7 @@ def octonion_dirac_by_action(g2: G2Structure, h) -> ModeField:
     """Dirac of the embedded tensor, computed from the Clifford action:
     per coframe index j, sum_k e_k . (0, d_k h_(.)j)."""
     modes = {}
-    for k in h.mode_set():
-        hk = h.mode_matrix(k)
+    for k, hk in h.mode_matrices().items():
         out = np.zeros((8, 7), dtype=complex)
         for ax, kv in enumerate(k):
             if kv == 0:
@@ -379,8 +378,7 @@ def octonion_dirac_by_action(g2: G2Structure, h) -> ModeField:
 def octonion_dirac_closed_form(g2: G2Structure, h) -> ModeField:
     """The displayed closed form (div h, -h_(ij,k) P(e_i, e_k) (x) e^j)."""
     modes = {}
-    for k in h.mode_set():
-        hk = h.mode_matrix(k)
+    for k, hk in h.mode_matrices().items():
         dh = np.stack([1j * kv * hk for kv in k])  # dh[a, i, j] = d_a h_ij
         modes[k] = np.vstack([-np.einsum("iij->j", dh),
                               -np.einsum("kij,ikm->mj", dh, g2.phi_tensor)])
@@ -394,8 +392,7 @@ def codifferential_identity_residual(g2: G2Structure, h) -> float:
     """
     lhs = sym_field_to_three_form(g2, h).codifferential()
     modes = {}
-    for k in lhs.modes:
-        hk = h.mode_matrix(k)
+    for k, hk in h.mode_matrices().items():
         dh = np.stack([1j * kv * hk for kv in k])
         divh = -np.einsum("iij->j", dh)  # (div h)_j
         acc = np.zeros(EXT7.dim(2), dtype=complex)
@@ -420,8 +417,7 @@ def star_d_identity_residual(g2: G2Structure, h) -> float:
     lhs = sym_field_to_three_form(g2, h).exterior_d().star()
     star4 = g2.star_phi4
     modes = {}
-    for k in lhs.modes:
-        hk = h.mode_matrix(k)
+    for k, hk in h.mode_matrices().items():
         dh = np.stack([1j * kv * hk for kv in k])
         acc = np.zeros(EXT7.dim(3), dtype=complex)
         tr_d = np.einsum("kii->k", dh)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 import scipy.fft as _sfft
@@ -126,20 +127,79 @@ def _canonical_modes(n: int, modes: dict) -> dict:
     return {k: a for k, a in out.items() if a != 0}
 
 
-class FourierScalarField:
+class ModeField:
+    """Field with one complex amplitude per frequency vector: a number for
+    FourierScalarField, an array for the twisted spinors of the flat Dirac
+    identity ((n, spin_dim) per mode), the octonion spinors of the G2 model
+    ((8, 7), row 0 the scalar part) and, through g2.FormField, forms on T^7.
+    """
+
+    def __init__(self, n: int, modes: dict):
+        self.n = n
+        self.modes = {
+            tuple(int(v) for v in k): np.asarray(a, dtype=complex)
+            for k, a in modes.items()
+        }
+
+    def _like(self, modes: dict) -> "ModeField":
+        """A field of the same kind with the given amplitudes."""
+        return ModeField(self.n, modes)
+
+    def _merge(self, other, op):
+        modes = dict(self.modes)
+        for k, a in other.modes.items():
+            modes[k] = op(modes.get(k, 0), a)
+        return self._like(modes)
+
+    def __add__(self, other):
+        return self._merge(other, lambda a, b: a + b)
+
+    def __sub__(self, other):
+        return self._merge(other, lambda a, b: a - b)
+
+    def __rmul__(self, c: float):
+        return self._like({k: c * a for k, a in self.modes.items()})
+
+    def deriv(self, axis: int) -> "ModeField":
+        return self._like({k: 1j * k[axis] * a for k, a in self.modes.items()})
+
+    def max_amp(self) -> float:
+        # hypot, not np.abs: np.abs of a complex can differ from abs() in the last bit
+        return max((float(np.hypot(a.real, a.imag).max()) for a in self.modes.values()),
+                   default=0.0)
+
+    def l2_norm_sq(self) -> float:
+        """Parseval norm: volume times sum of squared amplitudes."""
+        acc = sum(float(np.sum(np.abs(a) ** 2)) for a in self.modes.values())
+        return acc * (2 * np.pi) ** self.n
+
+    def l2_inner_real(self, other: "ModeField") -> float:
+        acc = 0.0
+        for k, a in self.modes.items():
+            b = other.modes.get(k)
+            if b is not None:
+                acc += float(np.real(np.sum(a * b.conj())))
+        return acc * (2 * np.pi) ** self.n
+
+
+class FourierScalarField(ModeField):
     """Scalar field given by finitely many Fourier amplitudes."""
 
-    def __init__(self, n: int, cutoff: int, modes: dict, check_reality: bool = True):
+    def __init__(self, n: int, modes: dict, check_reality: bool = True):
         self.n = n
-        self.cutoff = cutoff
         self.modes = _canonical_modes(n, modes)
-        for k in self.modes:
-            if max(abs(v) for v in k) > cutoff:
-                raise ValueError(f"mode {k} exceeds cutoff {cutoff}")
         if check_reality:
             r = self.reality_residual()
             if r > REALITY_TOL:
                 raise ValueError(f"reality violated by {r:.3e}")
+
+    def _like(self, modes: dict) -> "FourierScalarField":
+        return FourierScalarField(self.n, modes, check_reality=False)
+
+    @property
+    def cutoff(self) -> int:
+        """Largest |k|_inf among the stored modes (0 when there are none)."""
+        return max(map(abs, chain.from_iterable(self.modes)), default=0)
 
     def reality_residual(self) -> float:
         worst = 0.0
@@ -151,22 +211,20 @@ class FourierScalarField:
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, n: int):
-        return cls(n, 0, {})
+        return cls(n, {})
 
     @classmethod
     def constant(cls, n: int, value: float):
-        return cls(n, 0, {(0,) * n: complex(value)})
+        return cls(n, {(0,) * n: complex(value)})
 
     @classmethod
     def cosine(cls, n: int, k, amplitude: float = 1.0, phase: float = 0.0):
         """amplitude * cos(k.x + phase) as a real field."""
-        k = tuple(int(v) for v in k)
-        half = 0.5 * amplitude * np.exp(1j * phase)
-        return cls(n, max(abs(v) for v in k), {k: half, tuple(-v for v in k): np.conj(half)})
+        return cls(n, _cosine_halves(k, 0.5 * amplitude * np.exp(1j * phase)))
 
     @classmethod
     def random_real(cls, n: int, cutoff: int, rng, scale: float = 1.0, count: int | None = None):
-        """Random band-limited real field with O(scale) amplitudes."""
+        """Random real field with O(scale) amplitudes at |k|_inf <= cutoff."""
         all_freqs = _freq_box(n, cutoff)
         if count is not None and count < len(all_freqs):
             pick = rng.choice(len(all_freqs), size=count, replace=False)
@@ -179,36 +237,12 @@ class FourierScalarField:
             modes[k] = modes.get(k, 0j) + a
             mk = tuple(-v for v in k)
             modes[mk] = modes.get(mk, 0j) + np.conj(a)
-        return cls(n, cutoff, modes)
-
-    # -- linear structure --------------------------------------------------
-    def __add__(self, other):
-        modes = dict(self.modes)
-        for k, a in other.modes.items():
-            modes[k] = modes.get(k, 0j) + a
-        return FourierScalarField(self.n, max(self.cutoff, other.cutoff), modes,
-                                  check_reality=False)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, c: float):
-        return FourierScalarField(
-            self.n, self.cutoff, {k: c * a for k, a in self.modes.items()},
-            check_reality=False)
-
-    def deriv(self, axis: int) -> "FourierScalarField":
-        return FourierScalarField(
-            self.n, self.cutoff,
-            {k: 1j * k[axis] * a for k, a in self.modes.items()},
-            check_reality=False)
+        return cls(n, modes)
 
     def laplacian_flat(self) -> "FourierScalarField":
         """Sum of unmixed second derivatives (negative-definite symbol)."""
-        return FourierScalarField(
-            self.n, self.cutoff,
-            {k: -sum(v * v for v in k) * a for k, a in self.modes.items()},
-            check_reality=False)
+        return self._like(
+            {k: -sum(v * v for v in k) * a for k, a in self.modes.items()})
 
     # -- evaluation --------------------------------------------------------
     def sample(self, grid: Grid) -> np.ndarray:
@@ -235,9 +269,6 @@ class FourierScalarField:
             acc = np.conj(acc)
         return complex(acc * (2 * np.pi) ** self.n)
 
-    def max_amp(self) -> float:
-        return max((abs(a) for a in self.modes.values()), default=0.0)
-
     def to_json_obj(self):
         return {
             "n": self.n,
@@ -254,7 +285,20 @@ class FourierScalarField:
             tuple(int(v) for v in key.split()): complex(re, im)
             for key, (re, im) in obj["modes"].items()
         }
-        return cls(obj["n"], obj["cutoff"], modes)
+        f = cls(obj["n"], modes)
+        if f.cutoff > obj["cutoff"]:
+            raise ValueError(f"mode with |k|_inf {f.cutoff} exceeds cutoff {obj['cutoff']}")
+        return f
+
+
+def _cosine_halves(k, half) -> dict:
+    """Amplitudes of 2 Re(half exp(i k.x)): half at k, conj(half) at -k,
+    summed when k = -k (k = 0)."""
+    k = tuple(int(v) for v in k)
+    mk = tuple(-v for v in k)
+    out = {k: half}
+    out[mk] = out.get(mk, 0) + np.conj(half)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -287,10 +331,6 @@ class _ComponentField:
             return FourierScalarField.zero(self.n)
         return c
 
-    @property
-    def cutoff(self) -> int:
-        return max((f.cutoff for f in self.components.values()), default=0)
-
     def max_amp(self) -> float:
         return max((f.max_amp() for f in self.components.values()), default=0.0)
 
@@ -318,21 +358,37 @@ class _ComponentField:
                 out[j, i] = vals
         return out
 
-    def mode_matrix(self, k) -> np.ndarray:
-        """Complex (n, n) amplitude matrix of the single frequency k."""
-        k = tuple(int(v) for v in k)
-        out = np.zeros((self.n, self.n), dtype=complex)
+    def mode_matrices(self) -> dict:
+        """{k: complex (n, n) amplitude matrix}, in sorted k order."""
+        keys = sorted({k for f in self.components.values() for k in f.modes})
+        mats = {k: np.zeros((self.n, self.n), dtype=complex) for k in keys}
         for (i, j), f in self.components.items():
-            a = f.modes.get(k, 0j)
-            out[i, j] = a
-            out[j, i] = a
-        return out
+            for k, a in f.modes.items():
+                mats[k][i, j] = mats[k][j, i] = a
+        return mats
 
-    def mode_set(self):
-        keys = set()
-        for f in self.components.values():
-            keys |= set(f.modes)
-        return sorted(keys)
+    @classmethod
+    def from_mode_matrices(cls, n: int, mats: dict):
+        """The field with amplitude matrix mats[k] at each k (upper triangle
+        read); components with no nonzero amplitude are left out."""
+        comp = {}
+        for i in range(n):
+            for j in range(i, n):
+                f = FourierScalarField(n, {k: m[i, j] for k, m in mats.items()},
+                                       check_reality=False)
+                if f.modes:
+                    comp[(i, j)] = f
+        return cls(n, comp)
+
+    def map_modes(self, fn):
+        """Apply fn(k, a) -> (k', a') to every amplitude, component by
+        component in each component's mode order."""
+        return type(self)(self.n, {
+            key: f._like(dict(fn(k, a) for k, a in f.modes.items()))
+            for key, f in self.components.items()})
+
+    def deriv(self, axis: int):
+        return self.map_modes(lambda k, a: (k, 1j * k[axis] * a))
 
 
 class FourierSymTensor(_ComponentField):
@@ -346,23 +402,13 @@ class FourierSymTensor(_ComponentField):
     def from_constant(cls, mat: np.ndarray):
         mat = np.asarray(mat, dtype=float)
         n = mat.shape[0]
-        comp = {}
-        for i in range(n):
-            for j in range(i, n):
-                if mat[i, j] != 0.0:
-                    comp[(i, j)] = FourierScalarField.constant(n, mat[i, j])
-        return cls(n, comp)
+        return cls.from_mode_matrices(n, {(0,) * n: mat})
 
     @classmethod
     def from_mode(cls, n: int, k, mat: np.ndarray, phase: float = 0.0):
         """mat_ij cos(k.x + phase)."""
-        mat = np.asarray(mat, dtype=float)
-        comp = {}
-        for i in range(n):
-            for j in range(i, n):
-                if mat[i, j] != 0.0:
-                    comp[(i, j)] = FourierScalarField.cosine(n, k, mat[i, j], phase)
-        return cls(n, comp)
+        half = 0.5 * np.asarray(mat, dtype=float) * np.exp(1j * phase)
+        return cls.from_mode_matrices(n, _cosine_halves(k, half))
 
     @classmethod
     def conformal(cls, u: FourierScalarField):
@@ -429,16 +475,15 @@ class FourierMetric(_ComponentField):
         """exp(2u) delta, truncated on the sampling grid."""
         vals = np.exp(2.0 * u.sample(grid))
         spec = fftn(vals) / grid.size**u.n
-        cut = grid.size // 2 - 1
         modes = {}
-        for k in _freq_box(u.n, min(cut, MAX_CUTOFF[u.n] * 2)):
+        for k in _freq_box(u.n, min(grid.size // 2 - 1, MAX_CUTOFF[u.n] * 2)):
             a = spec[tuple(v % grid.size for v in k)]
             if abs(a) > 1e-15:
                 modes[k] = a
                 modes[tuple(-v for v in k)] = np.conj(a)
         mean = spec[(0,) * u.n]
         modes[(0,) * u.n] = mean
-        f = FourierScalarField(u.n, min(cut, MAX_CUTOFF[u.n] * 2), modes)
+        f = FourierScalarField(u.n, modes)
         pert = f + FourierScalarField.constant(u.n, -1.0)
         return cls(u.n, {(i, i): pert for i in range(u.n)})
 
@@ -450,64 +495,3 @@ class FourierMetric(_ComponentField):
 
     def is_flat(self) -> bool:
         return not self.components
-
-    def check_positive(self, grid: Grid) -> float:
-        """Smallest metric eigenvalue over the grid (must be positive)."""
-        g = np.moveaxis(self.sample_matrix(grid).reshape(self.n, self.n, -1), -1, 0)
-        w = np.linalg.eigvalsh(g)
-        return float(w.min())
-
-
-class ModeField:
-    """Array-valued field: per frequency vector one complex amplitude array.
-
-    Holds the twisted spinors of the flat Dirac identity (an (n, spin_dim)
-    array per mode), the octonion spinors of the G2 model (an (8, 7) array,
-    row 0 the scalar part) and, through g2.FormField, forms on T^7.
-    """
-
-    def __init__(self, n: int, modes: dict):
-        self.n = n
-        self.modes = {
-            tuple(int(v) for v in k): np.asarray(a, dtype=complex)
-            for k, a in modes.items()
-        }
-
-    def _like(self, modes: dict) -> "ModeField":
-        """A field of the same kind with the given amplitudes."""
-        return ModeField(self.n, modes)
-
-    def _merge(self, other, op):
-        modes = dict(self.modes)
-        for k, a in other.modes.items():
-            modes[k] = op(modes.get(k, 0), a)
-        return self._like(modes)
-
-    def __add__(self, other):
-        return self._merge(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._merge(other, lambda a, b: a - b)
-
-    def __rmul__(self, c: float):
-        return self._like({k: c * a for k, a in self.modes.items()})
-
-    def deriv(self, axis: int) -> "ModeField":
-        return self._like({k: 1j * k[axis] * a for k, a in self.modes.items()})
-
-    def max_amp(self) -> float:
-        return max((float(np.abs(a).max()) for a in self.modes.values()),
-                   default=0.0)
-
-    def l2_norm_sq(self) -> float:
-        """Parseval norm: volume times sum of squared amplitudes."""
-        acc = sum(float(np.sum(np.abs(a) ** 2)) for a in self.modes.values())
-        return acc * (2 * np.pi) ** self.n
-
-    def l2_inner_real(self, other: "ModeField") -> float:
-        acc = 0.0
-        for k, a in self.modes.items():
-            b = other.modes.get(k)
-            if b is not None:
-                acc += float(np.real(np.sum(a * b.conj())))
-        return acc * (2 * np.pi) ** self.n

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..clifford import GammaRep, unit_spinor
-from .fields import FourierScalarField, FourierSymTensor, ModeField, _freq_box
+from .fields import FourierSymTensor, ModeField, _freq_box
 
 
 def spinor_embed_field(h: FourierSymTensor, rep: GammaRep) -> ModeField:
@@ -17,10 +17,7 @@ def spinor_embed_field(h: FourierSymTensor, rep: GammaRep) -> ModeField:
     with the unit spinor s0."""
     sig = unit_spinor(rep)
     gam_sig = np.stack([g @ sig.components for g in rep.gamma])  # (n, spin_dim)
-    modes = {}
-    for k in h.mode_set():
-        modes[k] = h.mode_matrix(k).T @ gam_sig
-    return ModeField(h.n, modes)
+    return ModeField(h.n, {k: m.T @ gam_sig for k, m in h.mode_matrices().items()})
 
 
 def dirac_symbol(gamma, k) -> np.ndarray:
@@ -58,8 +55,7 @@ def tt_split(h: FourierSymTensor):
     n = h.n
     tt_modes, lie_modes, conf_modes = {}, {}, {}
     eye = np.eye(n)
-    for k in h.mode_set():
-        hk = h.mode_matrix(k)
+    for k, hk in h.mode_matrices().items():
         kv = np.array(k, dtype=float)
         k2 = float(kv @ kv)
         t = np.trace(hk)
@@ -74,20 +70,8 @@ def tt_split(h: FourierSymTensor):
             tt = tt_mode_projection(hk, k)
             lie = hk - tt - conf
         tt_modes[k], lie_modes[k], conf_modes[k] = tt, lie, conf
-
-    def pack(mode_mats):
-        comp = {}
-        for i in range(n):
-            for j in range(i, n):
-                modes = {
-                    k: m[i, j] for k, m in mode_mats.items() if m[i, j] != 0
-                }
-                if modes:
-                    comp[(i, j)] = FourierScalarField(n, h.cutoff, modes,
-                                                      check_reality=False)
-        return FourierSymTensor(n, comp)
-
-    return pack(tt_modes), pack(lie_modes), pack(conf_modes)
+    return tuple(FourierSymTensor.from_mode_matrices(n, m)
+                 for m in (tt_modes, lie_modes, conf_modes))
 
 
 def tt_project(h: FourierSymTensor) -> FourierSymTensor:
@@ -202,27 +186,13 @@ def cover_pullback(h: FourierSymTensor, fold) -> FourierSymTensor:
     fold = tuple(int(c) for c in fold)
     if len(fold) != h.n or any(c < 1 for c in fold):
         raise ValueError(f"bad fold counts {fold}")
-    comp = {}
-    for key, f in h.components.items():
-        modes = {
-            tuple(v * c for v, c in zip(k, fold)): a for k, a in f.modes.items()
-        }
-        comp[key] = FourierScalarField(
-            h.n, f.cutoff * max(fold), modes, check_reality=False)
-    return FourierSymTensor(h.n, comp)
+    return h.map_modes(lambda k, a: (tuple(v * c for v, c in zip(k, fold)), a))
 
 
 def cover_lichnerowicz(h: FourierSymTensor, fold) -> FourierSymTensor:
     """Flat Lichnerowicz on the covering torus (wavenumbers k_j / fold_j)."""
     fold = tuple(int(c) for c in fold)
-    comp = {}
-    for key, f in h.components.items():
-        modes = {
-            k: sum((v / c) ** 2 for v, c in zip(k, fold)) * a
-            for k, a in f.modes.items()
-        }
-        comp[key] = FourierScalarField(h.n, f.cutoff, modes, check_reality=False)
-    return FourierSymTensor(h.n, comp)
+    return h.map_modes(lambda k, a: (k, sum((v / c) ** 2 for v, c in zip(k, fold)) * a))
 
 
 def cover_l2_inner(a: FourierSymTensor, b: FourierSymTensor, fold) -> float:

@@ -10,12 +10,12 @@ from spinstab.torus.fields import (
     Grid,
     ModeField,
 )
-from spinstab.torus.geometry import metric_curvature
+from spinstab.torus.geometry import MetricGeometry, metric_curvature
 
 
 def test_reality_enforced():
     with pytest.raises(ValueError):
-        FourierScalarField(2, 1, {(1, 0): 1.0 + 0j})  # missing conjugate
+        FourierScalarField(2, {(1, 0): 1.0 + 0j})  # missing conjugate
 
 
 def test_cosine_sampling_matches_formula():
@@ -95,14 +95,14 @@ def test_metric_positivity_guard():
     grid = Grid(2, 16)
     h = FourierSymTensor.from_mode(2, (1, 0), np.diag([3.0, 0.0]))
     g = FourierMetric.from_perturbation(h)  # 1 + 3 cos dips negative
-    assert g.check_positive(grid) < 0
+    with pytest.raises(ValueError, match="not positive"):
+        MetricGeometry(g, grid)
 
 
 def test_metric_mode_matrix_symmetry():
     rng = np.random.default_rng(3)
     h = FourierSymTensor.random_real(3, 1, rng, count=2)
-    for k in h.mode_set():
-        m = h.mode_matrix(k)
+    for m in h.mode_matrices().values():
         assert np.abs(m - m.T).max() == 0.0
 
 
@@ -185,3 +185,67 @@ def test_gradient_batches_leading_axes():
             part = grid.gradient(h[i, j])
             assert _rel_err(out[:, i, j], part) < 1e-12
             assert _rel_err(out[:, i, j], _complex_gradient(grid, h[i, j])) < 1e-12
+
+
+def test_mode_matrices_roundtrip():
+    rng = np.random.default_rng(6)
+    h = FourierSymTensor.random_real(3, 2, rng, count=3)
+    h = h + FourierSymTensor.from_constant(np.diag([1.0, 0.0, -2.0]))
+    back = FourierSymTensor.from_mode_matrices(3, h.mode_matrices())
+    assert set(back.components) == set(h.components)
+    for key, f in h.components.items():
+        assert back.components[key].modes == f.modes
+
+
+def test_map_modes_keeps_component_mode_order():
+    rng = np.random.default_rng(7)
+    h = FourierSymTensor.random_real(2, 2, rng, count=3)
+    mapped = h.map_modes(lambda k, a: (tuple(3 * v for v in k), 2.0 * a))
+    for key, f in h.components.items():
+        assert list(mapped.components[key].modes) == [
+            tuple(3 * v for v in k) for k in f.modes]
+
+
+def test_cutoff_is_derived_from_modes():
+    rng = np.random.default_rng(8)
+    f = FourierScalarField.random_real(3, 2, rng, count=1)
+    assert (f - f).cutoff == 0
+    assert f.cutoff == max(max(abs(v) for v in k) for k in f.modes)
+
+
+def test_json_cutoff_is_derived_and_checked():
+    f = FourierScalarField.cosine(2, (2, 1), 1.0)
+    g = f - f + FourierScalarField.cosine(2, (1, 0), 1.0)
+    assert g.to_json_obj()["cutoff"] == 1
+    obj = f.to_json_obj()
+    assert obj["cutoff"] == 2
+    obj["cutoff"] = 1
+    with pytest.raises(ValueError, match="exceeds cutoff"):
+        FourierScalarField.from_json_obj(obj)
+
+
+def test_max_amp_is_python_abs():
+    # np.abs of a complex differs from abs() in the last bit on about a
+    # third of random draws
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    for a in z:
+        assert ModeField(1, {(1,): a}).max_amp() == abs(complex(a))
+    f = ModeField(1, {(k,): a for k, a in enumerate(z.reshape(40, 10))})
+    assert f.max_amp() == max(abs(complex(a)) for a in z)
+    for _ in range(50):
+        g = FourierScalarField.random_real(2, 2, rng, count=2)
+        assert g.max_amp() == max(abs(a) for a in g.modes.values())
+
+
+def test_zero_frequency_cosine_is_constant():
+    grid = Grid(2, 8)
+    for phase in (0.0, 0.3):
+        f = FourierScalarField.cosine(2, (0, 0), 1.0, phase=phase)
+        assert f.modes == FourierScalarField.constant(2, np.cos(phase)).modes
+        assert np.abs(f.sample(grid) - np.cos(phase)).max() < 1e-15
+    h = FourierSymTensor.from_mode(2, (0, 0), np.eye(2), phase=0.3)
+    ref = FourierSymTensor.from_constant(np.cos(0.3) * np.eye(2))
+    assert set(h.components) == set(ref.components)
+    for key, f in ref.components.items():
+        assert h.components[key].modes == f.modes

@@ -171,14 +171,16 @@ def _split_inputs(n, rng):
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_tt_split_matches_closed_form(n):
     h, h_tt = _split_inputs(n, np.random.default_rng(40 + n))
-    assert (0,) * n in h.mode_set()
+    assert (0,) * n in h.mode_matrices()
     for field in (h, h_tt):
         parts = tt_split(field)
         assert max_amp((parts[0] + parts[1] + parts[2]) - field) <= 1e-13
-        for k in field.mode_set():
-            ref = _closed_form_split_mode(field.mode_matrix(k), k)
-            for part, expect in zip(parts, ref):
-                assert np.abs(part.mode_matrix(k) - expect).max() <= 1e-13
+        part_mats = [part.mode_matrices() for part in parts]
+        for k, hk in field.mode_matrices().items():
+            ref = _closed_form_split_mode(hk, k)
+            for mats, expect in zip(part_mats, ref):
+                got = mats.get(k, np.zeros_like(hk))
+                assert np.abs(got - expect).max() <= 1e-13
     tt, lie, conf = tt_split(h_tt)
     assert max_amp(tt - h_tt) <= 1e-13
     assert max_amp(lie) <= 1e-13 and max_amp(conf) <= 1e-13
