@@ -109,10 +109,6 @@ def chirality_operator(rep: GammaRep) -> np.ndarray:
 class Spinor:
     components: np.ndarray
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
 
 def unit_spinor(rep: GammaRep) -> Spinor:
     """The first standard basis spinor."""
@@ -155,10 +151,6 @@ class SymTensor:
     @property
     def n(self) -> int:
         return self.components.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.components))
 
     def inner(self, other: "SymTensor") -> float:
         return float(np.sum(self.components * other.components))

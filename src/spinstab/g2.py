@@ -17,7 +17,8 @@ import numpy as np
 from .clifford import OrientationError
 from .exterior import ExteriorAlgebra
 from .torus.fields import ModeField
-from .torus.operators import _constant_traceless_basis, _nonzero_mode_kernel_dim, _sym_basis
+from .torus.operators import (KernelBasis, _constant_traceless_basis, _nonzero_mode_kernel_dim,
+                              _sym_basis, _trace_div_rows)
 
 EXT7 = ExteriorAlgebra(7)
 
@@ -441,7 +442,7 @@ def star_d_identity_residual(g2: G2Structure, h) -> float:
     return (lhs - rhs).max_amp()
 
 
-def harmonic_constraint_basis():
+def harmonic_constraint_basis() -> KernelBasis:
     """Mode-wise solutions of tr h = 0, div h = 0, P-contraction = 0 on T^7.
 
     On the flat torus the joint constraints kill every nonzero frequency
@@ -449,20 +450,24 @@ def harmonic_constraint_basis():
     returned basis consists of the 27 constant traceless tensors; nonzero
     modes up to cutoff 1 are scanned to confirm they contribute nothing.
     """
-    phi = standard_g2_structure().phi_tensor.astype(float)
-
-    def constraints(k):
-        kv = np.array(k, dtype=float)
-        rows = []
-        for e in _sym_basis(7):
-            cons = [np.trace(e)]
-            cons.extend(kv @ e)
-            cons.extend(np.einsum("ij,k,ikm->mj", e, kv, phi).reshape(-1))
-            rows.append(np.array(cons))
-        return np.array(rows).T
-
-    extra = _nonzero_mode_kernel_dim(7, 1, constraints)
+    extra, margin = _nonzero_mode_kernel_dim(7, 1, _harmonic_constraints())
     if extra:
         raise AssertionError(
             f"unexpected nonconstant harmonic solutions ({extra})")
-    return _constant_traceless_basis(7)
+    return KernelBasis(_constant_traceless_basis(7), margin)
+
+
+def _harmonic_constraints():
+    """The scan's constraint builder for harmonic_constraint_basis: a (K, 7)
+    mode array to the (K, 57, 28) real stack of the rows tr e, k.e and
+    h_ij k_k phi_ikm on the columns e of _sym_basis(7)."""
+    basis = np.array(_sym_basis(7))
+    phi = standard_g2_structure().phi_tensor.astype(float)
+    # contraction[k, (m, j), s] = sum_i e_s[i, j] phi[i, k, m]
+    contraction = np.einsum("sij,ikm->kmjs", basis, phi).reshape(7, -1)
+
+    def constraints(kv):
+        return np.concatenate([_trace_div_rows(kv, basis),
+                               (kv @ contraction).reshape(len(kv), -1, len(basis))], axis=1)
+
+    return constraints

@@ -456,7 +456,7 @@ def run_torus(rep: VerificationReport, seed: int, cfg: dict) -> None:
         basis = ops.stability_kernel_basis(n, g, cutoff=1 if n == 7 else 2)
         rep.add(f"kernel_dim_n{n}",
                 "flat kernel = constant traceless tensors, dim n(n+1)/2 - 1",
-                len(basis) - expect, 0.0)
+                len(basis) - expect, 0.0, rank_margin=basis.rank_margin)
 
     # --- covers ---------------------------------------------------------------
     h2 = FourierSymTensor.random_real(2, sub["cutoff"], rng, scale=1.0, count=3)
@@ -697,7 +697,8 @@ def run_g2(rep: VerificationReport, seed: int, cfg: dict) -> None:
     rep.add("constrained_harmonicity",
             "solutions of the three flat constraints give closed and "
             "coclosed 3-forms",
-            worst, _tol(cfg, 1e-10), basis_dim=len(basis))
+            worst, _tol(cfg, 1e-10), basis_dim=len(basis),
+            rank_margin=basis.rank_margin)
     rep.add("constraint_space_dim",
             "constraint space on the flat 7-torus is the 27 constants",
             len(basis) - 27, 0.0)

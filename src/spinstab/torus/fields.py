@@ -193,8 +193,18 @@ class FourierScalarField(ModeField):
             if r > REALITY_TOL:
                 raise ValueError(f"reality violated by {r:.3e}")
 
+    @classmethod
+    def _trusted(cls, n: int, modes: dict) -> "FourierScalarField":
+        """A field from derived amplitudes, whose keys are already distinct
+        int tuples of length n: only the value rule of _canonical_modes
+        applies (0j + complex(a), zeros dropped, order kept)."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.modes = {k: v for k, a in modes.items() if (v := 0j + complex(a)) != 0}
+        return f
+
     def _like(self, modes: dict) -> "FourierScalarField":
-        return FourierScalarField(self.n, modes, check_reality=False)
+        return FourierScalarField._trusted(self.n, modes)
 
     @property
     def cutoff(self) -> int:
@@ -349,10 +359,14 @@ class _ComponentField:
         return type(self)(self.n, {k: c * f for k, f in self.components.items()})
 
     def sample_matrix(self, grid: Grid) -> np.ndarray:
-        """Values as an array of shape (n, n) + grid.shape."""
+        """Values as an array of shape (n, n) + grid.shape; a field held
+        under several keys (conformal_flat's diagonal) is sampled once."""
         out = np.zeros((self.n, self.n) + grid.shape)
+        sampled = {}
         for (i, j), f in self.components.items():
-            vals = f.sample(grid)
+            vals = sampled.get(id(f))
+            if vals is None:
+                vals = sampled[id(f)] = f.sample(grid)
             out[i, j] = vals
             if i != j:
                 out[j, i] = vals
@@ -370,12 +384,15 @@ class _ComponentField:
     @classmethod
     def from_mode_matrices(cls, n: int, mats: dict):
         """The field with amplitude matrix mats[k] at each k (upper triangle
-        read); components with no nonzero amplitude are left out."""
+        read); components with no nonzero amplitude are left out.  The
+        keys must be distinct int tuples of length n."""
+        keys = list(mats)
+        cols = np.array(list(mats.values()), dtype=complex).reshape(
+            len(keys), n * n).T.tolist()
         comp = {}
         for i in range(n):
             for j in range(i, n):
-                f = FourierScalarField(n, {k: m[i, j] for k, m in mats.items()},
-                                       check_reality=False)
+                f = FourierScalarField._trusted(n, dict(zip(keys, cols[i * n + j])))
                 if f.modes:
                     comp[(i, j)] = f
         return cls(n, comp)
@@ -425,10 +442,13 @@ class FourierSymTensor(_ComponentField):
 
     def l2_inner(self, other: "FourierSymTensor") -> complex:
         """Integral of sum_ij h_ij conj(t_ij) over the torus."""
+        n = self.n
+        upper = {(i, j): self.component(i, j).l2_inner(other.component(i, j))
+                 for i in range(n) for j in range(i, n)}
         acc = 0j
-        for i in range(self.n):
-            for j in range(self.n):
-                acc += self.component(i, j).l2_inner(other.component(i, j))
+        for i in range(n):
+            for j in range(n):
+                acc += upper[(i, j) if i <= j else (j, i)]
         return complex(acc)
 
     @property

@@ -58,16 +58,14 @@ def tt_split(h: FourierSymTensor):
     for k, hk in h.mode_matrices().items():
         kv = np.array(k, dtype=float)
         k2 = float(kv @ kv)
-        t = np.trace(hk)
+        tt = tt_mode_projection(hk, k)
         if k2 == 0.0:
-            conf = (t / n) * eye
-            tt = hk - conf
+            conf = (np.trace(hk) / n) * eye
             lie = np.zeros_like(hk)
         else:
             # u solves tr(h - u I) = (h - u I)(k, k) / |k|^2, the condition
             # for h - u I to have a pure Lie (k x + x k) non-TT part
-            conf = ((t - (kv @ hk @ kv) / k2) / (n - 1)) * eye
-            tt = tt_mode_projection(hk, k)
+            conf = ((np.trace(hk) - (kv @ hk @ kv) / k2) / (n - 1)) * eye
             lie = hk - tt - conf
         tt_modes[k], lie_modes[k], conf_modes[k] = tt, lie, conf
     return tuple(FourierSymTensor.from_mode_matrices(n, m)
@@ -75,7 +73,9 @@ def tt_split(h: FourierSymTensor):
 
 
 def tt_project(h: FourierSymTensor) -> FourierSymTensor:
-    return tt_split(h)[0]
+    """The TT part of tt_split(h), without the other two parts."""
+    return FourierSymTensor.from_mode_matrices(
+        h.n, {k: tt_mode_projection(hk, k) for k, hk in h.mode_matrices().items()})
 
 
 def tt_defect(h: FourierSymTensor) -> float:
@@ -86,28 +86,25 @@ def tt_defect(h: FourierSymTensor) -> float:
 
 def tt_mode_projection(a: np.ndarray, kvec) -> np.ndarray:
     """Project a symmetric amplitude matrix at frequency k onto the TT
-    amplitudes (A k = 0, tr A = 0): P a P minus its trace along P."""
+    amplitudes (A k = 0, tr A = 0): P a P minus its trace along P.  At
+    k = 0, P is the identity and this is the traceless part."""
     kv = np.array(kvec, dtype=float)
-    p = np.eye(len(kv)) - np.outer(kv, kv) / (kv @ kv)
+    p = np.eye(len(kv)) - np.outer(kv, kv) / max(kv @ kv, 1.0)
     a = p @ a @ p
     return a - np.trace(a) / np.trace(p) * p
 
 
-def _mode_constraint_matrix(n: int, rep: GammaRep, gam_sig: np.ndarray, k) -> np.ndarray:
-    """Complex constraint matrix (trace, divergence, Dirac) on Sym_C at mode k."""
-    kv = np.array(k, dtype=float)
-    sym = dirac_symbol(rep.gamma, k)
-    rows = []
-    for e in _sym_basis(n):
-        cons = [np.trace(e)]
-        cons.extend(kv @ e)
-        dpsi = (e.T @ gam_sig) @ sym.T
-        cons.extend(dpsi.reshape(-1))
-        rows.append(np.array(cons, dtype=complex))
-    return np.array(rows).T  # (n_constraints, n_sym)
+class KernelBasis(list):
+    """Basis of a flat kernel found by a mode scan, with the scan's rank
+    margin: the least sqrt(mu_min / mu_max) over the scanned Gram matrices,
+    the smallest singular value relative to the largest."""
+
+    def __init__(self, basis, rank_margin: float):
+        super().__init__(basis)
+        self.rank_margin = rank_margin
 
 
-def stability_kernel_basis(n: int, rep: GammaRep, cutoff: int = 2):
+def stability_kernel_basis(n: int, rep: GammaRep, cutoff: int = 2) -> KernelBasis:
     """Basis of band-limited h with tr h = 0, div h = 0, Dirac(embed h) = 0.
 
     The tensor-to-spinor embedding is injective only over the reals (all
@@ -116,38 +113,78 @@ def stability_kernel_basis(n: int, rep: GammaRep, cutoff: int = 2):
     nonzero pair comes out trivial and the kernel is exactly the constant
     traceless tensors.
     """
-    sig = unit_spinor(rep)
-    gam_sig = np.stack([g @ sig.components for g in rep.gamma])
-
-    def real_system(k):
-        m_plus = _mode_constraint_matrix(n, rep, gam_sig, k)
-        m_minus = _mode_constraint_matrix(n, rep, gam_sig, tuple(-v for v in k))
-        # real field: amplitude x + i y at k forces x - i y at -k
-        blocks = []
-        for m, sgn in ((m_plus, 1.0), (m_minus, -1.0)):
-            blocks.append(np.hstack([m.real, sgn * -m.imag]))
-            blocks.append(np.hstack([m.imag, sgn * m.real]))
-        return np.vstack(blocks)
-
-    extra = _nonzero_mode_kernel_dim(n, cutoff, real_system)
+    extra, margin = _nonzero_mode_kernel_dim(n, cutoff, _stability_constraints(n, rep))
     if extra:
         raise AssertionError(
             f"nonzero-frequency kernel of dimension {extra}: operator bug")
-    return [FourierSymTensor.from_constant(m) for m in _constant_traceless_basis(n)]
+    return KernelBasis([FourierSymTensor.from_constant(m)
+                        for m in _constant_traceless_basis(n)], margin)
 
 
-def _nonzero_mode_kernel_dim(n: int, cutoff: int, constraints) -> int:
-    """Summed null dimension of the per-mode constraint matrices
-    `constraints(k)` over the nonzero frequencies, one per +-k pair.
+def _stability_constraints(n: int, rep: GammaRep):
+    """The scan's constraint builder for stability_kernel_basis.
 
-    One SVD per mode: a batched SVD over the whole box would hold every
-    matrix at once (about 125 MB for the 1093 modes of T^7 at cutoff 1).
+    The complex constraint matrix at mode k has the rows (tr e, k.e,
+    i k_a (e^T gamma_a sigma0) gamma_a^T) on the columns e of _sym_basis.
+    The returned builder stacks, for each row k of a (K, n) mode array, the
+    real system on (Re h(k), Im h(k)) that also imposes the constraints at
+    -k, where a real field carries the amplitude x - i y.
     """
-    extra = 0
-    for k in _freq_box(n, cutoff):
-        s = np.linalg.svd(constraints(k), compute_uv=False)
-        extra += int(np.sum(s <= 1e-10 * max(1.0, s[0])))
-    return extra
+    basis = np.array(_sym_basis(n))  # (m, n, n)
+    gam_sig = np.stack([g @ unit_spinor(rep).components for g in rep.gamma])
+    # dirac[a, (j, b), s] = (e_s^T G gamma_a^T)[j, b], G the rows gamma_i sigma0;
+    # the Dirac rows at k are i sum_a k_a dirac[a]
+    emb = np.einsum("sij,ic->sjc", basis, gam_sig)
+    dirac = np.einsum("sjc,abc->ajbs", emb, np.array(rep.gamma)).reshape(n, -1)
+
+    def constraint_matrices(kv):
+        rows = _trace_div_rows(kv, basis).astype(complex)
+        return np.concatenate([rows, 1j * (kv @ dirac).reshape(len(kv), -1, len(basis))],
+                              axis=1)
+
+    def real_systems(kv):
+        blocks = []
+        for m, sgn in ((constraint_matrices(kv), 1.0), (constraint_matrices(-kv), -1.0)):
+            blocks.append(np.concatenate([m.real, sgn * -m.imag], axis=2))
+            blocks.append(np.concatenate([m.imag, sgn * m.real], axis=2))
+        return np.concatenate(blocks, axis=1)
+
+    return real_systems
+
+
+def _trace_div_rows(kv: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(K, 1 + n, m) stack of the rows tr e and k.e on the columns e of
+    basis (m, n, n), one matrix per row k of kv (K, n)."""
+    trace = np.broadcast_to(np.trace(basis, axis1=1, axis2=2), (len(kv), 1, len(basis)))
+    return np.concatenate([trace, np.einsum("ki,sij->kjs", kv, basis)], axis=1)
+
+
+_SCAN_CHUNK = 128
+
+
+def _nonzero_mode_kernel_dim(n: int, cutoff: int, constraints) -> tuple:
+    """Summed null dimension of the real constraint matrices over the
+    nonzero frequencies |k|_inf <= cutoff, one per +-k pair, and the least
+    sqrt(mu_min / mu_max) over their Gram matrices (the rank margin).
+
+    `constraints` maps a (K, n) float array of modes to the (K, rows, cols)
+    stack of their matrices.  Modes go in chunks of _SCAN_CHUNK, so the
+    whole box (about 125 MB of matrices for the 1093 modes of T^7 at
+    cutoff 1) is never held at once.  Ranks come from the eigenvalues mu of
+    the Gram matrices A^T A, exact integers for the integer tables used
+    here: a direction is null when mu <= 1e-10 max(1, mu_max), that is
+    sigma <= 1e-5 max(1, sigma_max).
+    """
+    modes = np.array(_freq_box(n, cutoff), dtype=float).reshape(-1, n)
+    extra, margin = 0, 1.0
+    for start in range(0, len(modes), _SCAN_CHUNK):
+        a = constraints(modes[start:start + _SCAN_CHUNK])
+        mu = np.linalg.eigvalsh(np.matmul(a.transpose(0, 2, 1), a))  # ascending
+        top = mu[:, -1:]
+        extra += int(np.sum(mu <= 1e-10 * np.maximum(1.0, top)))
+        ratio = np.maximum(mu[:, 0], 0.0) / np.maximum(top[:, 0], np.finfo(float).tiny)
+        margin = min(margin, float(np.sqrt(ratio.min())))
+    return extra, margin
 
 
 def _sym_basis(n: int):

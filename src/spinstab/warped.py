@@ -419,14 +419,6 @@ class AdmissibilityReport:
     passed: bool
     violations: list
 
-    def to_json_obj(self):
-        return {
-            "C1": self.c1, "C2": self.c2, "C3": self.c3,
-            "S_minus": self.s_minus, "a0": self.a0,
-            "bound": COND_BOUND, "passed": self.passed,
-            "violations": self.violations,
-        }
-
 
 def admissibility_check(family: FiberFamily) -> AdmissibilityReport:
     """Constants of the contraction bounds and the negative-scalar margin.

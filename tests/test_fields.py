@@ -11,6 +11,7 @@ from spinstab.torus.fields import (
     ModeField,
 )
 from spinstab.torus.geometry import MetricGeometry, metric_curvature
+from spinstab.torus.operators import tt_project, tt_split
 
 
 def test_reality_enforced():
@@ -249,3 +250,70 @@ def test_zero_frequency_cosine_is_constant():
     assert set(h.components) == set(ref.components)
     for key, f in ref.components.items():
         assert h.components[key].modes == f.modes
+
+
+def _derived_fields(n, seed):
+    """Fields derived inside the package from random tensors on T^n."""
+    rng = np.random.default_rng(seed)
+    h = FourierSymTensor.random_real(n, 1, rng, scale=1.0, count=3)
+    g = FourierSymTensor.random_real(n, 1, rng, scale=0.5, count=2)
+    u = FourierScalarField.random_real(n, 1, rng, count=2)
+    out = [*tt_split(h), tt_project(h), h + g, h - g, g - g, -1.0 * h,
+           h.deriv(1), h.rough_laplacian_flat(),
+           h.map_modes(lambda k, a: (tuple(2 * v for v in k), a)),
+           h.map_modes(lambda k, a: (k, complex(a.real, -0.0))),  # signed zeros
+           FourierSymTensor.from_mode(n, (1,) + (0,) * (n - 1), np.eye(n), phase=0.5)]
+    out = [dict(t.components) for t in out]
+    out.append({"u": u.laplacian_flat(), "du": u.deriv(0), "uu": u + 2.0 * u,
+                "zero": u - u})
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_trusted_containers_match_public_constructor(n, monkeypatch):
+    # derived fields skip the key canonicalization; routing them back
+    # through the public constructor must give the same keys, order and
+    # value bits (signed zeros included) and the same JSON
+    fast = _derived_fields(n, seed=n)
+    monkeypatch.setattr(FourierScalarField, "_trusted", classmethod(
+        lambda cls, n, modes: cls(n, modes, check_reality=False)))
+    slow = _derived_fields(n, seed=n)
+    for a, b in zip(fast, slow):
+        assert list(a) == list(b)
+        for key, f in a.items():
+            ref = b[key]
+            assert type(f) is FourierScalarField and f.n == ref.n
+            assert list(f.modes) == list(ref.modes)
+            assert all(type(v) is int for k in f.modes for v in k)
+            assert all(type(v) is complex for v in f.modes.values())
+            assert (np.array(list(f.modes.values()), dtype=complex).tobytes()
+                    == np.array(list(ref.modes.values()), dtype=complex).tobytes())
+            assert json.dumps(f.to_json_obj()) == json.dumps(ref.to_json_obj())
+
+
+def test_public_constructor_still_canonicalizes():
+    f = FourierScalarField(2, {(np.int64(1), 0): 1.0, (-1, 0): 1.0, (0, 0): 0.0})
+    assert list(f.modes) == [(1, 0), (-1, 0)]
+    assert all(type(v) is int for k in f.modes for v in k)
+    with pytest.raises(ValueError, match="wrong length"):
+        FourierScalarField(2, {(1, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="reality"):
+        FourierScalarField(2, {(1, 0): 1.0})
+
+
+def test_conformal_metric_samples_its_shared_field_once(monkeypatch):
+    grid = Grid(3, 12)
+    u = FourierScalarField.random_real(3, 1, np.random.default_rng(10), scale=0.1, count=2)
+    g = FourierMetric.conformal_flat(u, grid)
+    field = g.components[(0, 0)]
+    assert all(f is field for f in g.components.values())
+    ref = field.sample(grid)
+    calls = []
+    sample = FourierScalarField.sample
+    monkeypatch.setattr(FourierScalarField, "sample",
+                        lambda self, grid: calls.append(self) or sample(self, grid))
+    out = g.sample_matrix(grid)
+    assert len(calls) == 1
+    for i in range(3):
+        assert out[i, i].tobytes() == (ref + 1.0).tobytes()
+        assert not out[i, (i + 1) % 3].any()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from spinstab.clifford import build_gamma_rep
-from spinstab.torus.fields import FourierScalarField, FourierSymTensor
+from spinstab.clifford import build_gamma_rep, unit_spinor
+from spinstab.torus import operators as ops
+from spinstab.torus.fields import FourierScalarField, FourierSymTensor, _freq_box
 from spinstab.torus.operators import (
     cover_l2_inner,
     cover_lichnerowicz,
@@ -209,6 +210,87 @@ def test_kernel_dimension_t7():
     rep = build_gamma_rep(7)
     basis = stability_kernel_basis(7, rep, cutoff=1)
     assert len(basis) == 27
+
+
+def _per_mode_real_system(n, rep, k):
+    """The scan's real system at one mode, built row by row as the
+    per-mode loop did before the scan was batched."""
+    gam_sig = np.stack([g @ unit_spinor(rep).components for g in rep.gamma])
+
+    def complex_matrix(k):
+        kv = np.array(k, dtype=float)
+        sym = dirac_symbol(rep.gamma, k)
+        rows = []
+        for e in ops._sym_basis(n):
+            cons = [np.trace(e)]
+            cons.extend(kv @ e)
+            cons.extend(((e.T @ gam_sig) @ sym.T).reshape(-1))
+            rows.append(np.array(cons, dtype=complex))
+        return np.array(rows).T
+
+    blocks = []
+    for m, sgn in ((complex_matrix(k), 1.0), (complex_matrix(tuple(-v for v in k)), -1.0)):
+        blocks.append(np.hstack([m.real, sgn * -m.imag]))
+        blocks.append(np.hstack([m.imag, sgn * m.real]))
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("n,cutoff", [(2, 2), (4, 2), (7, 1)])
+def test_batched_constraint_stack_matches_per_mode_systems(n, cutoff):
+    # bit for bit up to the sign of zero entries (x + 0.0 drops it): the
+    # per-mode complex matmuls leave some zeros negative, which no Gram
+    # entry, eigenvalue or rank can see
+    rep = build_gamma_rep(n)
+    build = ops._stability_constraints(n, rep)
+    modes = _freq_box(n, cutoff)
+    for start in range(0, len(modes), ops._SCAN_CHUNK):
+        chunk = modes[start:start + ops._SCAN_CHUNK]
+        got = build(np.array(chunk, dtype=float))
+        ref = np.array([_per_mode_real_system(n, rep, k) for k in chunk])
+        assert got.shape == ref.shape
+        assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+
+
+def _plant_null_columns(monkeypatch, planted):
+    """Make the stability builder zero column 0 of the systems at the
+    modes in `planted`, each adding one null direction."""
+    real_builder = ops._stability_constraints
+
+    def builder(n, rep):
+        inner = real_builder(n, rep)
+
+        def systems(kv):
+            out = inner(kv)
+            for row, k in enumerate(kv):
+                if tuple(int(v) for v in k) in planted:
+                    out[row, :, 0] = 0.0
+            return out
+        return systems
+
+    monkeypatch.setattr(ops, "_stability_constraints", builder)
+
+
+def test_scan_counts_planted_defects_past_the_first_chunk(monkeypatch):
+    modes = _freq_box(7, 1)
+    chunk = ops._SCAN_CHUNK
+    assert len(modes) == 1093 and len(modes) % chunk != 0
+    tail_start = len(modes) // chunk * chunk
+    planted = {modes[chunk + 5], modes[tail_start + 3]}  # second and tail chunks
+    rep = build_gamma_rep(7)
+    extra, margin = ops._nonzero_mode_kernel_dim(7, 1, ops._stability_constraints(7, rep))
+    assert extra == 0 and 0.35 < margin <= 1.0
+    _plant_null_columns(monkeypatch, planted)
+    extra, margin = ops._nonzero_mode_kernel_dim(7, 1, ops._stability_constraints(7, rep))
+    assert extra == 2 and margin < 1e-5
+    with pytest.raises(AssertionError, match="dimension 2"):
+        stability_kernel_basis(7, rep, cutoff=1)
+
+
+def test_kernel_basis_reports_rank_margin():
+    # worst sigma_min / sigma_max over the scan; a null direction reads 0
+    margins = [stability_kernel_basis(n, build_gamma_rep(n), cutoff=c).rank_margin
+               for n, c in ((2, 2), (4, 2), (7, 1))]
+    assert all(0.35 < m <= 1.0 for m in margins)
 
 
 def test_cover_identity_fold():
