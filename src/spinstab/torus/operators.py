@@ -124,16 +124,16 @@ def stability_kernel_basis(n: int, rep: GammaRep, cutoff: int = 2) -> KernelBasi
 def _stability_constraints(n: int, rep: GammaRep):
     """The scan's constraint builder for stability_kernel_basis.
 
-    The complex constraint matrix at mode k has the rows (tr e, k.e,
-    i k_a (e^T gamma_a sigma0) gamma_a^T) on the columns e of _sym_basis.
-    The returned builder stacks, for each row k of a (K, n) mode array, the
-    real system on (Re h(k), Im h(k)) that also imposes the constraints at
-    -k, where a real field carries the amplitude x - i y.
+    The complex constraint matrix at mode k has the rows tr e, k.e and
+    (e^T G) dirac_symbol(gamma, k)^T, G the rows gamma_i sigma0, on the
+    columns e of _sym_basis.  The returned builder stacks, for each row k
+    of a (K, n) mode array, the real system on (Re h(k), Im h(k)) that also
+    imposes the constraints at -k, where a real field carries x - i y.
     """
     basis = np.array(_sym_basis(n))  # (m, n, n)
     gam_sig = np.stack([g @ unit_spinor(rep).components for g in rep.gamma])
-    # dirac[a, (j, b), s] = (e_s^T G gamma_a^T)[j, b], G the rows gamma_i sigma0;
-    # the Dirac rows at k are i sum_a k_a dirac[a]
+    # dirac[a, (j, b), s] = ((e_s^T G) gamma_a^T)[j, b]; the Dirac rows at k
+    # are i sum_a k_a dirac[a]
     emb = np.einsum("sij,ic->sjc", basis, gam_sig)
     dirac = np.einsum("sjc,abc->ajbs", emb, np.array(rep.gamma)).reshape(n, -1)
 
