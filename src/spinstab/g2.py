@@ -8,6 +8,7 @@ T^7 carry complex Fourier amplitudes against the same integer tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -191,43 +192,37 @@ def triple_pairing_residual(g2: G2Structure, vectors) -> int:
 # -- type decomposition of 3-forms -----------------------------------------
 
 class ThreeFormTypes:
-    """Exact projectors onto the 1, 7 and 27 dimensional pieces of Lambda^3."""
+    """Exact projectors onto the 1, 7 and 27 dimensional pieces of Lambda^3.
+
+    Their denominators are |phi|^2 = 7 and |*(phi ^ e^a)|^2 = 4, so they are
+    held as the integer 35 x 35 matrices scale * P, scale = lcm(7, 4) = 28.
+    """
 
     def __init__(self, g2: G2Structure):
         self.g2 = g2
-        self.phi = np.array([Fraction(int(v)) for v in g2.phi3])
-        self.phi_norm_sq = sum(v * v for v in self.phi)  # = 7
-        # image of alpha -> *(phi ^ alpha) on the coframe basis
-        vs = []
+        phi = np.asarray(g2.phi3, dtype=np.int64)
+        # image of alpha -> *(phi ^ alpha) on the coframe basis, one row each
+        rows = []
         for a in range(7):
             e = np.zeros(EXT7.dim(1), dtype=np.int64)
             e[a] = 1
-            w = EXT7.wedge(g2.phi3, 3, e, 1)
-            vs.append(EXT7.star(w, 4))
-        self.seven_basis = [np.array([Fraction(int(v)) for v in w]) for w in vs]
-        gram = np.array(
-            [[sum(a * b for a, b in zip(u, w)) for w in self.seven_basis]
-             for u in self.seven_basis])
-        diag = gram[0, 0]
-        if not all(
-            gram[i, j] == (diag if i == j else 0)
-            for i in range(7) for j in range(7)
-        ):
+            rows.append(EXT7.star(EXT7.wedge(g2.phi3, 3, e, 1), 4))
+        seven = np.array(rows, dtype=np.int64)
+        gram = seven @ seven.T
+        diag = int(gram[0, 0])
+        if not np.array_equal(gram, diag * np.eye(7, dtype=np.int64)):
             raise OrientationError("coframe images under *(phi ^ .) not orthogonal")
-        self.seven_norm_sq = diag  # = 4
+        phi_norm_sq = int(phi @ phi)
+        self.scale = math.lcm(phi_norm_sq, diag)
+        p1 = self.scale // phi_norm_sq * np.outer(phi, phi)
+        p7 = self.scale // diag * (seven.T @ seven)
+        self.scaled = (p1, p7, self.scale * np.eye(len(phi), dtype=np.int64) - p1 - p7)
 
     def project(self, alpha):
         """Return (p1, p7, p27) with exact rational arithmetic."""
-        alpha = np.array([Fraction(v) if not isinstance(v, Fraction) else v
-                          for v in alpha])
-        c1 = sum(a * b for a, b in zip(alpha, self.phi)) / self.phi_norm_sq
-        p1 = np.array([c1 * v for v in self.phi])
-        p7 = np.zeros_like(alpha)
-        for w in self.seven_basis:
-            cw = sum(a * b for a, b in zip(alpha, w)) / self.seven_norm_sq
-            p7 = p7 + np.array([cw * v for v in w])
-        p27 = alpha - p1 - p7
-        return p1, p7, p27
+        alpha = np.array([Fraction(v) for v in alpha], dtype=object)
+        p1, p7 = (m.astype(object) @ alpha / self.scale for m in self.scaled[:2])
+        return p1, p7, alpha - p1 - p7
 
     def wedge_conditions(self, alpha):
         """(alpha ^ phi, alpha ^ *phi): both vanish exactly on the 27-part."""
@@ -238,36 +233,19 @@ class ThreeFormTypes:
 
     def projector_ranks(self):
         """Ranks of the three projectors on the 35-dimensional space."""
-        dim = EXT7.dim(3)
-        cols1, cols7, cols27 = [], [], []
-        for i in range(dim):
-            e = np.zeros(dim, dtype=np.int64)
-            e[i] = 1
-            p1, p7, p27 = self.project(e)
-            cols1.append([float(v) for v in p1])
-            cols7.append([float(v) for v in p7])
-            cols27.append([float(v) for v in p27])
-        ranks = tuple(
-            int(np.linalg.matrix_rank(np.array(c).T, tol=1e-9))
-            for c in (cols1, cols7, cols27)
-        )
-        return ranks
+        return tuple(int(np.linalg.matrix_rank(m / self.scale, tol=1e-9))
+                     for m in self.scaled)
 
-    def projector_algebra_residual(self) -> int:
-        """Exact check that the three maps are idempotent, mutually
-        annihilating and sum to the identity (0 when all hold)."""
-        dim = EXT7.dim(3)
+    def projector_algebra_residual(self) -> Fraction:
+        """Exact check that the three maps are idempotent and mutually
+        annihilating (0 when both hold); they resolve the identity by
+        construction of the 27-part as the complement."""
+        s = self.scale
         worst = Fraction(0)
-        for i in range(dim):
-            e = np.array([Fraction(int(i == j)) for j in range(dim)])
-            parts = self.project(e)
-            recon = parts[0] + parts[1] + parts[2] - e
-            worst = max(worst, max(abs(v) for v in recon))
-            for a, pa in enumerate(parts):
-                again = self.project(pa)
-                for b, pb in enumerate(again):
-                    target = pa if a == b else 0 * pa
-                    worst = max(worst, max(abs(v) for v in (pb - target)))
+        for a, pa in enumerate(self.scaled):
+            for b, pb in enumerate(self.scaled):
+                gap = pb @ pa - (s * pa if a == b else 0)
+                worst = max(worst, Fraction(int(np.abs(gap).max()), s * s))
         return worst
 
 

@@ -6,16 +6,23 @@ lowest eigenpair comes from Fourier-preconditioned correction equations
 (inverse iteration deflated against the current estimate), and a solve
 whose residual stays above HARD_RESIDUAL raises.  The first and
 second t-derivatives of the eigenvalue along metric lines g + t h are
-estimated from symmetric 5-point stencils with an empirically chosen step.
+estimated from symmetric 5-point stencils with an empirically chosen step;
+each stencil solve starts from the Lagrange extrapolation of the nearest
+solved eigenfunctions.
 
 Both first derivatives of the divergence form are real spectral derivatives,
 so on an even grid they apply the wavenumber 0 at the Nyquist bin (a real
-field's derivative cannot carry that mode).  The 2^n - 1 pure checkerboard
-modes therefore have no stiffness: they carry only the potential, which puts
-them in a near-degenerate cluster close to the ground eigenvalue (at a flat
-metric they share it).  The preconditioner symbol 1 / (sum_a k~_a^2 + 1) uses
-the same wavenumbers k~ (Grid.half_symbols), so it matches the operator's
-symbol and is 1 on the checkerboards.
+field's derivative cannot carry that mode).  On the full grid the 2^n - 1
+pure checkerboard modes, and the mixed modes with a Nyquist index, would get
+no stiffness (or too little) and form a spurious near-degenerate cluster at
+the ground state.  The solver therefore works on the Galerkin band instead:
+P A P, where P zeroes every rfftn half-spectrum bin with an index at N/2, is
+the truncation to trigonometric polynomials of degree < N/2 on each axis
+(Canuto, Hussaini, Quarteroni & Zang, Spectral Methods; Boyd, Chebyshev and
+Fourier Spectral Methods, ch. 11).  The start vector and every matvec are
+projected by P, and the preconditioner symbol band / (sum_a k~_a^2 + 1)
+(k~ from Grid.half_symbols) is 0 off the band, so every iterate stays in
+range(P).
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ class ConformalEigenpair:
     """Lowest eigenpair of -Lap_g + c_n S_g.
 
     psi is normalized by integral(psi dV_g) = 1 and positive; the residual
-    is measured in the weighted L2 norm of the divergence-form operator.
+    is |P A P phi - lam phi| for phi = sqrt(w) psi / |sqrt(w) psi|, the
+    weighted L2 residual of the divergence-form operator on the band.
     """
 
     lam: float
@@ -57,7 +65,7 @@ class ConformalEigenpair:
 
 
 class _ConformalOperator:
-    """Symmetrized divergence-form conformal Laplacian on the grid."""
+    """Symmetrized divergence-form conformal Laplacian on the grid's band."""
 
     def __init__(self, geo: MetricGeometry, c_n: float):
         self.grid = geo.grid
@@ -67,7 +75,12 @@ class _ConformalOperator:
         self.pot = c_n * geo.scalar()
         self.wginv = geo.ginv * self.w  # (n, n) + shape
         self._ik, k2 = self.grid.half_symbols
-        self._precond_symbol = 1.0 / (k2 + 1.0)
+        # 1 on the half-spectrum bins with no index at an even grid's N/2
+        self._band = np.ones(k2.shape)
+        if self.grid.size % 2 == 0:
+            for ax in range(self.n):
+                self._band[(slice(None),) * ax + (self.grid.size // 2,)] = 0.0
+        self._precond_symbol = self._band / (k2 + 1.0)
 
     def apply_raw(self, psi: np.ndarray) -> np.ndarray:
         """(-Lap_g + c_n S) psi in divergence form."""
@@ -79,10 +92,15 @@ class _ConformalOperator:
         div = irfftn(div_spec, shape, axes=axes)
         return -div / self.w + self.pot * psi
 
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """P: the orthogonal projection of grid values onto the band."""
+        return irfftn(self._band * rfftn(v), self.grid.shape)
+
     def apply_sym(self, phi: np.ndarray) -> np.ndarray:
-        """Euclidean-symmetric conjugated operator on phi = sqrt(w) psi."""
+        """P S A S^-1 on phi = S psi, S = sqrt(w): Euclidean-symmetric on
+        range(P), which it maps into itself."""
         psi = phi / self.sqrt_w
-        return self.sqrt_w * self.apply_raw(psi)
+        return self.project(self.sqrt_w * self.apply_raw(psi))
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         return irfftn(self._precond_symbol * rfftn(r), self.grid.shape)
@@ -111,7 +129,8 @@ def _jd_refine(op: "_ConformalOperator", phi: np.ndarray, tol: float,
             return v - current * float(np.sum(current * v))
 
         def corr_op(v, lam_=lam):
-            return proj(op.apply_sym(proj(v)) - lam_ * proj(v))
+            pv = proj(v)
+            return proj(op.apply_sym(pv) - lam_ * pv)
 
         def corr_pre(v):
             return proj(op.precondition(proj(v)))
@@ -177,11 +196,7 @@ def conformal_eigenvalue(
     geo = MetricGeometry(metric, grid)
     op = _ConformalOperator(geo, conformal_coefficient(geo.n))
 
-    if initial is not None:
-        phi = op.sqrt_w * initial
-        phi = phi / np.linalg.norm(phi)
-    else:
-        phi = op.sqrt_w / np.linalg.norm(op.sqrt_w)
+    phi = op.project(op.sqrt_w if initial is None else op.sqrt_w * initial)
 
     # Correction-equation iteration (Jacobi-Davidson style): the projected
     # operator at the Rayleigh shift stays definite and well conditioned on
@@ -233,14 +248,15 @@ class VariationEstimate:
 def _stencil_values(metric: FourierMetric, h: FourierSymTensor, grid: Grid,
                     steps) -> dict:
     values = {}
-    # walk outward from t = 0 so each solve can warm-start from a neighbor
+    # walk outward from t = 0; each solve starts from the Lagrange
+    # extrapolation of psi through the (up to) three nearest solved points
     guesses = {}
     for t in sorted(steps, key=abs):
         gt = metric if t == 0.0 else metric + t * h
-        near = min(guesses, key=lambda s: abs(s - t)) if guesses else None
-        pair = conformal_eigenvalue(
-            gt, grid, tol=VARIATION_TOL,
-            initial=None if near is None else guesses[near])
+        near = sorted(guesses, key=lambda u: abs(u - t))[:3]
+        start = sum(np.prod([(t - v) / (u - v) for v in near if v != u]) * guesses[u]
+                    for u in near) if near else None
+        pair = conformal_eigenvalue(gt, grid, tol=VARIATION_TOL, initial=start)
         values[t] = pair.lam
         guesses[t] = pair.psi
     return values

@@ -291,6 +291,24 @@ def test_trusted_containers_match_public_constructor(n, monkeypatch):
             assert json.dumps(f.to_json_obj()) == json.dumps(ref.to_json_obj())
 
 
+@pytest.mark.parametrize("n", [4, 7])
+def test_rough_laplacian_matches_negated_laplacian_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    h = FourierSymTensor.random_real(n, 2, rng, scale=1.0, count=3)
+    # raw amplitudes with signed zeros, set past the constructors
+    for f in h.components.values():
+        f.modes = {k: (complex(-0.0, a.imag), complex(a.real, -0.0), a)[i % 3]
+                   for i, (k, a) in enumerate(f.modes.items())}
+        f.modes[(0,) * n] = complex(-0.0, 0.5)
+    ref = {key: -1.0 * f.laplacian_flat() for key, f in h.components.items()}
+    out = h.rough_laplacian_flat()
+    assert type(out) is FourierSymTensor and list(out.components) == list(ref)
+    for key, f in out.components.items():
+        assert list(f.modes) == list(ref[key].modes)
+        assert (np.array(list(f.modes.values()), dtype=complex).tobytes()
+                == np.array(list(ref[key].modes.values()), dtype=complex).tobytes())
+
+
 def test_public_constructor_still_canonicalizes():
     f = FourierScalarField(2, {(np.int64(1), 0): 1.0, (-1, 0): 1.0, (0, 0): 0.0})
     assert list(f.modes) == [(1, 0), (-1, 0)]

@@ -118,6 +118,33 @@ def test_projector_ranks_and_algebra():
     assert types.projector_algebra_residual() == 0
 
 
+def test_scaled_projectors_match_rank_one_sums():
+    # P1 = phi phi^T / |phi|^2 and P7 = sum_a w_a w_a^T / |w_a|^2 with
+    # w_a = *(phi ^ e^a), rebuilt here in Fractions
+    types = ThreeFormTypes(G2)
+    assert types.scale == 28
+    phi = [Fraction(int(v)) for v in G2.phi3]
+    ws = []
+    for a in range(7):
+        e = np.zeros(7, dtype=np.int64)
+        e[a] = 1
+        ws.append([Fraction(int(v)) for v in EXT7.star(EXT7.wedge(G2.phi3, 3, e, 1), 4)])
+    for i in range(35):
+        for j in range(35):
+            p1 = phi[i] * phi[j] / 7
+            p7 = sum(w[i] * w[j] / 4 for w in ws)
+            assert types.scaled[0][i, j] == 28 * p1
+            assert types.scaled[1][i, j] == 28 * p7
+            assert types.scaled[2][i, j] == 28 * (int(i == j) - p1 - p7)
+
+
+def test_projector_algebra_sees_a_broken_projector():
+    types = ThreeFormTypes(G2)
+    p1, p7, p27 = types.scaled
+    types.scaled = (2 * p1, p7, p27)
+    assert types.projector_algebra_residual() == Fraction(2, 7)  # max of 2 P1
+
+
 def test_embedding_of_identity_is_three_phi():
     psi = sym_to_three_form(G2, np.eye(7, dtype=np.int64))
     assert all(int(a) == 3 * int(b) for a, b in zip(psi, G2.phi3))
