@@ -205,13 +205,26 @@ def test_second_variation_closed_form_n4():
     assert abs(est.second - expect) / abs(expect) < 2e-2
 
 
-def test_extrapolated_warm_starts_match_cold_solves():
+def test_extrapolated_warm_starts_match_cold_solves(monkeypatch):
     rng = np.random.default_rng(4)
     h = FourierSymTensor.random_real(3, 1, rng, scale=0.5, count=1)
     base = FourierMetric.from_perturbation(
         FourierSymTensor.random_real(3, 1, rng, scale=0.02, count=2))
+    starts, psis = [], []
+
+    def recording(metric, grid, tol, initial):
+        starts.append(initial)
+        pair = conformal_eigenvalue(metric, grid, tol=tol, initial=initial)
+        psis.append(pair.psi)
+        return pair
+
+    monkeypatch.setattr(eig, "conformal_eigenvalue", recording)
     est = eigenvalue_variations(base, h, GRID3)
+    monkeypatch.undo()
     assert len(est.lambdas) == 9
+    # t = 0 cold, t = -s/4 from psi(0), t = s/4 from 2 psi(0) - psi(-s/4)
+    assert starts[0] is None and np.array_equal(starts[1], psis[0])
+    assert np.abs(starts[2] - (2 * psis[0] - psis[1])).max() <= 1e-12
     for t, lam in est.lambdas.items():
         gt = base if t == 0.0 else base + t * h
         cold = conformal_eigenvalue(gt, GRID3, tol=eig.VARIATION_TOL)
