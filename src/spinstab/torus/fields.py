@@ -1,10 +1,12 @@
 """Band-limited fields on the flat torus T^n = (R / 2 pi Z)^n.
 
 Fields are stored spectrally as maps from integer frequency vectors to
-complex amplitudes (the amplitude of exp(i k.x)).  Real fields keep the
-conjugate symmetry coeff(-k) == conj(coeff(k)).  Linear operations act on
-the coefficients; nonlinear pipelines render fields onto a uniform grid
-where pointwise products are exact up to aliasing of the unresolved tail.
+complex amplitudes (the amplitude of exp(i k.x)): a number for a scalar
+field, a complex symmetric (n, n) matrix for a symmetric 2-tensor field.
+Real fields keep the conjugate symmetry coeff(-k) == conj(coeff(k)).
+Linear operations act on the coefficients; nonlinear pipelines render
+fields onto a uniform grid where pointwise products are exact up to
+aliasing of the unresolved tail.
 """
 
 from __future__ import annotations
@@ -129,9 +131,11 @@ def _canonical_modes(n: int, modes: dict) -> dict:
 
 class ModeField:
     """Field with one complex amplitude per frequency vector: a number for
-    FourierScalarField, an array for the twisted spinors of the flat Dirac
-    identity ((n, spin_dim) per mode), the octonion spinors of the G2 model
-    ((8, 7), row 0 the scalar part) and, through g2.FormField, forms on T^7.
+    FourierScalarField, a complex symmetric (n, n) matrix for the tensor
+    fields FourierSymTensor and FourierMetric, an array for the twisted
+    spinors of the flat Dirac identity ((n, spin_dim) per mode), the
+    octonion spinors of the G2 model ((8, 7), row 0 the scalar part) and,
+    through g2.FormField, forms on T^7.
     """
 
     def __init__(self, n: int, modes: dict):
@@ -160,8 +164,12 @@ class ModeField:
     def __rmul__(self, c: float):
         return self._like({k: c * a for k, a in self.modes.items()})
 
+    def map_modes(self, fn):
+        """Apply fn(k, a) -> (k', a') to every amplitude, in mode order."""
+        return self._like(dict(fn(k, a) for k, a in self.modes.items()))
+
     def deriv(self, axis: int) -> "ModeField":
-        return self._like({k: 1j * k[axis] * a for k, a in self.modes.items()})
+        return self.map_modes(lambda k, a: (k, 1j * k[axis] * a))
 
     def max_amp(self) -> float:
         # hypot, not np.abs: np.abs of a complex can differ from abs() in the last bit
@@ -173,12 +181,14 @@ class ModeField:
         acc = sum(float(np.sum(np.abs(a) ** 2)) for a in self.modes.values())
         return acc * (2 * np.pi) ** self.n
 
-    def l2_inner_real(self, other: "ModeField") -> float:
-        acc = 0.0
+    def l2_inner(self, other: "ModeField") -> complex:
+        """Integral over T^n of f conj(g), summed over the amplitude entries,
+        by Parseval; the modes are visited in self's order."""
+        acc = 0j
         for k, a in self.modes.items():
             b = other.modes.get(k)
             if b is not None:
-                acc += float(np.real(np.sum(a * b.conj())))
+                acc += complex(np.vdot(b, a))
         return acc * (2 * np.pi) ** self.n
 
 
@@ -265,20 +275,6 @@ class FourierScalarField(ModeField):
         vals = ifftn(spec) * grid.size**self.n
         return vals.real
 
-    def l2_inner(self, other: "FourierScalarField") -> complex:
-        """Integral over T^n of f conj(g), by Parseval."""
-        small, big = self.modes, other.modes
-        if len(big) < len(small):
-            small, big = big, small
-        acc = 0j
-        for k, a in small.items():
-            b = big.get(k)
-            if b is not None:
-                acc += a * np.conj(b)
-        if big is not other.modes:
-            acc = np.conj(acc)
-        return complex(acc * (2 * np.pi) ** self.n)
-
     def to_json_obj(self):
         return {
             "n": self.n,
@@ -327,89 +323,60 @@ def _freq_box(n: int, cutoff: int):
     return tuple(out)
 
 
-class _ComponentField:
-    """Shared behaviour of symmetric matrix-valued fields."""
+class _ComponentField(ModeField):
+    """Symmetric matrix-valued field: a complex symmetric (n, n) amplitude
+    matrix per mode; modes whose matrix is zero are left out."""
 
-    def __init__(self, n: int, components):
-        self.n = n
-        self.components = components  # dict (i, j) i<=j -> FourierScalarField
+    @classmethod
+    def _trusted(cls, n: int, modes: dict):
+        """A field from derived (n, n) amplitudes whose keys are already
+        distinct int tuples of length n; zero matrices are dropped."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.modes = {k: a for k, a in modes.items() if a.any()}
+        return f
 
-    def component(self, i: int, j: int) -> FourierScalarField:
-        key = (i, j) if i <= j else (j, i)
-        c = self.components.get(key)
-        if c is None:
-            return FourierScalarField.zero(self.n)
-        return c
-
-    def max_amp(self) -> float:
-        return max((f.max_amp() for f in self.components.values()), default=0.0)
-
-    def _binary(self, other, op):
-        keys = set(self.components) | set(other.components)
-        comp = {k: op(self.component(*k), other.component(*k)) for k in keys}
-        return type(self)(self.n, comp)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rmul__(self, c: float):
-        return type(self)(self.n, {k: c * f for k, f in self.components.items()})
-
-    def sample_matrix(self, grid: Grid) -> np.ndarray:
-        """Values as an array of shape (n, n) + grid.shape; a field held
-        under several keys (conformal_flat's diagonal) is sampled once."""
-        out = np.zeros((self.n, self.n) + grid.shape)
-        sampled = {}
-        for (i, j), f in self.components.items():
-            vals = sampled.get(id(f))
-            if vals is None:
-                vals = sampled[id(f)] = f.sample(grid)
-            out[i, j] = vals
-            if i != j:
-                out[j, i] = vals
-        return out
-
-    def mode_matrices(self) -> dict:
-        """{k: complex (n, n) amplitude matrix}, in sorted k order."""
-        keys = sorted({k for f in self.components.values() for k in f.modes})
-        mats = {k: np.zeros((self.n, self.n), dtype=complex) for k in keys}
-        for (i, j), f in self.components.items():
-            for k, a in f.modes.items():
-                mats[k][i, j] = mats[k][j, i] = a
-        return mats
+    def _like(self, modes: dict):
+        return self._trusted(self.n, modes)
 
     @classmethod
     def from_mode_matrices(cls, n: int, mats: dict):
-        """The field with amplitude matrix mats[k] at each k (upper triangle
-        read); components with no nonzero amplitude are left out.  The
-        keys must be distinct int tuples of length n."""
-        keys = list(mats)
-        cols = np.array(list(mats.values()), dtype=complex).reshape(
-            len(keys), n * n).T.tolist()
-        comp = {}
-        for i in range(n):
-            for j in range(i, n):
-                f = FourierScalarField._trusted(n, dict(zip(keys, cols[i * n + j])))
+        """The field with amplitude matrix mats[k] at each k, its upper
+        triangle read.  The keys must be distinct int tuples of length n."""
+        stack = np.array(list(mats.values()), dtype=complex).reshape(-1, n, n)
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        return cls._trusted(n, dict(zip(mats, np.where(upper, stack, stack.transpose(0, 2, 1)))))
+
+    def mode_matrices(self) -> dict:
+        """{k: complex symmetric (n, n) amplitude matrix}, in sorted k order."""
+        return dict(sorted(self.modes.items()))
+
+    def component(self, i: int, j: int) -> FourierScalarField:
+        return FourierScalarField._trusted(self.n, {k: a[i, j] for k, a in self.modes.items()})
+
+    @property
+    def components(self) -> dict:
+        """{(i, j): component(i, j)} for i <= j, the nonzero entries only."""
+        out = {}
+        for i in range(self.n):
+            for j in range(i, self.n):
+                f = self.component(i, j)
                 if f.modes:
-                    comp[(i, j)] = f
-        return cls(n, comp)
+                    out[(i, j)] = f
+        return out
 
-    def map_modes(self, fn):
-        """Apply fn(k, a) -> (k', a') to every amplitude, component by
-        component in each component's mode order."""
-        return type(self)(self.n, {
-            key: f._like(dict(fn(k, a) for k, a in f.modes.items()))
-            for key, f in self.components.items()})
-
-    def deriv(self, axis: int):
-        return self.map_modes(lambda k, a: (k, 1j * k[axis] * a))
+    def sample_matrix(self, grid: Grid) -> np.ndarray:
+        """Values as an array of shape (n, n) + grid.shape; zero entries are
+        not sampled."""
+        out = np.zeros((self.n, self.n) + grid.shape)
+        for (i, j), f in self.components.items():
+            out[i, j] = out[j, i] = f.sample(grid)
+        return out
 
 
 class FourierSymTensor(_ComponentField):
-    """Symmetric 2-tensor field h_ij with Fourier scalar components."""
+    """Symmetric 2-tensor field h_ij given by finitely many Fourier amplitude
+    matrices."""
 
     @classmethod
     def zero(cls, n: int):
@@ -430,54 +397,37 @@ class FourierSymTensor(_ComponentField):
     @classmethod
     def conformal(cls, u: FourierScalarField):
         """u times the flat metric."""
-        return cls(u.n, {(i, i): u for i in range(u.n)})
+        return cls._trusted(u.n, {k: a * np.eye(u.n) for k, a in u.modes.items()})
 
     @classmethod
     def random_real(cls, n: int, cutoff: int, rng, scale: float = 1.0, count: int | None = None):
-        comp = {}
-        for i in range(n):
-            for j in range(i, n):
-                comp[(i, j)] = FourierScalarField.random_real(n, cutoff, rng, scale, count)
-        return cls(n, comp)
-
-    def l2_inner(self, other: "FourierSymTensor") -> complex:
-        """Integral of sum_ij h_ij conj(t_ij) over the torus."""
-        n = self.n
-        upper = {(i, j): self.component(i, j).l2_inner(other.component(i, j))
-                 for i in range(n) for j in range(i, n)}
-        acc = 0j
-        for i in range(n):
-            for j in range(n):
-                acc += upper[(i, j) if i <= j else (j, i)]
-        return complex(acc)
+        """Each upper-triangle entry an independent FourierScalarField.random_real."""
+        entries = {(i, j): FourierScalarField.random_real(n, cutoff, rng, scale, count)
+                   for i in range(n) for j in range(i, n)}
+        mats = {k: np.zeros((n, n), dtype=complex)
+                for k in chain.from_iterable(f.modes for f in entries.values())}
+        for (i, j), f in entries.items():
+            for k, a in f.modes.items():
+                mats[k][i, j] = a
+        return cls.from_mode_matrices(n, mats)
 
     @property
     def l2_norm_sq(self) -> float:
-        return float(np.real(self.l2_inner(self)))
+        return ModeField.l2_norm_sq(self)
 
     def trace_flat(self) -> FourierScalarField:
-        out = FourierScalarField.zero(self.n)
-        for i in range(self.n):
-            out = out + self.component(i, i)
-        return out
+        return FourierScalarField._trusted(self.n, {
+            k: sum(a[i, i] for i in range(self.n)) for k, a in self.modes.items()})
 
     def divergence_flat(self) -> list:
         """(delta h)_j = -sum_i d_i h_ij, one scalar field per j."""
-        out = []
-        for j in range(self.n):
-            f = FourierScalarField.zero(self.n)
-            for i in range(self.n):
-                f = f + (-1.0) * self.component(i, j).deriv(i)
-            out.append(f)
-        return out
+        return [FourierScalarField._trusted(self.n, {
+            k: sum(-1.0 * (1j * k[i] * a[i, j]) for i in range(self.n))
+            for k, a in self.modes.items()}) for j in range(self.n)]
 
     def rough_laplacian_flat(self) -> "FourierSymTensor":
-        """Componentwise -sum_a d_a^2 (the flat connection Laplacian): |k|^2 a,
-        in one pass over each component's modes."""
-        return FourierSymTensor(self.n, {
-            key: FourierScalarField._trusted(
-                self.n, {k: sum(v * v for v in k) * a for k, a in f.modes.items()})
-            for key, f in self.components.items()})
+        """Entrywise -sum_a d_a^2 (the flat connection Laplacian): |k|^2 a."""
+        return self.map_modes(lambda k, a: (k, sum(v * v for v in k) * a))
 
 
 class FourierMetric(_ComponentField):
@@ -489,7 +439,7 @@ class FourierMetric(_ComponentField):
 
     @classmethod
     def from_perturbation(cls, h: FourierSymTensor, t: float = 1.0):
-        return cls(h.n, {k: t * f for k, f in h.components.items()})
+        return cls._trusted(h.n, (t * h).modes)
 
     @classmethod
     def conformal_flat(cls, u: FourierScalarField, grid: Grid):
@@ -506,7 +456,7 @@ class FourierMetric(_ComponentField):
         modes[(0,) * u.n] = mean
         f = FourierScalarField(u.n, modes)
         pert = f + FourierScalarField.constant(u.n, -1.0)
-        return cls(u.n, {(i, i): pert for i in range(u.n)})
+        return cls._trusted(u.n, FourierSymTensor.conformal(pert).modes)
 
     def sample_matrix(self, grid: Grid) -> np.ndarray:
         out = super().sample_matrix(grid)
@@ -515,4 +465,4 @@ class FourierMetric(_ComponentField):
         return out
 
     def is_flat(self) -> bool:
-        return not self.components
+        return not self.modes

@@ -537,12 +537,9 @@ def warped_ricci(w: WarpedMetric, r: float, q) -> dict:
         raise HorizonError(f"2 m(r) = {2 * m:.3e} >= r = {r:.3e}")
     dm = float(w.profile.dm(r))
     lapse = 1.0 - 2.0 * m / r
+    gp, gpp, q2 = map(float, w.radial_invariants(r, q)[:3])
     g, gr, grr, s = w.fiber_data(r, q)
     gi = np.linalg.inv(g)
-    a = gi @ gr
-    gp = float(np.trace(a))
-    q2 = float(np.trace(a @ a))
-    gpp = float(np.trace(-a @ a + gi @ grr))
 
     r00 = (2.0 * (-m / r**3 + dm / r**2) + 0.5 * (dm * r - m) / r**2 * gp
            - 0.5 * lapse * gpp - 0.25 * lapse * q2)

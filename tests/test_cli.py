@@ -240,6 +240,15 @@ def test_warped_build_reports_mass(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["mass"] == -2.0
     assert abs(payload["asymptotic_order"] - 1.0) < 0.05
+    # the oracle and the scan are the paths that evaluate InverseTail.dm
+    oracle = tmp_path / "oracle.csv"
+    assert main(["warped", "oracle", "--family", str(fam), "--out", str(oracle)]) == 0
+    rows = oracle.read_text().strip().splitlines()[1:]
+    assert len(rows) == 25 and all(row.endswith(",1") for row in rows)
+    scan = tmp_path / "scan.csv"
+    assert main(["warped", "scan", "--family", str(fam), "--out", str(scan)]) == 0
+    values = [float(row.split(",")[2]) for row in scan.read_text().strip().splitlines()[1:]]
+    assert min(values) > 0.0
 
 
 def test_warped_bad_descriptor_exits_2(tmp_path):

@@ -240,13 +240,7 @@ def test_conformal_direction_second_variation_vanishes():
 
 def test_lie_direction_leaves_lambda_flat():
     n, k, v = 3, (1, 1, 0), np.array([0.25, 0.0, 0.15])
-    comp = {}
-    for i in range(n):
-        for j in range(i, n):
-            c = -(k[i] * v[j] + k[j] * v[i])
-            if c != 0:
-                comp[(i, j)] = FourierScalarField.cosine(n, k, c, phase=np.pi / 2)
-    hlie = FourierSymTensor(n, comp)
+    hlie = FourierSymTensor.from_mode(n, k, -(np.outer(k, v) + np.outer(v, k)), phase=np.pi / 2)
     for t in (1e-2, 5e-3):
         gt = FourierMetric.from_perturbation(hlie, t)
         assert abs(conformal_eigenvalue(gt, GRID3).lam) <= 1e-8

@@ -9,6 +9,7 @@ from spinstab.torus.fields import (
     FourierSymTensor,
     Grid,
     ModeField,
+    ifftn,
 )
 from spinstab.torus.geometry import MetricGeometry, metric_curvature
 from spinstab.torus.operators import tt_project, tt_split
@@ -137,7 +138,7 @@ def test_mode_field_arithmetic_and_norms():
     assert np.array_equal(a.deriv(0).modes[(1, 0)], np.array([[1j, -2.0]]))
     vol = (2 * np.pi) ** 2
     assert a.l2_norm_sq() == 14.0 * vol
-    assert a.l2_inner_real(b) == 1.0 * vol
+    assert a.l2_inner(b).real == 1.0 * vol
     assert ModeField(2, {}).max_amp() == 0.0
 
 
@@ -261,7 +262,7 @@ def _derived_fields(n, seed):
     out = [*tt_split(h), tt_project(h), h + g, h - g, g - g, -1.0 * h,
            h.deriv(1), h.rough_laplacian_flat(),
            h.map_modes(lambda k, a: (tuple(2 * v for v in k), a)),
-           h.map_modes(lambda k, a: (k, complex(a.real, -0.0))),  # signed zeros
+           h.map_modes(lambda k, a: (k, np.conj(a.real + 0j))),  # signed zeros
            FourierSymTensor.from_mode(n, (1,) + (0,) * (n - 1), np.eye(n), phase=0.5)]
     out = [dict(t.components) for t in out]
     out.append({"u": u.laplacian_flat(), "du": u.deriv(0), "uu": u + 2.0 * u,
@@ -296,10 +297,10 @@ def test_rough_laplacian_matches_negated_laplacian_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
     h = FourierSymTensor.random_real(n, 2, rng, scale=1.0, count=3)
     # raw amplitudes with signed zeros, set past the constructors
-    for f in h.components.values():
-        f.modes = {k: (complex(-0.0, a.imag), complex(a.real, -0.0), a)[i % 3]
-                   for i, (k, a) in enumerate(f.modes.items())}
-        f.modes[(0,) * n] = complex(-0.0, 0.5)
+    for i, a in enumerate(h.modes.values()):
+        if i % 3 < 2:
+            (a.real, a.imag)[i % 3][...] = -0.0
+    h.modes[(0,) * n] = np.full((n, n), complex(-0.0, 0.5))
     ref = {key: -1.0 * f.laplacian_flat() for key, f in h.components.items()}
     out = h.rough_laplacian_flat()
     assert type(out) is FourierSymTensor and list(out.components) == list(ref)
@@ -319,19 +320,83 @@ def test_public_constructor_still_canonicalizes():
         FourierScalarField(2, {(1, 0): 1.0})
 
 
-def test_conformal_metric_samples_its_shared_field_once(monkeypatch):
+def _per_component_samples(field, grid):
+    """The per-component sampling formula: each nonzero upper-triangle entry's
+    amplitudes placed on the fftn box, one inverse transform per entry."""
+    n = field.n
+    out = np.zeros((n, n) + grid.shape)
+    for i in range(n):
+        for j in range(i, n):
+            amps = {k: complex(a[i, j]) for k, a in field.modes.items() if a[i, j] != 0}
+            if amps:
+                spec = np.zeros(grid.shape, dtype=complex)
+                for k, a in amps.items():
+                    spec[tuple(v % grid.size for v in k)] += a
+                out[i, j] = out[j, i] = (ifftn(spec) * grid.size**n).real
+    if isinstance(field, FourierMetric):
+        for i in range(n):
+            out[i, i] += 1.0
+    return out
+
+
+@pytest.mark.parametrize("n,size", [(2, 16), (3, 12), (4, 8)])
+def test_sample_matrix_matches_per_component_formula(n, size):
+    grid = Grid(n, size)
+    rng = np.random.default_rng(20 + n)
+    u = FourierScalarField.random_real(n, 1, rng, scale=0.1, count=2)
+    k = (1,) + (0,) * (n - 2) + (-1,)
+    amat = np.diag(np.arange(n, dtype=float))
+    amat[0, -1] = amat[-1, 0] = 0.3
+    fields = [
+        FourierSymTensor.random_real(n, 2, rng, scale=0.1, count=2),
+        FourierMetric.from_perturbation(FourierSymTensor.random_real(n, 1, rng, scale=0.1)),
+        FourierMetric.conformal_flat(u, grid),
+        FourierMetric.from_perturbation(FourierSymTensor.from_mode(n, k, 0.1 * amat, phase=0.4)),
+    ]
+    for field in fields:
+        out = field.sample_matrix(grid)
+        assert out.tobytes() == _per_component_samples(field, grid).tobytes()
+
+
+def test_zero_entries_are_exact_zeros_and_not_sampled(monkeypatch):
     grid = Grid(3, 12)
     u = FourierScalarField.random_real(3, 1, np.random.default_rng(10), scale=0.1, count=2)
-    g = FourierMetric.conformal_flat(u, grid)
-    field = g.components[(0, 0)]
-    assert all(f is field for f in g.components.values())
-    ref = field.sample(grid)
+    conf = FourierMetric.conformal_flat(u, grid)
+    mode = FourierSymTensor.from_mode(3, (1, 0, 1), np.diag([1.0, 0.0, -1.0]))
     calls = []
     sample = FourierScalarField.sample
     monkeypatch.setattr(FourierScalarField, "sample",
                         lambda self, grid: calls.append(self) or sample(self, grid))
-    out = g.sample_matrix(grid)
-    assert len(calls) == 1
-    for i in range(3):
-        assert out[i, i].tobytes() == (ref + 1.0).tobytes()
-        assert not out[i, (i + 1) % 3].any()
+    for field, sampled in ((conf, 3), (mode, 2), (FourierMetric.flat(3), 0)):
+        calls.clear()
+        out = field.sample_matrix(grid)
+        assert len(calls) == sampled
+        zero = [(i, j) for i in range(3) for j in range(3)
+                if i != j or (field is mode and i == 1)]
+        for i, j in zero:
+            assert not out[i, j].any()
+    assert np.array_equal(out, np.broadcast_to(np.eye(3)[:, :, None, None, None], out.shape))
+
+
+def test_geometry_rejects_unresolved_mode():
+    grid = Grid(3, 8)
+    amat = np.zeros((3, 3))
+    amat[0, 2] = amat[2, 0] = 0.01
+    for k in ((4, 0, 0), (1, -5, 0)):
+        h = FourierSymTensor.from_mode(3, k, amat)
+        with pytest.raises(ValueError, match="cannot resolve"):
+            MetricGeometry(FourierMetric.from_perturbation(h), grid)
+
+
+def test_components_are_the_nonzero_upper_entries():
+    amat = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    h = FourierSymTensor.from_mode(3, (1, 0, 0), amat, phase=0.2)
+    comps = h.components
+    assert list(comps) == [(0, 0), (0, 1), (2, 2)]
+    for (i, j), f in comps.items():
+        assert type(f) is FourierScalarField
+        assert all(type(a) is complex for a in f.modes.values())
+        assert f.modes == {k: complex(a[i, j]) for k, a in h.modes.items()}
+        assert h.component(j, i).modes == f.modes
+    assert not h.component(1, 2).modes
+    assert FourierSymTensor.zero(3).components == {}

@@ -338,6 +338,22 @@ def test_shrink_path_succeeds_on_steep_family():
     assert rep.passed
 
 
+def test_shrink_metric_ricci_trace_and_descriptor():
+    # the shrink construction's fiber is a ReparametrizedFamily: its ricci
+    # and to_json_obj run only here
+    steep = ConformalSphereFamily.smooth_radius_path(1.0, 0.9)
+    metric = construct_from_positive_path(steep, scan_points=200)["metric"]
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        r = float(rng.uniform(metric.r2 * 1.03, metric.r3 * 0.97))
+        q = metric.family.sample_points()[int(rng.integers(0, 4))]
+        out = warped_ricci(metric, r, q)
+        assert abs(out["trace"] - warped_scalar(metric, r, q)) <= 1e-12
+    obj = metric.family.to_json_obj()
+    assert obj["kind"] == "ReparametrizedFamily" and obj["eps"] == 0.03125
+    assert obj["base"] == steep.to_json_obj()
+
+
 def test_shrink_path_rejects_zero_scalar_family():
     flat = FlatTorusConformalFamily(2, lambda s: 1.0 + 0.001 * s,
                                     lambda s: 0.001, lambda s: 0.0)
