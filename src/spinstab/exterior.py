@@ -73,11 +73,11 @@ class ExteriorAlgebra:
         return table
 
     def star(self, coeffs: np.ndarray, p: int) -> np.ndarray:
-        """Hodge star with orientation e^0 ^ ... ^ e^(n-1)."""
-        out_dim = self.dim(self.n - p)
-        out = np.zeros(out_dim, dtype=coeffs.dtype)
-        for col, (row, sign) in enumerate(self.star_table(p)):
-            out[row] = out[row] + sign * coeffs[col]
+        """Hodge star with orientation e^0 ^ ... ^ e^(n-1), batched over the
+        leading axes of coeffs."""
+        rows, signs = zip(*self.star_table(p))
+        out = np.zeros(coeffs.shape[:-1] + (self.dim(self.n - p),), dtype=coeffs.dtype)
+        out[..., list(rows)] = np.array(signs) * coeffs
         return out
 
     def wedge(self, a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:

@@ -271,63 +271,56 @@ def sym_to_three_form(g2: G2Structure, h: np.ndarray):
 
 def sym_to_three_form_rank(g2: G2Structure) -> int:
     """Rank of the embedding restricted to traceless symmetric tensors."""
-    cols = []
-    for i in range(7):
-        for j in range(i, 7):
-            h = np.zeros((7, 7), dtype=np.int64)
-            h[i, j] = h[j, i] = 1
-            if i == j:
-                h = h * 7
-                h[np.diag_indices(7)] -= 1  # traceless combination
-                if i == 6:
-                    continue
-            cols.append([float(v) for v in sym_to_three_form(g2, h)])
-    return int(np.linalg.matrix_rank(np.array(cols).T, tol=1e-9))
+    traceless = np.array([m.reshape(-1) for m in _constant_traceless_basis(7)])  # (27, 49)
+    return int(np.linalg.matrix_rank(g2.embedding_matrix @ traceless.T, tol=1e-9))
 
 
 # -- fields over T^7 ---------------------------------------------------------
+
+def _stacked(table, p):
+    """(7, rows, cols) stack of the integer matrices table(ax, p), ax = 0..6."""
+    return np.stack([table(ax, p) for ax in range(7)])
+
 
 class FormField(ModeField):
     """p-form field on T^7: per mode a compact coefficient vector."""
 
     def __init__(self, p: int, modes: dict):
-        super().__init__(7, modes)
         self.p = p
+        super().__init__(7, modes)
 
-    def _like(self, modes: dict) -> "FormField":
-        return FormField(self.p, modes)
+    def _amp_shape(self) -> tuple:
+        return (EXT7.dim(self.p),)
+
+    def _like(self, keys, amps) -> "FormField":
+        return _form(self.p, keys, amps)
+
+    def _symbol(self, table, p: int) -> np.ndarray:
+        """sum_a k_a table(a, p) applied to each mode's amplitude."""
+        return np.einsum("ma,aij,mj->mi", self.keys, _stacked(table, p), self.amps,
+                         optimize=True)
 
     def exterior_d(self) -> "FormField":
-        out = {}
-        for k, a in self.modes.items():
-            acc = np.zeros(EXT7.dim(self.p + 1), dtype=complex)
-            for ax, kv in enumerate(k):
-                if kv != 0:
-                    acc += 1j * kv * (EXT7.wedge1(ax, self.p) @ a)
-            out[k] = acc
-        return FormField(self.p + 1, out)
+        return _form(self.p + 1, self.keys, 1j * self._symbol(EXT7.wedge1, self.p))
 
     def codifferential(self) -> "FormField":
         """-sum_k e_k _| d_k on the flat torus."""
-        out = {}
-        for k, a in self.modes.items():
-            acc = np.zeros(EXT7.dim(self.p - 1), dtype=complex)
-            for ax, kv in enumerate(k):
-                if kv != 0:
-                    acc -= 1j * kv * (EXT7.hook1(ax, self.p) @ a)
-            out[k] = acc
-        return FormField(self.p - 1, out)
+        return _form(self.p - 1, self.keys, -1j * self._symbol(EXT7.hook1, self.p))
 
     def star(self) -> "FormField":
-        return FormField(
-            7 - self.p, {k: EXT7.star(a, self.p) for k, a in self.modes.items()}
-        )
+        return _form(7 - self.p, self.keys, EXT7.star(self.amps, self.p))
+
+
+def _form(p: int, keys: np.ndarray, amps: np.ndarray) -> FormField:
+    f = FormField._build(7, keys, amps)
+    f.p = p
+    return f
 
 
 def sym_field_to_three_form(g2: G2Structure, h) -> FormField:
     """Apply the tensor-to-3-form embedding mode by mode to a T^7 field."""
-    mat = g2.embedding_matrix  # (35, 49)
-    return FormField(3, {k: mat @ m.reshape(-1) for k, m in h.mode_matrices().items()})
+    # embedding_matrix is (35, 49), on row-major flattened amplitude matrices
+    return _form(3, h.keys, h.amps.reshape(-1, 49) @ g2.embedding_matrix.T)
 
 
 # Octonion-spinor fields, valued in (R + TM) (x) T*M, are ModeFields on T^7
@@ -356,12 +349,10 @@ def octonion_dirac_by_action(g2: G2Structure, h) -> ModeField:
 
 def octonion_dirac_closed_form(g2: G2Structure, h) -> ModeField:
     """The displayed closed form (div h, -h_(ij,k) P(e_i, e_k) (x) e^j)."""
-    modes = {}
-    for k, hk in h.mode_matrices().items():
-        dh = np.stack([1j * kv * hk for kv in k])  # dh[a, i, j] = d_a h_ij
-        modes[k] = np.vstack([-np.einsum("iij->j", dh),
-                              -np.einsum("kij,ikm->mj", dh, g2.phi_tensor)])
-    return ModeField(7, modes)
+    ik = 1j * h.keys  # d_k h_ij = ik[:, k] h_ij
+    div = -np.einsum("mi,mij->mj", ik, h.amps)
+    vec = -np.einsum("mk,mij,ikp->mpj", ik, h.amps, g2.phi_tensor, optimize=True)
+    return ModeField._build(7, h.keys, np.concatenate([div[:, None], vec], axis=1))
 
 
 def codifferential_identity_residual(g2: G2Structure, h) -> float:
@@ -370,21 +361,19 @@ def codifferential_identity_residual(g2: G2Structure, h) -> float:
         d* Psi(h) = (div h) _| phi + h_(ij,k) e^i ^ (P(e_j, e_k))^flat
     """
     lhs = sym_field_to_three_form(g2, h).codifferential()
-    modes = {}
-    for k, hk in h.mode_matrices().items():
-        dh = np.stack([1j * kv * hk for kv in k])
-        divh = -np.einsum("iij->j", dh)  # (div h)_j
-        acc = np.zeros(EXT7.dim(2), dtype=complex)
-        for j in range(7):
-            if divh[j] != 0:
-                acc += divh[j] * (EXT7.hook1(j, 3) @ g2.phi3)
-        # h_(ij,k) e^i ^ P(e_j, e_k)^flat
-        pvec = np.einsum("kij,jkm->im", dh, g2.phi_tensor)  # [i, m]
-        for i in range(7):
-            acc += EXT7.wedge1(i, 1) @ pvec[i]
-        modes[k] = acc
-    rhs = FormField(2, modes)
-    return (lhs - rhs).max_amp()
+    return (lhs - _codifferential_expansion(g2, h)).max_amp()
+
+
+def _codifferential_expansion(g2: G2Structure, h) -> FormField:
+    """The right-hand side of codifferential_identity_residual, a 2-form."""
+    ik = 1j * h.keys  # d_k h_ij = ik[:, k] h_ij
+    div = -np.einsum("mi,mij->mj", ik, h.amps)  # (div h)_j
+    hook_phi = _stacked(EXT7.hook1, 3) @ g2.phi3  # (7, 21), row j: e_j _| phi
+    # h_(ij,k) e^i ^ P(e_j, e_k)^flat
+    pvec = np.einsum("mk,mij,jkq->miq", ik, h.amps, g2.phi_tensor, optimize=True)
+    wedge = _stacked(EXT7.wedge1, 1)  # (7, 21, 7)
+    return _form(2, h.keys, div @ hook_phi
+                 + np.einsum("miq,ibq->mb", pvec, wedge, optimize=True))
 
 
 def star_d_identity_residual(g2: G2Structure, h) -> float:
@@ -394,30 +383,20 @@ def star_d_identity_residual(g2: G2Structure, h) -> float:
                     - h_(ij,k) e^j ^ (e_k _| (e_i _| *phi))
     """
     lhs = sym_field_to_three_form(g2, h).exterior_d().star()
-    star4 = g2.star_phi4
-    modes = {}
-    for k, hk in h.mode_matrices().items():
-        dh = np.stack([1j * kv * hk for kv in k])
-        acc = np.zeros(EXT7.dim(3), dtype=complex)
-        tr_d = np.einsum("kii->k", dh)
-        for ax in range(7):
-            if tr_d[ax] != 0:
-                acc -= tr_d[ax] * (EXT7.hook1(ax, 4) @ star4)
-        div_d = np.einsum("kik->i", dh)
-        for i in range(7):
-            if div_d[i] != 0:
-                acc += div_d[i] * (EXT7.hook1(i, 4) @ star4)
-        for i in range(7):
-            hook_i = EXT7.hook1(i, 4) @ star4
-            for ax in range(7):
-                two = EXT7.hook1(ax, 3) @ hook_i
-                coeff = dh[ax, i, :]  # over j
-                for j in range(7):
-                    if coeff[j] != 0:
-                        acc -= coeff[j] * (EXT7.wedge1(j, 2) @ two)
-        modes[k] = acc
-    rhs = FormField(3, modes)
-    return (lhs - rhs).max_amp()
+    return (lhs - _star_d_expansion(g2, h)).max_amp()
+
+
+def _star_d_expansion(g2: G2Structure, h) -> FormField:
+    """The right-hand side of star_d_identity_residual, a 3-form."""
+    ik = 1j * h.keys  # d_k h_ij = ik[:, k] h_ij
+    hook_star = _stacked(EXT7.hook1, 4) @ g2.star_phi4  # (7, 35), row i: e_i _| *phi
+    tr_d = ik * np.trace(h.amps, axis1=1, axis2=2)[:, None]  # h_(ii,k)
+    div_d = np.einsum("mk,mik->mi", ik, h.amps)  # h_(ik,k)
+    # third[i, k, j] = e^j ^ (e_k _| (e_i _| *phi))
+    third = np.einsum("jbq,kqr,ir->ikjb", _stacked(EXT7.wedge1, 2),
+                      _stacked(EXT7.hook1, 3), hook_star, optimize=True)
+    return _form(3, h.keys, (div_d - tr_d) @ hook_star
+                 - np.einsum("mk,mij,ikjb->mb", ik, h.amps, third, optimize=True))
 
 
 def harmonic_constraint_basis() -> KernelBasis:

@@ -54,8 +54,8 @@ def dirac_vs_dolbeault(m: int, cutoff: int = 2) -> dict:
     worst_sq = 0.0
     adj_defect = 0.0
     eye = np.eye(model.dim)
-    for k in list(_freq_box(2 * m, cutoff)) + [(0,) * (2 * m)]:
-        d_cliff = dirac_symbol(model.gamma, k)
+    modes = list(_freq_box(2 * m, cutoff)) + [(0,) * (2 * m)]
+    for k, d_cliff in zip(modes, dirac_symbol(model.gamma, modes)):
         db = dbar_symbol(model, k)
         dbs = dbar_star_symbol(model, k)
         comb = np.sqrt(2.0) * (db - dbs)

@@ -1,19 +1,21 @@
 """Band-limited fields on the flat torus T^n = (R / 2 pi Z)^n.
 
-Fields are stored spectrally as maps from integer frequency vectors to
-complex amplitudes (the amplitude of exp(i k.x)): a number for a scalar
-field, a complex symmetric (n, n) matrix for a symmetric 2-tensor field.
-Real fields keep the conjugate symmetry coeff(-k) == conj(coeff(k)).
-Linear operations act on the coefficients; nonlinear pipelines render
-fields onto a uniform grid where pointwise products are exact up to
-aliasing of the unresolved tail.
+Fields are stored spectrally as a mode stack: `keys`, a (K, n) int64 array
+of distinct integer frequency vectors in lexicographic order, and `amps`,
+the (K, ...) stack of their complex amplitudes (the amplitude of
+exp(i k.x)): a number per mode for a scalar field, a complex symmetric
+(n, n) matrix for a symmetric 2-tensor field.  Modes whose amplitude is
+zero are not stored.  Real fields keep the conjugate symmetry
+coeff(-k) == conj(coeff(k)).  Linear operations act on the whole stack;
+nonlinear pipelines render fields onto a uniform grid where pointwise
+products are exact up to aliasing of the unresolved tail.
 """
 
 from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 import scipy.fft as _sfft
@@ -117,16 +119,14 @@ class Grid:
         return float(np.sum(values) * self.cell_volume)
 
 
-def _canonical_modes(n: int, modes: dict) -> dict:
-    out = {}
-    for k, a in modes.items():
-        k = tuple(int(v) for v in k)
-        if len(k) != n:
-            raise ValueError(f"frequency vector {k} has wrong length for T^{n}")
-        a = complex(a)
-        if a != 0:
-            out[k] = out.get(k, 0j) + a
-    return {k: a for k, a in out.items() if a != 0}
+def _lex_sorted(keys: np.ndarray):
+    """Lexicographic (stable) order of the rows of keys, the sorted rows, and
+    for each sorted row whether it repeats the row before it."""
+    order = np.lexsort(keys.T[::-1])
+    rows = keys[order]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[1:] = (rows[1:] == rows[:-1]).all(axis=1)
+    return order, rows, repeat
 
 
 class ModeField:
@@ -136,103 +136,108 @@ class ModeField:
     spinors of the flat Dirac identity ((n, spin_dim) per mode), the
     octonion spinors of the G2 model ((8, 7), row 0 the scalar part) and,
     through g2.FormField, forms on T^7.
+
+    The amplitudes sit in one stack: `keys`, a (K, n) int64 array of
+    distinct frequency vectors in lexicographic order, and `amps`, the
+    (K, ...) complex stack of their amplitudes, none of them zero.  Every
+    field is built by _store, and every operation is an expression on the
+    whole stack.  `modes` is a read-only {k-tuple: amplitude} view of it.
     """
 
     def __init__(self, n: int, modes: dict):
         self.n = n
-        self.modes = {
-            tuple(int(v) for v in k): np.asarray(a, dtype=complex)
-            for k, a in modes.items()
-        }
+        keys = np.array(list(modes) or np.zeros((0, n)), dtype=np.int64)
+        if keys.ndim != 2 or keys.shape[1] != n:
+            raise ValueError(f"frequency vector {next(iter(modes))} has wrong length for T^{n}")
+        self._store(keys, np.array(list(modes.values()) or np.zeros((0,) + self._amp_shape()),
+                                   dtype=complex))
 
-    def _like(self, modes: dict) -> "ModeField":
-        """A field of the same kind with the given amplitudes."""
-        return ModeField(self.n, modes)
+    def _amp_shape(self) -> tuple:
+        """Shape of one amplitude, for a field built from no modes."""
+        return ()
 
-    def _merge(self, other, op):
-        modes = dict(self.modes)
-        for k, a in other.modes.items():
-            modes[k] = op(modes.get(k, 0), a)
-        return self._like(modes)
+    def _store(self, keys: np.ndarray, amps: np.ndarray) -> "ModeField":
+        """The one build path: sort the keys, sum the amplitudes of repeated
+        keys in their input order, drop the modes whose amplitude is zero."""
+        order, keys, repeat = _lex_sorted(keys)
+        amps = np.asarray(amps, dtype=complex)[order]
+        if repeat.any():
+            first = np.flatnonzero(~repeat)
+            keys, amps = keys[first], np.add.reduceat(amps, first, axis=0)
+        keep = amps.any(axis=tuple(range(1, amps.ndim)))
+        self.keys, self.amps = (keys, amps) if keep.all() else (keys[keep], amps[keep])
+        return self
+
+    @classmethod
+    def _build(cls, n: int, keys: np.ndarray, amps: np.ndarray):
+        f = cls.__new__(cls)
+        f.n = n
+        return f._store(keys, amps)
+
+    def _like(self, keys: np.ndarray, amps: np.ndarray):
+        """A field of the same kind with the given keys and amplitudes."""
+        return self._build(self.n, keys, amps)
+
+    def _scaled(self, factor: np.ndarray):
+        """Each mode's amplitude times factor[mode]."""
+        shape = (-1,) + (1,) * (self.amps.ndim - 1)
+        return self._like(self.keys, np.reshape(factor, shape) * self.amps)
+
+    @property
+    def modes(self) -> MappingProxyType:
+        """Read-only {k-tuple: amplitude} view, in key order; a scalar
+        field's amplitudes are Python complex numbers."""
+        amps = self.amps.tolist() if self.amps.ndim == 1 else list(self.amps)
+        return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), amps)))
 
     def __add__(self, other):
-        return self._merge(other, lambda a, b: a + b)
+        return self._like(np.concatenate([self.keys, other.keys]),
+                          np.concatenate([self.amps, other.amps]))
 
     def __sub__(self, other):
-        return self._merge(other, lambda a, b: a - b)
+        return self._like(np.concatenate([self.keys, other.keys]),
+                          np.concatenate([self.amps, -other.amps]))
 
     def __rmul__(self, c: float):
-        return self._like({k: c * a for k, a in self.modes.items()})
-
-    def map_modes(self, fn):
-        """Apply fn(k, a) -> (k', a') to every amplitude, in mode order."""
-        return self._like(dict(fn(k, a) for k, a in self.modes.items()))
+        return self._like(self.keys, c * self.amps)
 
     def deriv(self, axis: int) -> "ModeField":
-        return self.map_modes(lambda k, a: (k, 1j * k[axis] * a))
+        return self._scaled(1j * self.keys[:, axis])
 
     def max_amp(self) -> float:
         # hypot, not np.abs: np.abs of a complex can differ from abs() in the last bit
-        return max((float(np.hypot(a.real, a.imag).max()) for a in self.modes.values()),
-                   default=0.0)
+        return float(np.hypot(self.amps.real, self.amps.imag).max(initial=0.0))
 
     def l2_norm_sq(self) -> float:
         """Parseval norm: volume times sum of squared amplitudes."""
-        acc = sum(float(np.sum(np.abs(a) ** 2)) for a in self.modes.values())
-        return acc * (2 * np.pi) ** self.n
+        return float(np.sum(np.abs(self.amps) ** 2)) * (2 * np.pi) ** self.n
 
     def l2_inner(self, other: "ModeField") -> complex:
         """Integral over T^n of f conj(g), summed over the amplitude entries,
-        by Parseval; the modes are visited in self's order."""
-        acc = 0j
-        for k, a in self.modes.items():
-            b = other.modes.get(k)
-            if b is not None:
-                acc += complex(np.vdot(b, a))
-        return acc * (2 * np.pi) ** self.n
+        by Parseval; the shared modes are visited in key order."""
+        # keys are distinct per side and the sort stable: a repeat follows self's copy
+        order, _, repeat = _lex_sorted(np.concatenate([self.keys, other.keys]))
+        mine, theirs = order[:-1][repeat[1:]], order[1:][repeat[1:]] - len(self.keys)
+        return complex(np.vdot(other.amps[theirs], self.amps[mine])) * (2 * np.pi) ** self.n
 
 
 class FourierScalarField(ModeField):
     """Scalar field given by finitely many Fourier amplitudes."""
 
     def __init__(self, n: int, modes: dict, check_reality: bool = True):
-        self.n = n
-        self.modes = _canonical_modes(n, modes)
+        super().__init__(n, modes)
         if check_reality:
-            r = self.reality_residual()
+            # max |coeff(k) - conj(coeff(-k))| over the modes
+            r = (self - self._like(-self.keys, self.amps.conj())).max_amp()
             if r > REALITY_TOL:
                 raise ValueError(f"reality violated by {r:.3e}")
-
-    @classmethod
-    def _trusted(cls, n: int, modes: dict) -> "FourierScalarField":
-        """A field from derived amplitudes, whose keys are already distinct
-        int tuples of length n: only the value rule of _canonical_modes
-        applies (0j + complex(a), zeros dropped, order kept)."""
-        f = cls.__new__(cls)
-        f.n = n
-        f.modes = {k: v for k, a in modes.items() if (v := 0j + complex(a)) != 0}
-        return f
-
-    def _like(self, modes: dict) -> "FourierScalarField":
-        return FourierScalarField._trusted(self.n, modes)
 
     @property
     def cutoff(self) -> int:
         """Largest |k|_inf among the stored modes (0 when there are none)."""
-        return max(map(abs, chain.from_iterable(self.modes)), default=0)
-
-    def reality_residual(self) -> float:
-        worst = 0.0
-        for k, a in self.modes.items():
-            mk = tuple(-v for v in k)
-            worst = max(worst, abs(a - np.conj(self.modes.get(mk, 0j))))
-        return worst
+        return int(np.abs(self.keys).max(initial=0))
 
     # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, n: int):
-        return cls(n, {})
-
     @classmethod
     def constant(cls, n: int, value: float):
         return cls(n, {(0,) * n: complex(value)})
@@ -245,24 +250,11 @@ class FourierScalarField(ModeField):
     @classmethod
     def random_real(cls, n: int, cutoff: int, rng, scale: float = 1.0, count: int | None = None):
         """Random real field with O(scale) amplitudes at |k|_inf <= cutoff."""
-        all_freqs = _freq_box(n, cutoff)
-        if count is not None and count < len(all_freqs):
-            pick = rng.choice(len(all_freqs), size=count, replace=False)
-            freqs = [all_freqs[i] for i in pick]
-        else:
-            freqs = all_freqs
-        modes = {}
-        for k in freqs:
-            a = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-            modes[k] = modes.get(k, 0j) + a
-            mk = tuple(-v for v in k)
-            modes[mk] = modes.get(mk, 0j) + np.conj(a)
-        return cls(n, modes)
+        return cls._build(n, *_random_modes(n, cutoff, rng, scale, count))
 
     def laplacian_flat(self) -> "FourierScalarField":
         """Sum of unmixed second derivatives (negative-definite symbol)."""
-        return self._like(
-            {k: -sum(v * v for v in k) * a for k, a in self.modes.items()})
+        return self._scaled(-(self.keys ** 2).sum(axis=1))
 
     # -- evaluation --------------------------------------------------------
     def sample(self, grid: Grid) -> np.ndarray:
@@ -270,19 +262,15 @@ class FourierScalarField(ModeField):
             raise ValueError(
                 f"grid of size {grid.size} cannot resolve cutoff {self.cutoff}")
         spec = np.zeros(grid.shape, dtype=complex)
-        for k, a in self.modes.items():
-            spec[tuple(v % grid.size for v in k)] += a
-        vals = ifftn(spec) * grid.size**self.n
-        return vals.real
+        spec[tuple((self.keys % grid.size).T)] += self.amps
+        return (ifftn(spec) * grid.size**self.n).real
 
     def to_json_obj(self):
         return {
             "n": self.n,
             "cutoff": self.cutoff,
-            "modes": {
-                " ".join(str(v) for v in k): [a.real, a.imag]
-                for k, a in sorted(self.modes.items())
-            },
+            "modes": {" ".join(str(v) for v in k): [a.real, a.imag]
+                      for k, a in self.modes.items()},
         }
 
     @classmethod
@@ -308,69 +296,81 @@ def _cosine_halves(k, half) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _freq_array(n: int, cutoff: int) -> np.ndarray:
+    """Frequencies with |k|_inf <= cutoff, one representative per +-k pair
+    (the one whose first nonzero entry is negative), zero excluded: a
+    read-only (M, n) int64 array in lexicographic order."""
+    axis = np.arange(-cutoff, cutoff + 1)
+    box = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    first = box[np.arange(len(box)), (box != 0).argmax(axis=1)]
+    out = box[first < 0]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _freq_box(n: int, cutoff: int):
-    """Frequencies with |k|_inf <= cutoff, one representative per +-k pair,
-    zero excluded."""
-    rng_1d = range(-cutoff, cutoff + 1)
-    out = []
-    for k in np.stack(np.meshgrid(*([list(rng_1d)] * n), indexing="ij"), axis=-1).reshape(-1, n):
-        k = tuple(int(v) for v in k)
-        if k == (0,) * n:
-            continue
-        if k > tuple(-v for v in k):
-            continue
-        out.append(k)
-    return tuple(out)
+    """_freq_array as a tuple of int tuples."""
+    return tuple(map(tuple, _freq_array(n, cutoff).tolist()))
+
+
+def _random_modes(n: int, cutoff: int, rng, scale: float, count: int | None):
+    """Keys and amplitudes of a random real scalar field: scale (x + i y),
+    x and y standard normal, at `count` of the _freq_array frequencies (all
+    of them when count is None) and the conjugate at -k."""
+    freqs = _freq_array(n, cutoff)
+    if count is not None and count < len(freqs):
+        freqs = freqs[rng.choice(len(freqs), size=count, replace=False)]
+    z = rng.standard_normal((len(freqs), 2))
+    a = scale * (z[:, 0] + 1j * z[:, 1])
+    return np.concatenate([freqs, -freqs]), np.concatenate([a, a.conj()])
 
 
 class _ComponentField(ModeField):
     """Symmetric matrix-valued field: a complex symmetric (n, n) amplitude
-    matrix per mode; modes whose matrix is zero are left out."""
+    matrix per mode."""
+
+    def _amp_shape(self) -> tuple:
+        return (self.n, self.n)
 
     @classmethod
-    def _trusted(cls, n: int, modes: dict):
-        """A field from derived (n, n) amplitudes whose keys are already
-        distinct int tuples of length n; zero matrices are dropped."""
-        f = cls.__new__(cls)
-        f.n = n
-        f.modes = {k: a for k, a in modes.items() if a.any()}
-        return f
-
-    def _like(self, modes: dict):
-        return self._trusted(self.n, modes)
+    def from_stack(cls, n: int, keys: np.ndarray, mats: np.ndarray):
+        """The field with amplitude matrix mats[m] at keys[m], the upper
+        triangle of each read."""
+        upper = np.tri(n, dtype=bool).T  # diagonal included
+        return cls._build(n, keys, np.where(upper, mats, np.swapaxes(mats, -1, -2)))
 
     @classmethod
     def from_mode_matrices(cls, n: int, mats: dict):
         """The field with amplitude matrix mats[k] at each k, its upper
-        triangle read.  The keys must be distinct int tuples of length n."""
-        stack = np.array(list(mats.values()), dtype=complex).reshape(-1, n, n)
-        upper = np.triu(np.ones((n, n), dtype=bool))
-        return cls._trusted(n, dict(zip(mats, np.where(upper, stack, stack.transpose(0, 2, 1)))))
+        triangle read."""
+        return cls.from_stack(n, np.array(list(mats), dtype=np.int64).reshape(-1, n),
+                              np.array(list(mats.values()), dtype=complex).reshape(-1, n, n))
 
     def mode_matrices(self) -> dict:
-        """{k: complex symmetric (n, n) amplitude matrix}, in sorted k order."""
-        return dict(sorted(self.modes.items()))
+        """{k: complex symmetric (n, n) amplitude matrix}, in key order."""
+        return dict(self.modes)
 
     def component(self, i: int, j: int) -> FourierScalarField:
-        return FourierScalarField._trusted(self.n, {k: a[i, j] for k, a in self.modes.items()})
+        return FourierScalarField._build(self.n, self.keys, self.amps[:, i, j])
 
     @property
     def components(self) -> dict:
         """{(i, j): component(i, j)} for i <= j, the nonzero entries only."""
-        out = {}
-        for i in range(self.n):
-            for j in range(i, self.n):
-                f = self.component(i, j)
-                if f.modes:
-                    out[(i, j)] = f
-        return out
+        nonzero = self.amps.any(axis=0)
+        return {(i, j): self.component(i, j)
+                for i in range(self.n) for j in range(i, self.n) if nonzero[i, j]}
 
     def sample_matrix(self, grid: Grid) -> np.ndarray:
         """Values as an array of shape (n, n) + grid.shape; zero entries are
-        not sampled."""
+        not sampled, and equal entries are sampled once."""
         out = np.zeros((self.n, self.n) + grid.shape)
+        samples = {}
         for (i, j), f in self.components.items():
-            out[i, j] = out[j, i] = f.sample(grid)
+            key = (f.keys.tobytes(), f.amps.tobytes())
+            if key not in samples:
+                samples[key] = f.sample(grid)
+            out[i, j] = out[j, i] = samples[key]
         return out
 
 
@@ -397,37 +397,39 @@ class FourierSymTensor(_ComponentField):
     @classmethod
     def conformal(cls, u: FourierScalarField):
         """u times the flat metric."""
-        return cls._trusted(u.n, {k: a * np.eye(u.n) for k, a in u.modes.items()})
+        return cls._build(u.n, u.keys, u.amps[:, None, None] * np.eye(u.n))
 
     @classmethod
     def random_real(cls, n: int, cutoff: int, rng, scale: float = 1.0, count: int | None = None):
-        """Each upper-triangle entry an independent FourierScalarField.random_real."""
-        entries = {(i, j): FourierScalarField.random_real(n, cutoff, rng, scale, count)
-                   for i in range(n) for j in range(i, n)}
-        mats = {k: np.zeros((n, n), dtype=complex)
-                for k in chain.from_iterable(f.modes for f in entries.values())}
-        for (i, j), f in entries.items():
-            for k, a in f.modes.items():
-                mats[k][i, j] = a
-        return cls.from_mode_matrices(n, mats)
+        """Each upper-triangle entry an independent FourierScalarField.random_real,
+        drawn in row-major entry order."""
+        keys, mats = [], []
+        for i in range(n):
+            for j in range(i, n):
+                k, a = _random_modes(n, cutoff, rng, scale, count)
+                m = np.zeros((len(k), n, n), dtype=complex)
+                m[:, i, j] = m[:, j, i] = a
+                keys.append(k)
+                mats.append(m)
+        return cls._build(n, np.concatenate(keys), np.concatenate(mats))
 
     @property
     def l2_norm_sq(self) -> float:
         return ModeField.l2_norm_sq(self)
 
     def trace_flat(self) -> FourierScalarField:
-        return FourierScalarField._trusted(self.n, {
-            k: sum(a[i, i] for i in range(self.n)) for k, a in self.modes.items()})
+        return FourierScalarField._build(self.n, self.keys,
+                                         np.trace(self.amps, axis1=1, axis2=2))
 
     def divergence_flat(self) -> list:
         """(delta h)_j = -sum_i d_i h_ij, one scalar field per j."""
-        return [FourierScalarField._trusted(self.n, {
-            k: sum(-1.0 * (1j * k[i] * a[i, j]) for i in range(self.n))
-            for k, a in self.modes.items()}) for j in range(self.n)]
+        div = (-1.0 * ((1j * self.keys)[:, :, None] * self.amps)).sum(axis=1)
+        return [FourierScalarField._build(self.n, self.keys, div[:, j])
+                for j in range(self.n)]
 
     def rough_laplacian_flat(self) -> "FourierSymTensor":
         """Entrywise -sum_a d_a^2 (the flat connection Laplacian): |k|^2 a."""
-        return self.map_modes(lambda k, a: (k, sum(v * v for v in k) * a))
+        return self._scaled((self.keys ** 2).sum(axis=1))
 
 
 class FourierMetric(_ComponentField):
@@ -439,30 +441,24 @@ class FourierMetric(_ComponentField):
 
     @classmethod
     def from_perturbation(cls, h: FourierSymTensor, t: float = 1.0):
-        return cls._trusted(h.n, (t * h).modes)
+        return cls._build(h.n, h.keys, t * h.amps)
 
     @classmethod
     def conformal_flat(cls, u: FourierScalarField, grid: Grid):
         """exp(2u) delta, truncated on the sampling grid."""
         vals = np.exp(2.0 * u.sample(grid))
         spec = fftn(vals) / grid.size**u.n
-        modes = {}
-        for k in _freq_box(u.n, min(grid.size // 2 - 1, MAX_CUTOFF[u.n] * 2)):
-            a = spec[tuple(v % grid.size for v in k)]
-            if abs(a) > 1e-15:
-                modes[k] = a
-                modes[tuple(-v for v in k)] = np.conj(a)
-        mean = spec[(0,) * u.n]
-        modes[(0,) * u.n] = mean
-        f = FourierScalarField(u.n, modes)
-        pert = f + FourierScalarField.constant(u.n, -1.0)
-        return cls._trusted(u.n, FourierSymTensor.conformal(pert).modes)
+        freqs = _freq_array(u.n, min(grid.size // 2 - 1, MAX_CUTOFF[u.n] * 2))
+        amps = spec[tuple((freqs % grid.size).T)]
+        big = np.abs(amps) > 1e-15
+        keys = np.concatenate([freqs[big], -freqs[big], np.zeros((1, u.n), dtype=np.int64)])
+        pert = np.concatenate([amps[big], amps[big].conj(), [spec[(0,) * u.n] + -1.0]])
+        return cls._build(u.n, keys, pert[:, None, None] * np.eye(u.n))
 
     def sample_matrix(self, grid: Grid) -> np.ndarray:
         out = super().sample_matrix(grid)
-        for i in range(self.n):
-            out[i, i] += 1.0
+        out[range(self.n), range(self.n)] += 1.0
         return out
 
     def is_flat(self) -> bool:
-        return not self.modes
+        return not len(self.keys)

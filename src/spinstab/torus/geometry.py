@@ -135,9 +135,6 @@ class MetricGeometry:
         return np.einsum("jk...,jk...->...", self.ginv, self.ricci())
 
     # -- covariant derivatives ---------------------------------------------
-    def grad_scalar(self, f: np.ndarray) -> np.ndarray:
-        return self.grid.gradient(f)
-
     def hessian(self, f: np.ndarray) -> np.ndarray:
         """D^2 f_ij = d_i d_j f - Gamma^m_ij d_m f."""
         df = self.grid.gradient(f)
@@ -157,13 +154,10 @@ class MetricGeometry:
 
     def nabla_3tensor(self, t: np.ndarray) -> np.ndarray:
         """Covariant derivative of a covariant 3-tensor t[a, i, j]."""
-        dt = np.empty((self.n,) + t.shape)
-        for a, i, j in np.ndindex(t.shape[:3]):
-            dt[:, a, i, j] = self.grid.gradient(t[a, i, j])
-        out = dt - np.einsum("mba...,mij...->baij...", self.gamma, t) \
-                 - np.einsum("mbi...,amj...->baij...", self.gamma, t) \
-                 - np.einsum("mbj...,aim...->baij...", self.gamma, t)
-        return out
+        return (self.grid.gradient(t)
+                - np.einsum("mba...,mij...->baij...", self.gamma, t)
+                - np.einsum("mbi...,amj...->baij...", self.gamma, t)
+                - np.einsum("mbj...,aim...->baij...", self.gamma, t))
 
     def connection_laplacian_sym2(self, h: np.ndarray) -> np.ndarray:
         """nabla* nabla h = -g^{ab} (nabla^2 h)_{ab ij}."""
@@ -242,7 +236,7 @@ def linearized_formulas(
     ric = geo.ricci()
     delta_h = geo.divergence_sym2(hv)
     tr_h = np.einsum("ij...,ij...->...", geo.ginv, hv)
-    d_tr_h = geo.grad_scalar(tr_h)
+    d_tr_h = grid.gradient(tr_h)
 
     dric = 0.5 * geo.lichnerowicz(hv)
     dric -= geo.sym_derivative_oneform(delta_h)
@@ -251,7 +245,7 @@ def linearized_formulas(
 
     ds = -geo.inner_sym2(hv, ric) + geo.divergence_oneform(delta_h) - geo.laplacian(tr_h)
 
-    df = geo.grad_scalar(fv)
+    df = grid.gradient(fv)
     dlap = -geo.inner_sym2(hv, geo.hessian(fv)) + geo.inner_oneform(
         delta_h + 0.5 * d_tr_h, df
     )

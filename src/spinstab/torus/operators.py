@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..clifford import GammaRep, unit_spinor
-from .fields import FourierSymTensor, ModeField, _freq_box
+from .fields import FourierSymTensor, ModeField, _freq_array
 
 
 def spinor_embed_field(h: FourierSymTensor, rep: GammaRep) -> ModeField:
@@ -17,16 +17,13 @@ def spinor_embed_field(h: FourierSymTensor, rep: GammaRep) -> ModeField:
     with the unit spinor s0."""
     sig = unit_spinor(rep)
     gam_sig = np.stack([g @ sig.components for g in rep.gamma])  # (n, spin_dim)
-    return ModeField(h.n, {k: m.T @ gam_sig for k, m in h.mode_matrices().items()})
+    return ModeField._build(h.n, h.keys, np.swapaxes(h.amps, 1, 2) @ gam_sig)
 
 
 def dirac_symbol(gamma, k) -> np.ndarray:
-    """sum_a i k_a gamma_a; Hermitian for skew-adjoint generators."""
-    mat = np.zeros(gamma[0].shape, dtype=complex)
-    for a, ka in enumerate(k):
-        if ka != 0:
-            mat += 1j * ka * gamma[a]
-    return mat
+    """sum_a i k_a gamma_a; Hermitian for skew-adjoint generators.  Batched
+    over the leading axes of k."""
+    return 1j * np.einsum("...a,ast->...st", np.asarray(k, dtype=float), gamma)
 
 
 def twisted_dirac(phi: ModeField, rep: GammaRep) -> ModeField:
@@ -35,8 +32,7 @@ def twisted_dirac(phi: ModeField, rep: GammaRep) -> ModeField:
     Acts as identity on the coframe slot.  The symbol is Hermitian, so the
     operator is its own formal adjoint (checked discretely in tests).
     """
-    return ModeField(phi.n, {k: a @ dirac_symbol(rep.gamma, k).T
-                             for k, a in phi.modes.items()})
+    return phi._like(phi.keys, phi.amps @ np.swapaxes(dirac_symbol(rep.gamma, phi.keys), 1, 2))
 
 
 def lichnerowicz_flat(h: FourierSymTensor) -> FourierSymTensor:
@@ -52,30 +48,22 @@ def tt_split(h: FourierSymTensor):
     subspace (the lie and conf parts are mutually oblique in general).
     Returns (tt, lie, conf) as FourierSymTensor.
     """
-    n = h.n
-    tt_modes, lie_modes, conf_modes = {}, {}, {}
-    eye = np.eye(n)
-    for k, hk in h.mode_matrices().items():
-        kv = np.array(k, dtype=float)
-        k2 = float(kv @ kv)
-        tt = tt_mode_projection(hk, k)
-        if k2 == 0.0:
-            conf = (np.trace(hk) / n) * eye
-            lie = np.zeros_like(hk)
-        else:
-            # u solves tr(h - u I) = (h - u I)(k, k) / |k|^2, the condition
-            # for h - u I to have a pure Lie (k x + x k) non-TT part
-            conf = ((np.trace(hk) - (kv @ hk @ kv) / k2) / (n - 1)) * eye
-            lie = hk - tt - conf
-        tt_modes[k], lie_modes[k], conf_modes[k] = tt, lie, conf
-    return tuple(FourierSymTensor.from_mode_matrices(n, m)
-                 for m in (tt_modes, lie_modes, conf_modes))
+    n, a, kv = h.n, h.amps, h.keys.astype(float)
+    k2 = (kv * kv).sum(axis=1)
+    tt = tt_mode_projection(a, kv)
+    trace = np.trace(a, axis1=1, axis2=2)
+    # at k != 0, u solves tr(h - u I) = (h - u I)(k, k) / |k|^2, the
+    # condition for h - u I to have a pure Lie (k x + x k) non-TT part
+    kak = np.einsum("mi,mij,mj->m", kv, a, kv, optimize=True)
+    u = np.where(k2 == 0.0, trace / n, (trace - kak / np.maximum(k2, 1.0)) / (n - 1))
+    conf = u[:, None, None] * np.eye(n)
+    lie = np.where((k2 == 0.0)[:, None, None], 0.0, a - tt - conf)
+    return tuple(FourierSymTensor.from_stack(n, h.keys, m) for m in (tt, lie, conf))
 
 
 def tt_project(h: FourierSymTensor) -> FourierSymTensor:
     """The TT part of tt_split(h), without the other two parts."""
-    return FourierSymTensor.from_mode_matrices(
-        h.n, {k: tt_mode_projection(hk, k) for k, hk in h.mode_matrices().items()})
+    return FourierSymTensor.from_stack(h.n, h.keys, tt_mode_projection(h.amps, h.keys))
 
 
 def tt_defect(h: FourierSymTensor) -> float:
@@ -87,11 +75,14 @@ def tt_defect(h: FourierSymTensor) -> float:
 def tt_mode_projection(a: np.ndarray, kvec) -> np.ndarray:
     """Project a symmetric amplitude matrix at frequency k onto the TT
     amplitudes (A k = 0, tr A = 0): P a P minus its trace along P.  At
-    k = 0, P is the identity and this is the traceless part."""
-    kv = np.array(kvec, dtype=float)
-    p = np.eye(len(kv)) - np.outer(kv, kv) / max(kv @ kv, 1.0)
+    k = 0, P is the identity and this is the traceless part.  Batched over
+    the leading axes of a (..., n, n) and kvec (..., n)."""
+    kv = np.asarray(kvec, dtype=float)
+    k2 = np.maximum((kv * kv).sum(axis=-1), 1.0)[..., None, None]
+    p = np.eye(kv.shape[-1]) - kv[..., :, None] * kv[..., None, :] / k2
     a = p @ a @ p
-    return a - np.trace(a) / np.trace(p) * p
+    ratio = a.trace(axis1=-2, axis2=-1) / p.trace(axis1=-2, axis2=-1)
+    return a - ratio[..., None, None] * p
 
 
 class KernelBasis(list):
@@ -175,7 +166,7 @@ def _nonzero_mode_kernel_dim(n: int, cutoff: int, constraints) -> tuple:
     here: a direction is null when mu <= 1e-10 max(1, mu_max), that is
     sigma <= 1e-5 max(1, sigma_max).
     """
-    modes = np.array(_freq_box(n, cutoff), dtype=float).reshape(-1, n)
+    modes = _freq_array(n, cutoff).astype(float)
     extra, margin = 0, 1.0
     for start in range(0, len(modes), _SCAN_CHUNK):
         a = constraints(modes[start:start + _SCAN_CHUNK])
@@ -220,16 +211,16 @@ def cover_pullback(h: FourierSymTensor, fold) -> FourierSymTensor:
     The covering torus has periods 2 pi fold_j; in its own integer frequency
     lattice the mode k of the base becomes the mode (k_j fold_j).
     """
-    fold = tuple(int(c) for c in fold)
-    if len(fold) != h.n or any(c < 1 for c in fold):
-        raise ValueError(f"bad fold counts {fold}")
-    return h.map_modes(lambda k, a: (tuple(v * c for v, c in zip(k, fold)), a))
+    fold = np.array([int(c) for c in fold], dtype=np.int64)
+    if len(fold) != h.n or (fold < 1).any():
+        raise ValueError(f"bad fold counts {tuple(fold.tolist())}")
+    return h._like(h.keys * fold, h.amps)
 
 
 def cover_lichnerowicz(h: FourierSymTensor, fold) -> FourierSymTensor:
     """Flat Lichnerowicz on the covering torus (wavenumbers k_j / fold_j)."""
-    fold = tuple(int(c) for c in fold)
-    return h.map_modes(lambda k, a: (k, sum((v / c) ** 2 for v, c in zip(k, fold)) * a))
+    fold = np.array([int(c) for c in fold], dtype=np.int64)
+    return h._scaled(((h.keys / fold) ** 2).sum(axis=1))
 
 
 def cover_l2_inner(a: FourierSymTensor, b: FourierSymTensor, fold) -> float:

@@ -12,7 +12,7 @@ from spinstab.torus.fields import (
     ifftn,
 )
 from spinstab.torus.geometry import MetricGeometry, metric_curvature
-from spinstab.torus.operators import tt_project, tt_split
+from spinstab.torus.operators import cover_pullback, tt_project, tt_split
 
 
 def test_reality_enforced():
@@ -199,13 +199,20 @@ def test_mode_matrices_roundtrip():
         assert back.components[key].modes == f.modes
 
 
-def test_map_modes_keeps_component_mode_order():
+def test_keys_are_sorted_and_modes_follow_key_order():
     rng = np.random.default_rng(7)
     h = FourierSymTensor.random_real(2, 2, rng, count=3)
-    mapped = h.map_modes(lambda k, a: (tuple(3 * v for v in k), 2.0 * a))
+    assert h.keys.dtype == np.int64 and h.keys.shape == (len(h.amps), 2)
+    assert [tuple(k) for k in h.keys.tolist()] == sorted(set(map(tuple, h.keys.tolist())))
+    assert list(h.modes) == [tuple(k) for k in h.keys.tolist()]
+    assert list(h.mode_matrices()) == list(h.modes)
     for key, f in h.components.items():
-        assert list(mapped.components[key].modes) == [
-            tuple(3 * v for v in k) for k in f.modes]
+        assert list(f.modes) == [k for k, a in h.modes.items() if a[key] != 0]
+    # a positive dilation keeps the key order, so the cover and the base
+    # sums of cover_quadratic_ratio visit the modes alike
+    ph = cover_pullback(h, (3, 2))
+    assert ph.keys.tolist() == (h.keys * [3, 2]).tolist()
+    assert ph.amps.tobytes() == h.amps.tobytes()
 
 
 def test_cutoff_is_derived_from_modes():
@@ -260,59 +267,68 @@ def _derived_fields(n, seed):
     g = FourierSymTensor.random_real(n, 1, rng, scale=0.5, count=2)
     u = FourierScalarField.random_real(n, 1, rng, count=2)
     out = [*tt_split(h), tt_project(h), h + g, h - g, g - g, -1.0 * h,
-           h.deriv(1), h.rough_laplacian_flat(),
-           h.map_modes(lambda k, a: (tuple(2 * v for v in k), a)),
-           h.map_modes(lambda k, a: (k, np.conj(a.real + 0j))),  # signed zeros
-           FourierSymTensor.from_mode(n, (1,) + (0,) * (n - 1), np.eye(n), phase=0.5)]
-    out = [dict(t.components) for t in out]
-    out.append({"u": u.laplacian_flat(), "du": u.deriv(0), "uu": u + 2.0 * u,
-                "zero": u - u})
-    return out
+           h.deriv(1), h.rough_laplacian_flat(), cover_pullback(h, (2,) * n),
+           FourierSymTensor.from_stack(n, h.keys, np.conj(h.amps.real + 0j)),  # signed zeros
+           FourierSymTensor.from_mode(n, (1,) + (0,) * (n - 1), np.eye(n), phase=0.5),
+           FourierMetric.from_perturbation(h, 0.5) + g]
+    out += [f for t in list(out) for f in t.components.values()]
+    return out + [u.laplacian_flat(), u.deriv(0), u + 2.0 * u, u - u, h.trace_flat(),
+                  *h.divergence_flat()]
+
+
+def _assert_canonical(f):
+    """keys sorted and distinct, one nonzero amplitude per key."""
+    rows = [tuple(k) for k in f.keys.tolist()]
+    assert f.keys.dtype == np.int64 and f.keys.shape == (len(rows), f.n)
+    assert rows == sorted(set(rows))
+    assert f.amps.dtype == complex and len(f.amps) == len(rows)
+    assert np.all(np.any(f.amps != 0, axis=tuple(range(1, f.amps.ndim))))
 
 
 @pytest.mark.parametrize("n", [4, 7])
-def test_trusted_containers_match_public_constructor(n, monkeypatch):
-    # derived fields skip the key canonicalization; routing them back
-    # through the public constructor must give the same keys, order and
-    # value bits (signed zeros included) and the same JSON
-    fast = _derived_fields(n, seed=n)
-    monkeypatch.setattr(FourierScalarField, "_trusted", classmethod(
-        lambda cls, n, modes: cls(n, modes, check_reality=False)))
-    slow = _derived_fields(n, seed=n)
-    for a, b in zip(fast, slow):
-        assert list(a) == list(b)
-        for key, f in a.items():
-            ref = b[key]
-            assert type(f) is FourierScalarField and f.n == ref.n
-            assert list(f.modes) == list(ref.modes)
-            assert all(type(v) is int for k in f.modes for v in k)
+def test_trusted_containers_match_public_constructor(n):
+    # every field is built by one path: a derived field equals the dict
+    # constructor applied to its own modes, keys, order and value bits
+    # (signed zeros included), and so does its JSON
+    for f in _derived_fields(n, seed=n):
+        _assert_canonical(f)
+        if type(f) is FourierScalarField:
+            ref = FourierScalarField(f.n, f.modes, check_reality=False)
             assert all(type(v) is complex for v in f.modes.values())
-            assert (np.array(list(f.modes.values()), dtype=complex).tobytes()
-                    == np.array(list(ref.modes.values()), dtype=complex).tobytes())
             assert json.dumps(f.to_json_obj()) == json.dumps(ref.to_json_obj())
+        else:
+            ref = type(f)(f.n, f.modes)
+        assert type(ref) is type(f) and ref.n == f.n
+        assert all(type(v) is int for k in f.modes for v in k)
+        assert ref.keys.tobytes() == f.keys.tobytes()
+        assert ref.amps.shape == f.amps.shape and ref.amps.tobytes() == f.amps.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_rough_laplacian_matches_negated_laplacian_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
     h = FourierSymTensor.random_real(n, 2, rng, scale=1.0, count=3)
-    # raw amplitudes with signed zeros, set past the constructors
-    for i, a in enumerate(h.modes.values()):
+    h = h + FourierSymTensor.from_constant(np.ones((n, n)))
+    # raw amplitudes with signed zeros, written into the stack past the
+    # constructors
+    for i, a in enumerate(h.amps):
         if i % 3 < 2:
             (a.real, a.imag)[i % 3][...] = -0.0
-    h.modes[(0,) * n] = np.full((n, n), complex(-0.0, 0.5))
+    h.amps[np.flatnonzero((h.keys == 0).all(axis=1))] = complex(-0.0, 0.5)
     ref = {key: -1.0 * f.laplacian_flat() for key, f in h.components.items()}
     out = h.rough_laplacian_flat()
     assert type(out) is FourierSymTensor and list(out.components) == list(ref)
     for key, f in out.components.items():
         assert list(f.modes) == list(ref[key].modes)
-        assert (np.array(list(f.modes.values()), dtype=complex).tobytes()
-                == np.array(list(ref[key].modes.values()), dtype=complex).tobytes())
+        # 0j + a, as the scalar containers once stored their amplitudes:
+        # |k|^2 a and -1.0 (-|k|^2 a) differ only in the sign of a zero
+        assert (0j + f.amps).tobytes() == (0j + ref[key].amps).tobytes()
 
 
 def test_public_constructor_still_canonicalizes():
     f = FourierScalarField(2, {(np.int64(1), 0): 1.0, (-1, 0): 1.0, (0, 0): 0.0})
-    assert list(f.modes) == [(1, 0), (-1, 0)]
+    assert list(f.modes) == [(-1, 0), (1, 0)]  # lexicographic, the zero dropped
+    assert f.keys.tolist() == [[-1, 0], [1, 0]] and f.amps.tolist() == [1.0, 1.0]
     assert all(type(v) is int for k in f.modes for v in k)
     with pytest.raises(ValueError, match="wrong length"):
         FourierScalarField(2, {(1, 0, 0): 1.0})
@@ -367,7 +383,8 @@ def test_zero_entries_are_exact_zeros_and_not_sampled(monkeypatch):
     sample = FourierScalarField.sample
     monkeypatch.setattr(FourierScalarField, "sample",
                         lambda self, grid: calls.append(self) or sample(self, grid))
-    for field, sampled in ((conf, 3), (mode, 2), (FourierMetric.flat(3), 0)):
+    # the conformal metric's three equal diagonal entries are sampled once
+    for field, sampled in ((conf, 1), (mode, 2), (FourierMetric.flat(3), 0)):
         calls.clear()
         out = field.sample_matrix(grid)
         assert len(calls) == sampled
@@ -400,3 +417,75 @@ def test_components_are_the_nonzero_upper_entries():
         assert h.component(j, i).modes == f.modes
     assert not h.component(1, 2).modes
     assert FourierSymTensor.zero(3).components == {}
+
+
+def _random_field(kind, keys, rng):
+    """A field of the given kind with a random nonzero amplitude at each key."""
+    n = len(keys[0]) if keys else 3
+    if kind == "scalar":
+        # conjugate pairs, so the public constructor's reality check passes
+        modes = {}
+        for k in keys:
+            a = complex(rng.standard_normal(), rng.standard_normal())
+            modes[k], modes[tuple(-v for v in k)] = a, np.conj(a)
+        return FourierScalarField(n, modes)
+    if kind == "tensor":
+        mats = {}
+        for k in keys:
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            mats[k] = m + m.T
+        return FourierSymTensor(n, mats)
+    return ModeField(n, {k: rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+                         for k in keys})
+
+
+def _dict_union(a, b, op):
+    """The dict-of-modes reference for a + b or a - b: absent modes read 0,
+    zero results are dropped."""
+    da, db = dict(a.modes), dict(b.modes)
+    out = {}
+    for k in list(da) + [k for k in db if k not in da]:
+        v = op(np.asarray(da.get(k, 0.0), dtype=complex), np.asarray(db.get(k, 0.0), dtype=complex))
+        if np.any(v != 0):
+            out[k] = v
+    return out
+
+
+@pytest.mark.parametrize("kind", ["scalar", "tensor", "generic"])
+@pytest.mark.parametrize("case", ["disjoint", "overlapping", "empty"])
+def test_union_and_inner_match_dict_reference(kind, case):
+    rng = np.random.default_rng(30)
+    keys_a = [(0, 0, 1), (1, -1, 0), (-2, 0, 1), (2, 1, -1)]
+    keys_b = {"disjoint": [(2, 2, 2), (-1, 0, 0), (0, 3, 0)],
+              "overlapping": [(1, -1, 0), (2, 1, -1), (3, 0, 0)],
+              "empty": []}[case]
+    a = _random_field(kind, keys_a, rng)
+    b = _random_field(kind, keys_b, rng) if keys_b else type(a)(3, {})
+    if kind == "generic" and not keys_b:
+        b = ModeField._build(3, np.zeros((0, 3), dtype=np.int64), np.zeros((0, 2, 3)))
+    vol = (2 * np.pi) ** 3
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        for got, op in ((x + y, np.add), (x - y, np.subtract)):
+            _assert_canonical(got)
+            assert type(got) is type(a)
+            ref = _dict_union(x, y, op)
+            assert sorted(got.modes) == sorted(ref)
+            for k, v in got.modes.items():
+                assert np.array_equal(np.asarray(v), ref[k])
+        dx, dy = dict(x.modes), dict(y.modes)
+        ref = sum((complex(np.vdot(dy[k], dx[k])) for k in dx if k in dy), 0j) * vol
+        got = x.l2_inner(y)
+        assert type(got) is complex
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+    assert (a - a).keys.shape == (0, 3) and (a - a).max_amp() == 0.0
+    _assert_canonical(2.0 * a)
+    _assert_canonical(0.0 * a)
+    assert not (0.0 * a).modes
+
+
+def test_build_path_sums_repeated_keys_and_drops_zeros():
+    keys = np.array([[1, 0], [0, 2], [1, 0], [-1, 5], [0, 2]])
+    amps = np.array([1.0, 2.0 + 1j, -1.0, 3.0, 4.0])
+    f = ModeField._build(2, keys, amps)
+    _assert_canonical(f)
+    assert dict(f.modes) == {(-1, 5): 3.0, (0, 2): 6.0 + 1j}

@@ -283,3 +283,84 @@ def test_structure_and_spinor_compare_by_identity():
     assert other.star_phi_tensor is other.star_phi_tensor
     assert np.array_equal(other.star_phi_tensor, G2.star_phi_tensor)
     assert np.array_equal(other.embedding_matrix, G2.embedding_matrix)
+
+
+# -- oracles: the per-mode loops of the dict-of-modes implementation ---------
+
+def _loop_star(a, p):
+    out = np.zeros(EXT7.dim(7 - p), dtype=complex)
+    for col, (row, sign) in enumerate(EXT7.star_table(p)):
+        out[row] = out[row] + sign * a[col]
+    return out
+
+
+def _loop_d(form, table, p, sign):
+    out = {}
+    for k, a in form.modes.items():
+        acc = np.zeros(EXT7.dim(p), dtype=complex)
+        for ax, kv in enumerate(k):
+            if kv != 0:
+                acc += sign * 1j * kv * (table(ax, form.p) @ a)
+        out[k] = acc
+    return out
+
+
+def _loop_codifferential_expansion(g2, h):
+    out = {}
+    for k, hk in h.mode_matrices().items():
+        dh = np.stack([1j * kv * hk for kv in k])
+        divh = -np.einsum("iij->j", dh)
+        acc = np.zeros(EXT7.dim(2), dtype=complex)
+        for j in range(7):
+            if divh[j] != 0:
+                acc += divh[j] * (EXT7.hook1(j, 3) @ g2.phi3)
+        pvec = np.einsum("kij,jkm->im", dh, g2.phi_tensor)
+        for i in range(7):
+            acc += EXT7.wedge1(i, 1) @ pvec[i]
+        out[k] = acc
+    return out
+
+
+def _loop_star_d_expansion(g2, h):
+    star4 = g2.star_phi4
+    out = {}
+    for k, hk in h.mode_matrices().items():
+        dh = np.stack([1j * kv * hk for kv in k])
+        acc = np.zeros(EXT7.dim(3), dtype=complex)
+        tr_d = np.einsum("kii->k", dh)
+        div_d = np.einsum("kik->i", dh)
+        for ax in range(7):
+            acc -= tr_d[ax] * (EXT7.hook1(ax, 4) @ star4)
+            acc += div_d[ax] * (EXT7.hook1(ax, 4) @ star4)
+        for i in range(7):
+            hook_i = EXT7.hook1(i, 4) @ star4
+            for ax in range(7):
+                two = EXT7.hook1(ax, 3) @ hook_i
+                for j in range(7):
+                    acc -= dh[ax, i, j] * (EXT7.wedge1(j, 2) @ two)
+        out[k] = acc
+    return out
+
+
+def test_g2_field_operators_match_per_mode_loops():
+    from test_operators import assert_matches_loop
+
+    rng = np.random.default_rng(70)
+    h = FourierSymTensor.random_real(7, 1, rng, scale=0.7, count=3) \
+        + FourierSymTensor.from_constant(np.diag(np.arange(1.0, 8.0)))
+    psi = sym_field_to_three_form(G2, h)
+    assert_matches_loop(psi, {k: G2.embedding_matrix @ m.reshape(-1)
+                              for k, m in h.mode_matrices().items()})
+    assert_matches_loop(psi.exterior_d(), _loop_d(psi, EXT7.wedge1, 4, 1.0))
+    assert_matches_loop(psi.codifferential(), _loop_d(psi, EXT7.hook1, 2, -1.0))
+    assert_matches_loop(psi.star(), {k: _loop_star(a, 3) for k, a in psi.modes.items()})
+    assert psi.exterior_d().p == 4 and psi.codifferential().p == 2 and psi.star().p == 4
+    closed = {}
+    for k, hk in h.mode_matrices().items():
+        dh = np.stack([1j * kv * hk for kv in k])
+        closed[k] = np.vstack([-np.einsum("iij->j", dh),
+                               -np.einsum("kij,ikm->mj", dh, G2.phi_tensor)])
+    assert_matches_loop(octonion_dirac_closed_form(G2, h), closed)
+    assert_matches_loop(g2mod._codifferential_expansion(G2, h),
+                        _loop_codifferential_expansion(G2, h))
+    assert_matches_loop(g2mod._star_d_expansion(G2, h), _loop_star_d_expansion(G2, h))

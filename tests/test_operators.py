@@ -333,3 +333,62 @@ def test_cover_guards():
         cover_pullback(h, (0, 2))
     with pytest.raises(ValueError):
         cover_pullback(h, (2,))
+
+
+# -- oracles: the per-mode loops of the dict-of-modes implementation ---------
+
+def _loop_dirac_symbol(gamma, k):
+    mat = np.zeros(gamma[0].shape, dtype=complex)
+    for a, ka in enumerate(k):
+        if ka != 0:
+            mat += 1j * ka * gamma[a]
+    return mat
+
+
+def _loop_tt_split(h):
+    n, eye = h.n, np.eye(h.n)
+    parts = ({}, {}, {})
+    for k, hk in h.mode_matrices().items():
+        kv = np.array(k, dtype=float)
+        k2 = float(kv @ kv)
+        p = np.eye(n) - np.outer(kv, kv) / max(k2, 1.0)
+        tt = p @ hk @ p
+        tt = tt - np.trace(tt) / np.trace(p) * p
+        if k2 == 0.0:
+            conf = (np.trace(hk) / n) * eye
+            lie = np.zeros_like(hk)
+        else:
+            conf = ((np.trace(hk) - (kv @ hk @ kv) / k2) / (n - 1)) * eye
+            lie = hk - tt - conf
+        for out, m in zip(parts, (tt, lie, conf)):
+            out[k] = m
+    return parts
+
+
+def assert_matches_loop(field, ref: dict, rtol=1e-13):
+    """field equals the per-mode reference to rtol relative to the largest
+    reference amplitude; modes the reference holds as zeros may be absent."""
+    got = dict(field.modes)
+    assert set(got) <= set(ref)
+    scale = max(float(np.abs(np.asarray(a)).max()) for a in ref.values())
+    for k, r in ref.items():
+        gap = np.abs(np.asarray(got.get(k, 0.0)) - np.asarray(r)).max()
+        assert gap <= rtol * scale, (k, gap, scale)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_flat_operators_match_per_mode_loops(n):
+    rng = np.random.default_rng(50 + n)
+    rep = build_gamma_rep(n)
+    h = FourierSymTensor.random_real(n, 1, rng, count=3) \
+        + FourierSymTensor.from_constant(np.diag(np.arange(1.0, n + 1)))
+    for part, ref in zip(tt_split(h), _loop_tt_split(h)):
+        assert_matches_loop(part, ref)
+    assert_matches_loop(tt_project(h), _loop_tt_split(h)[0])
+    gam_sig = np.stack([g @ unit_spinor(rep).components for g in rep.gamma])
+    phi = spinor_embed_field(h, rep)
+    assert_matches_loop(phi, {k: m.T @ gam_sig for k, m in h.mode_matrices().items()})
+    assert_matches_loop(twisted_dirac(phi, rep),
+                        {k: a @ _loop_dirac_symbol(rep.gamma, k).T for k, a in phi.modes.items()})
+    for k in h.modes:
+        assert np.abs(dirac_symbol(rep.gamma, k) - _loop_dirac_symbol(rep.gamma, k)).max() == 0.0
