@@ -712,10 +712,10 @@ def run_warped(rep: VerificationReport, seed: int, cfg: dict) -> None:
     sub = cfg["warped"]
     rng = np.random.default_rng(seed)
 
-    # FD oracle sanity: round sphere
+    # FD oracle sanity: round sphere, on a (P, 2) array of stencil points
     def sphere_fn(x):
-        rho = 2.0 / (1.0 + x @ x)
-        return rho**2 * np.eye(2)
+        rho = 2.0 / (1.0 + (x * x).sum(-1))
+        return rho[:, None, None] ** 2 * np.eye(2)
 
     s_val = wmod.scalar_curvature_fd(sphere_fn, np.array([0.3, -0.4]),
                                      np.array([1e-3, 1e-3]))

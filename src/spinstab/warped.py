@@ -12,11 +12,14 @@ The scalar pipeline (`WarpedMetric.schedule` through `warped_scalar`, and
 the fiber families) maps a float radius or path parameter to floats and
 (k, k) blocks, and an array to arrays and (..., k, k) blocks equal to the
 float calls bit for bit; squares are products there, since numpy's `**`
-and the C `pow` behind a float `**` can round differently.
+and the C `pow` behind a float `**` can round differently.  The families
+also map an array of fiber points, one per entry of s; the FD oracle makes
+one metric call per stencil level.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,19 +244,15 @@ class FiberFamily:
     """Path s in [0, 1] of fiber metrics with closed-form s-derivatives.
 
     Subclasses provide the metric block in a fixed chart together with its
-    first two s-derivatives, the scalar curvature and the Ricci tensor.
-    All but `ricci` also take an array of s: (..., k, k) blocks, an array.
+    first two s-derivatives (`blocks`), the scalar curvature and the Ricci
+    tensor.  `blocks` and `scalar` also take an array of s, `blocks` with one
+    q or an array of one q per s: (..., k, k) blocks, an array.
     """
 
     dim: int
 
-    def metric(self, s, q) -> np.ndarray:
-        raise NotImplementedError
-
-    def dmetric(self, s, q) -> np.ndarray:
-        raise NotImplementedError
-
-    def d2metric(self, s, q) -> np.ndarray:
+    def blocks(self, s, q) -> tuple:
+        """(g, d_s g, d_s^2 g) at (s, q)."""
         raise NotImplementedError
 
     def scalar(self, s, q):
@@ -265,18 +264,17 @@ class FiberFamily:
     def sample_points(self):
         raise NotImplementedError
 
-    def sample_s(self, count: int = 33):
-        return np.linspace(0.0, 1.0, count)
 
-
-def _stereographic_conformal(q) -> float:
+def _stereographic_conformal(q):
+    """rho = 2 / (1 + |q|^2) at a point q, or at each row of an array of them;
+    |q|^2 is a matmul, which rounds as `q @ q` does for one point."""
     q = np.asarray(q, dtype=float)
-    return 2.0 / (1.0 + float(q @ q))
+    return 2.0 / (1.0 + np.matmul(q[..., None, :], q[..., :, None])[..., 0, 0])
 
 
-def _identity_blocks(x, s, eye: np.ndarray) -> np.ndarray:
-    """x I_k at each entry of s; 0 * s spreads an x constant in s over s."""
-    return np.multiply.outer(x + 0.0 * s, eye)
+def _identity_blocks(values, s, eye: np.ndarray) -> tuple:
+    """x I_k at each entry of s for each x of values; 0 * s spreads an x constant in s."""
+    return tuple(np.multiply.outer(x + 0.0 * s, eye) for x in values)
 
 
 class ConformalSphereFamily(FiberFamily):
@@ -302,19 +300,12 @@ class ConformalSphereFamily(FiberFamily):
     def constant(cls, radius: float):
         return cls(lambda s: radius, lambda s: 0.0, lambda s: 0.0)
 
-    def metric(self, s, q):
-        x = self.f(s) * _stereographic_conformal(q)
-        return _identity_blocks(x * x, s, self._eye)
-
-    def dmetric(self, s, q):
+    def blocks(self, s, q):
         rho = _stereographic_conformal(q)
-        return _identity_blocks(2.0 * self.f(s) * self.df(s) * (rho * rho), s, self._eye)
-
-    def d2metric(self, s, q):
-        rho = _stereographic_conformal(q)
-        df = self.df(s)
-        return _identity_blocks(
-            2.0 * (df * df + self.f(s) * self.d2f(s)) * (rho * rho), s, self._eye)
+        f, df = self.f(s), self.df(s)
+        x = f * rho
+        return _identity_blocks((x * x, 2.0 * f * df * (rho * rho),
+                                 2.0 * (df * df + f * self.d2f(s)) * (rho * rho)), s, self._eye)
 
     def scalar(self, s, q):
         f = self.f(s)
@@ -340,16 +331,10 @@ class FlatTorusConformalFamily(FiberFamily):
         self.dim, self._eye = k, np.eye(k)
         self.c, self.dc, self.d2c = c, dc, d2c
 
-    def metric(self, s, q):
-        c = self.c(s)
-        return _identity_blocks(c * c, s, self._eye)
-
-    def dmetric(self, s, q):
-        return _identity_blocks(2.0 * self.c(s) * self.dc(s), s, self._eye)
-
-    def d2metric(self, s, q):
-        dc = self.dc(s)
-        return _identity_blocks(2.0 * (dc * dc + self.c(s) * self.d2c(s)), s, self._eye)
+    def blocks(self, s, q):
+        c, dc = self.c(s), self.dc(s)
+        return _identity_blocks((c * c, 2.0 * c * dc, 2.0 * (dc * dc + c * self.d2c(s))),
+                                s, self._eye)
 
     def scalar(self, s, q):
         return 0.0 * s
@@ -373,14 +358,9 @@ class ReparametrizedFamily(FiberFamily):
         self.eps = float(eps)
         self.dim = base.dim
 
-    def metric(self, s, q):
-        return self.base.metric(self.eps * s, q)
-
-    def dmetric(self, s, q):
-        return self.eps * self.base.dmetric(self.eps * s, q)
-
-    def d2metric(self, s, q):
-        return self.eps**2 * self.base.d2metric(self.eps * s, q)
+    def blocks(self, s, q):
+        g, gs, gss = self.base.blocks(self.eps * s, q)
+        return g, self.eps * gs, self.eps**2 * gss
 
     def scalar(self, s, q):
         return self.base.scalar(self.eps * s, q)
@@ -429,15 +409,16 @@ def admissibility_check(family: FiberFamily) -> AdmissibilityReport:
     """
     c1 = c2 = c3 = s_minus = 0.0
     a0 = np.inf
-    s = family.sample_s(ADMISSIBILITY_S_COUNT)
+    s = np.linspace(0.0, 1.0, ADMISSIBILITY_S_COUNT)
     for q in family.sample_points():
-        gi = np.linalg.inv(family.metric(s, q))
-        a = gi @ family.dmetric(s, q)
+        g, gs, gss = family.blocks(s, q)
+        gi = np.linalg.inv(g)
+        a = gi @ gs
         aa = a @ a
         # d_s g_ab d_s g^ab = -tr((g^-1 g_s)^2)
         c1 = max(c1, float(np.abs(_trace(aa)).max()))
         c2 = max(c2, float(np.abs(_trace(a)).max()))
-        c3 = max(c3, float(np.abs(_trace(gi @ family.d2metric(s, q) - aa)).max()))
+        c3 = max(c3, float(np.abs(_trace(gi @ gss - aa)).max()))
         s_minus = max(s_minus, -float(np.min(family.scalar(s, q))))
         a0 = min(a0, family.scalar(1.0, q))
     violations = []
@@ -487,9 +468,7 @@ class WarpedMetric:
         """Fiber block with its first two radial derivatives at (r, q)."""
         s, dsdr = self.schedule(r)
         dsdr = np.asarray(dsdr)[..., None, None]
-        g = self.family.metric(s, q)
-        gs = self.family.dmetric(s, q)
-        gss = self.family.d2metric(s, q)
+        g, gs, gss = self.family.blocks(s, q)
         return g, dsdr * gs, (dsdr * dsdr) * gss, s
 
     def radial_invariants(self, r, q):
@@ -510,14 +489,19 @@ class WarpedMetric:
         }
 
 
-def warped_scalar(w: WarpedMetric, r, q):
-    """Scalar curvature of the warped metric at fiber point q and radius r, or
-    at each radius of an array r; HorizonError where 2 m(r) >= r."""
-    m = w.profile.m(r)
+def _outside_horizon(m, r) -> None:
+    """HorizonError naming the first radius of r (or of an array r) with 2 m >= r."""
     over = np.asarray(2.0 * m >= r)
     if over.any():
         i = np.argmax(over)
         raise HorizonError(f"2 m(r) = {2 * np.ravel(m)[i]:.3e} >= r = {np.ravel(r)[i]:.3e}")
+
+
+def warped_scalar(w: WarpedMetric, r, q):
+    """Scalar curvature of the warped metric at fiber point q and radius r, or
+    at each radius of an array r; HorizonError where 2 m(r) >= r."""
+    m = w.profile.m(r)
+    _outside_horizon(m, r)
     dm = w.profile.dm(r)
     gp, gpp, q2, s_m = w.radial_invariants(r, q)
     lapse = 1.0 - 2.0 * m / r
@@ -533,8 +517,7 @@ def warped_scalar(w: WarpedMetric, r, q):
 def warped_ricci(w: WarpedMetric, r: float, q) -> dict:
     """Ricci components in the orthonormal-radial / sphere / fiber split."""
     m = float(w.profile.m(r))
-    if 2.0 * m >= r:
-        raise HorizonError(f"2 m(r) = {2 * m:.3e} >= r = {r:.3e}")
+    _outside_horizon(m, r)
     dm = float(w.profile.dm(r))
     lapse = 1.0 - 2.0 * m / r
     gp, gpp, q2 = map(float, w.radial_invariants(r, q)[:3])
@@ -558,49 +541,42 @@ def warped_ricci(w: WarpedMetric, r: float, q) -> dict:
 # finite-difference curvature oracle
 # ---------------------------------------------------------------------------
 
-def _fd_tables(fn, x0, steps):
-    """4th-order first and second derivatives of a matrix function."""
-    d = len(x0)
-    g0 = fn(x0)
-    cache = {}
+_FD_FIRST = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # at steps -2, ..., 2
+_FD_SECOND = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
-    def ev(offsets):
-        key = tuple(offsets)
-        if key not in cache:
-            x = np.array(x0, dtype=float)
-            for ax, mult in offsets:
-                x[ax] += mult * steps[ax]
-            cache[key] = fn(x)
-        return cache[key]
 
-    w1 = {-2: 1.0 / 12, -1: -8.0 / 12, 1: 8.0 / 12, 2: -1.0 / 12}
-    dg = np.zeros((d,) + g0.shape)
-    for a in range(d):
-        acc = np.zeros_like(g0)
-        for mult, wgt in w1.items():
-            acc += wgt * ev(((a, mult),))
-        dg[a] = acc / steps[a]
-    d2g = np.zeros((d, d) + g0.shape)
-    w2 = {-2: -1.0 / 12, -1: 16.0 / 12, 0: -30.0 / 12, 1: 16.0 / 12, 2: -1.0 / 12}
-    for a in range(d):
-        acc = np.zeros_like(g0)
-        for mult, wgt in w2.items():
-            acc += wgt * (g0 if mult == 0 else ev(((a, mult),)))
-        d2g[a, a] = acc / steps[a] ** 2
-    for a in range(d):
-        for b in range(a + 1, d):
-            acc = np.zeros_like(g0)
-            for ma, wa in w1.items():
-                for mb, wb in w1.items():
-                    acc += wa * wb * ev(((a, ma), (b, mb)))
-            d2g[a, b] = d2g[b, a] = acc / (steps[a] * steps[b])
-    return g0, dg, d2g
+@functools.cache
+def _stencil(d: int) -> tuple:
+    """(offsets, w1, w2) of the 4th-order FD stencil in d dimensions: the
+    (P, d) offsets, in steps, are the centre, -2, -1, 1, 2 along each axis
+    and the 4 x 4 products of those along each axis pair, P = 1 + 4d +
+    8d(d - 1); values there weighted by w1 (d, P) and w2 (d, d, P) give the
+    first and second derivatives in step units."""
+    e, mults = np.eye(d), (-2, -1, 1, 2)
+    offsets = np.array([np.zeros(d)] + [m * e[a] for a in range(d) for m in mults]
+                       + [m * e[a] + n * e[b] for a in range(d) for b in range(a + 1, d)
+                          for m in mults for n in mults])
+    idx = offsets.astype(int) + 2
+    alone = np.abs(offsets).sum(axis=1, keepdims=True) == np.abs(offsets)  # no other axis moved
+    w1 = (_FD_FIRST[idx] * alone).T
+    w2 = np.einsum("pa,pb->abp", _FD_FIRST[idx], _FD_FIRST[idx])  # 0 unless a and b moved
+    w2[np.arange(d), np.arange(d)] = (_FD_SECOND[idx] * alone).T
+    offsets.flags.writeable = w1.flags.writeable = w2.flags.writeable = False
+    return offsets, w1, w2
 
 
 def scalar_curvature_fd(fn, x0, steps) -> float:
-    """Scalar curvature of the metric function fn at x0 by finite differences."""
-    g0, dg, d2g = _fd_tables(fn, np.asarray(x0, dtype=float), steps)
-    gi = np.linalg.inv(g0)
+    """Scalar curvature of the metric function fn at x0 by finite differences.
+
+    fn maps a (P, d) array of points to the (P, d, d) array of the metric
+    matrices there; it is called once, on the whole stencil around x0.
+    """
+    x0, steps = np.asarray(x0, dtype=float), np.asarray(steps, dtype=float)
+    offsets, w1, w2 = _stencil(len(x0))
+    g = fn(x0 + offsets * steps)
+    dg = np.tensordot(w1, g, axes=1) / steps[:, None, None]
+    d2g = np.tensordot(w2, g, axes=1) / np.multiply.outer(steps, steps)[..., None, None]
+    gi = np.linalg.inv(g[0])
     dgi = -np.einsum("kl,alm,mn->akn", gi, dg, gi)
     # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
     br = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
@@ -616,23 +592,19 @@ def scalar_curvature_fd(fn, x0, steps) -> float:
 
 
 def warped_metric_function(w: WarpedMetric):
-    """Coordinate metric (r, two stereographic sphere coords, fiber coords)."""
+    """Coordinate metric (r, two stereographic sphere coords, fiber coords):
+    a (P, 3 + k) array of points to the (P, 3 + k, 3 + k) matrices there."""
     k = w.fiber_dim
 
     def fn(x):
-        r = x[0]
-        p = x[1:3]
-        q = x[3:3 + k]
-        m = float(w.profile.m(r))
-        lapse = 1.0 - 2.0 * m / r
-        if lapse <= 0:
-            raise HorizonError(f"horizon reached at r = {r}")
-        out = np.zeros((3 + k, 3 + k))
-        out[0, 0] = 1.0 / lapse
-        sigma = _stereographic_conformal(p)
-        out[1, 1] = out[2, 2] = (r * sigma) ** 2
-        s, _ = w.schedule(r)
-        out[3:, 3:] = w.family.metric(s, q)
+        r = x[:, 0]
+        m = w.profile.m(r)
+        _outside_horizon(m, r)
+        out = np.zeros((len(x), 3 + k, 3 + k))
+        out[:, 0, 0] = 1.0 / (1.0 - 2.0 * m / r)
+        r_sigma = r * _stereographic_conformal(x[:, 1:3])
+        out[:, 1, 1] = out[:, 2, 2] = r_sigma * r_sigma
+        out[:, 3:, 3:] = w.family.blocks(w.schedule(r)[0], x[:, 3:])[0]
         return out
 
     return fn
@@ -645,19 +617,18 @@ def fd_curvature_oracle(w: WarpedMetric, r: float, q) -> dict:
     """Independent scalar-curvature estimate with a Richardson error bar.
 
     The sample must sit away from r = 0 and from the schedule breakpoints
-    by at least ten steps so that the stencil sees a smooth metric.
+    by at least ten stencil reaches (twenty radial steps) so that the
+    stencil sees a smooth metric.
     """
     fn = warped_metric_function(w)
-    k = w.fiber_dim
-    p = np.array([0.35, -0.15])
-    x0 = np.concatenate([[r], p, np.asarray(q, dtype=float)])
-    steps = ORACLE_REL_STEP * np.concatenate([[r], np.full(2 + k, 2.0)])
+    x0 = np.concatenate([[r, 0.35, -0.15], np.asarray(q, dtype=float)])
+    steps = ORACLE_REL_STEP * np.concatenate([[r], np.full(len(x0) - 1, 2.0)])
     guard = 10.0 * 2.0 * steps[0]
     for b in (0.0,) + tuple(w.profile.breakpoints) + (
             (w.r2, w.r3) if w.r2 is not None else ()):
         if b is not None and abs(r - b) < guard:
             raise ValueError(
-                f"sample r = {r} is within 10 steps of breakpoint {b}")
+                f"sample r = {r} is within 20 radial steps of breakpoint {b}")
     s_full = scalar_curvature_fd(fn, x0, steps)
     s_half = scalar_curvature_fd(fn, x0, steps / 2.0)
     estimate = (16.0 * s_half - s_full) / 15.0
@@ -801,8 +772,8 @@ def mass_and_order(w: WarpedMetric) -> dict:
     s, _ = w.schedule(radii)
     devs = np.abs(1.0 / (1.0 - 2.0 * prof.m(radii) / radii) - 1.0)
     for q in w.family.sample_points():
-        g_lim = w.family.metric(w.schedule(radii[-1] * 4)[0], q)
-        devs = np.maximum(devs, np.abs(w.family.metric(s, q) - g_lim).max(axis=(-2, -1)))
+        g_lim = w.family.blocks(w.schedule(radii[-1] * 4)[0], q)[0]
+        devs = np.maximum(devs, np.abs(w.family.blocks(s, q)[0] - g_lim).max(axis=(-2, -1)))
     if np.all(devs == 0.0):
         return {"mass": m_inf, "order": np.inf, "radii": radii, "deviations": devs}
     good = devs > 0

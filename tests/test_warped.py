@@ -24,6 +24,7 @@ from spinstab.warped import (
     scalar_lower_bound,
     scan_scalar_positivity,
     smooth_path,
+    warped_metric_function,
     warped_ricci,
     warped_scalar,
 )
@@ -96,11 +97,148 @@ def test_profile_rejects_bad_a0():
 
 def test_fd_oracle_recovers_unit_sphere():
     def fn(x):
-        rho = 2.0 / (1.0 + x @ x)
-        return rho**2 * np.eye(2)
+        rho = 2.0 / (1.0 + (x * x).sum(-1))
+        return rho[:, None, None] ** 2 * np.eye(2)
 
     s = scalar_curvature_fd(fn, np.array([0.3, -0.4]), np.array([1e-3, 1e-3]))
     assert abs(s - 2.0) < 1e-7
+
+
+def _parent_fd_tables(fn, x0, steps):
+    """The per-point stencil evaluation the oracle used before the stencil
+    table: a dict cache, one fn call per point."""
+    d = len(x0)
+    g0 = fn(x0)
+    cache = {}
+
+    def ev(offsets):
+        key = tuple(offsets)
+        if key not in cache:
+            x = np.array(x0, dtype=float)
+            for ax, mult in offsets:
+                x[ax] += mult * steps[ax]
+            cache[key] = fn(x)
+        return cache[key]
+
+    w1 = {-2: 1.0 / 12, -1: -8.0 / 12, 1: 8.0 / 12, 2: -1.0 / 12}
+    dg = np.zeros((d,) + g0.shape)
+    for a in range(d):
+        acc = np.zeros_like(g0)
+        for mult, wgt in w1.items():
+            acc += wgt * ev(((a, mult),))
+        dg[a] = acc / steps[a]
+    d2g = np.zeros((d, d) + g0.shape)
+    w2 = {-2: -1.0 / 12, -1: 16.0 / 12, 0: -30.0 / 12, 1: 16.0 / 12, 2: -1.0 / 12}
+    for a in range(d):
+        acc = np.zeros_like(g0)
+        for mult, wgt in w2.items():
+            acc += wgt * (g0 if mult == 0 else ev(((a, mult),)))
+        d2g[a, a] = acc / steps[a] ** 2
+    for a in range(d):
+        for b in range(a + 1, d):
+            acc = np.zeros_like(g0)
+            for ma, wa in w1.items():
+                for mb, wb in w1.items():
+                    acc += wa * wb * ev(((a, ma), (b, mb)))
+            d2g[a, b] = d2g[b, a] = acc / (steps[a] * steps[b])
+    return g0, dg, d2g
+
+
+def _parent_scalar_curvature_fd(fn, x0, steps):
+    """scalar_curvature_fd on the per-point tables, with a one-point fn."""
+    g0, dg, d2g = _parent_fd_tables(fn, np.asarray(x0, dtype=float), steps)
+    gi = np.linalg.inv(g0)
+    dgi = -np.einsum("kl,alm,mn->akn", gi, dg, gi)
+    br = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
+    gam = 0.5 * np.einsum("kl,ijl->kij", gi, br)
+    dbr = (d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1)))
+    dgam = 0.5 * (np.einsum("akl,ijl->akij", dgi, br)
+                  + np.einsum("kl,aijl->akij", gi, dbr))
+    ric = (np.einsum("iijk->jk", dgam) - np.einsum("jiik->jk", dgam)
+           + np.einsum("iim,mjk->jk", gam, gam)
+           - np.einsum("ijm,mik->jk", gam, gam))
+    return float(np.einsum("jk,jk->", gi, ric))
+
+
+def _parent_point_metric(w):
+    """The coordinate metric of the warped oracle at one point."""
+    k = w.fiber_dim
+
+    def fn(x):
+        r, p, q = x[0], x[1:3], x[3:3 + k]
+        m = float(w.profile.m(r))
+        out = np.zeros((3 + k, 3 + k))
+        out[0, 0] = 1.0 / (1.0 - 2.0 * m / r)
+        sigma = 2.0 / (1.0 + float(p @ p))
+        out[1, 1] = out[2, 2] = (r * sigma) ** 2
+        out[3:, 3:] = w.family.blocks(w.schedule(r)[0], q)[0]
+        return out
+
+    return fn
+
+
+def _richardson(curvature, fn, x0, steps, aniso=1.0):
+    """The oracle's estimate and error bar from two step levels of curvature."""
+    full, half = curvature(fn, x0, steps), curvature(fn, x0, steps / 2.0)
+    roundoff = 1e-16 * (1.0 + abs(aniso)) / 1e-3**2 * 4.0
+    return (16.0 * half - full) / 15.0, abs(half - full) / 3.0 + roundoff
+
+
+def test_stencil_table_matches_per_point_tables():
+    # two roundoff realizations of one estimate: they agree within the sum of
+    # their error bars (on the Schwarzschild slice, whose exact value is 0,
+    # either estimate can sit past one bar)
+    def sphere_point(x):
+        rho = 2.0 / (1.0 + x @ x)
+        return rho**2 * np.eye(2)
+
+    def sphere_rows(x):
+        rho = 2.0 / (1.0 + (x * x).sum(-1))
+        return rho[:, None, None] ** 2 * np.eye(2)
+
+    x0, steps = np.array([0.3, -0.4]), np.array([1e-3, 1e-3])
+    new, bar = _richardson(scalar_curvature_fd, sphere_rows, x0, steps)
+    old, old_bar = _richardson(_parent_scalar_curvature_fd, sphere_point, x0, steps)
+    assert abs(new - old) <= bar + old_bar
+    flat = FlatTorusConformalFamily(2, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
+    construction, _ = construct_negative_mass(desk_family(), scan_points=800)
+    prof = construction.profile
+    fixtures = [
+        (WarpedMetric(profile=ZeroMass(), family=ConformalSphereFamily.constant(2.0),
+                      s_frozen=0.3), (3.0, 30.0)),
+        (WarpedMetric(profile=ConstantMass(1.0), family=flat), (3.0, 30.0)),
+        (construction, (prof.r2 * 1.03, prof.r3 * 0.97)),
+    ]
+    points = [(w, r, q) for w, r_range in fixtures for seed in (0, 1)
+              for r, q in sample_oracle_points(w, r_range, 6, np.random.default_rng(seed))]
+    for w, r, q in points:
+        out = fd_curvature_oracle(w, r, q)
+        x0 = np.concatenate([[r, 0.35, -0.15], q])
+        steps = 1e-3 * np.concatenate([[r], np.full(len(x0) - 1, 2.0)])
+        old, old_bar = _richardson(_parent_scalar_curvature_fd, _parent_point_metric(w),
+                                   x0, steps, 1.0 / (1.0 - 2.0 * float(w.profile.m(r)) / r))
+        assert abs(out["estimate"] - old) <= out["error_bar"] + old_bar
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_stencil_has_one_row_per_point_and_one_call_per_level(d):
+    calls = []
+
+    def flat(x):
+        calls.append(x.shape)
+        return np.broadcast_to(np.eye(d), (len(x), d, d))
+
+    assert abs(scalar_curvature_fd(flat, np.zeros(d), np.full(d, 1e-3))) <= 1e-6
+    assert calls == [(1 + 4 * d + 8 * d * (d - 1), d)]
+
+
+def test_oracle_on_a_seven_torus_schwarzschild_slice():
+    # d = 3 + 7: no 5^10 box is built, the stencil has 761 points
+    fam = FlatTorusConformalFamily(7, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
+    w = WarpedMetric(profile=ConstantMass(1.0), family=fam)
+    out = fd_curvature_oracle(w, 5.0, 0.3 * np.ones(7))
+    assert warped_scalar(w, 5.0, 0.3 * np.ones(7)) == 0.0
+    assert abs(out["estimate"]) <= max(1e-6, 3 * out["error_bar"])
 
 
 def test_product_metric_scalar():
@@ -365,9 +503,10 @@ def test_reparametrized_family_scaling():
     fam = desk_family()
     rep = ReparametrizedFamily(fam, 0.5)
     q = fam.sample_points()[0]
-    assert np.allclose(rep.metric(1.0, q), fam.metric(0.5, q))
-    assert np.allclose(rep.dmetric(1.0, q), 0.5 * fam.dmetric(0.5, q))
-    assert np.allclose(rep.d2metric(1.0, q), 0.25 * fam.d2metric(0.5, q))
+    (g, gs, gss), (g_ref, gs_ref, gss_ref) = rep.blocks(1.0, q), fam.blocks(0.5, q)
+    assert np.allclose(g, g_ref)
+    assert np.allclose(gs, 0.5 * gs_ref)
+    assert np.allclose(gss, 0.25 * gss_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +555,7 @@ def _parent_admissibility(fam, s_count=65):
     c1 = c2 = c3 = s_minus = 0.0
     a0 = np.inf
     for q in fam.sample_points():
-        for s in fam.sample_s(s_count):
+        for s in np.linspace(0.0, 1.0, s_count):
             g, gs, gss, s_m = _parent_blocks(fam, float(s), q)
             gi = np.linalg.inv(g)
             a = gi @ gs
@@ -586,6 +725,14 @@ def test_array_call_raises_horizon_error():
         warped_scalar(w, np.array([5.0, 2.0, 9.0]), np.zeros(2))
     with pytest.raises(HorizonError):
         warped_scalar(w, np.array([1.5]), np.zeros(2))
+    # the oracle's coordinate metric on a batch of stencil points
+    fn = warped_metric_function(w)
+    x = np.zeros((3, 5))
+    x[:, 0] = [5.0, 2.5, 9.0]
+    assert fn(x).shape == (3, 5, 5)
+    x[1, 0] = 1.5
+    with pytest.raises(HorizonError, match="r = 1.500e"):
+        fn(x)
 
 
 def test_family_methods_on_arrays_equal_scalar_calls():
@@ -598,16 +745,22 @@ def test_family_methods_on_arrays_equal_scalar_calls():
                                  lambda s: 0.2 * s, lambda s: 0.2 + 0.0 * s),
         ReparametrizedFamily(ConformalSphereFamily.smooth_radius_path(1.0, 0.9), 0.25),
     ]
+    rng = np.random.default_rng(0)
     for fam in families:
         k = fam.dim
+        # each sample point for every s, then one random fiber point per s
+        q_inputs = [(q, lambda i, q=q: q) for q in fam.sample_points()]
+        q_rows = rng.normal(size=(len(s), k))
+        q_inputs.append((q_rows, lambda i: q_rows[i]))
+        for q, q_at in q_inputs:
+            blocks = fam.blocks(s, q)
+            assert len(blocks) == 3
+            for i, si in enumerate(s):
+                single = fam.blocks(float(si), q_at(i))
+                for batch, one in zip(blocks, single, strict=True):
+                    assert batch.shape == (len(s), k, k) and one.shape == (k, k)
+                    assert np.array_equal(batch[i], one)
         for q in fam.sample_points():
-            for method in (fam.metric, fam.dmetric, fam.d2metric):
-                blocks = method(s, q)
-                assert blocks.shape == (len(s), k, k)
-                for i, si in enumerate(s):
-                    single = method(float(si), q)
-                    assert single.shape == (k, k)
-                    assert np.array_equal(blocks[i], single)
             scal = fam.scalar(s, q)
             assert scal.shape == s.shape
             for i, si in enumerate(s):
