@@ -191,11 +191,15 @@ def k3_sample(seed: int) -> SpinCompatibleCurvature:
 
     The traceless block has integer entries, so Bianchi and Ricci residuals
     are exactly zero, and the kernel spinor is an exact chirality basis
-    vector.
+    vector.  A zero block (the flat curvature, whose kernel holds all four
+    spinors) is redrawn from the same generator.
     """
     rng = np.random.default_rng(seed)
-    diag = rng.integers(-3, 4, size=2)
-    off = rng.integers(-3, 4, size=3)
+    while True:
+        diag = rng.integers(-3, 4, size=2)
+        off = rng.integers(-3, 4, size=3)
+        if diag.any() or off.any():
+            break
     block = np.array(
         [
             [diag[0], off[0], off[1]],

@@ -23,6 +23,16 @@ Fourier Spectral Methods, ch. 11).  The start vector and every matvec are
 projected by P, and the preconditioner symbol band / (sum_a k~_a^2 + 1)
 (k~ from Grid.half_symbols) is 0 off the band, so every iterate stays in
 range(P).
+
+A FourierMetric whose modes all have k_a = 0 on some axes is constant along
+them, and so are its geometry, the operator's coefficients and its ground
+state.  It is solved on Grid.invariant, the grid of its invariant sub-torus
+(one point on each such axis), and psi is broadcast back to the full grid.
+This is exact: the operator commutes with translations along those axes,
+the start vector sqrt(w) (times a warm start averaged over those axes) is
+invariant, so is every iterate, and on invariant fields the band, the matvec
+and the normalized residual are the sub-grid's.  Grid values are solved on
+the grid they come on.
 """
 
 from __future__ import annotations
@@ -77,9 +87,9 @@ class _ConformalOperator:
         self._ik, k2 = self.grid.half_symbols
         # 1 on the half-spectrum bins with no index at an even grid's N/2
         self._band = np.ones(k2.shape)
-        if self.grid.size % 2 == 0:
-            for ax in range(self.n):
-                self._band[(slice(None),) * ax + (self.grid.size // 2,)] = 0.0
+        for ax, m in enumerate(self.grid.shape):
+            if m % 2 == 0:
+                self._band[(slice(None),) * ax + (m // 2,)] = 0.0
         self._precond_symbol = self._band / (k2 + 1.0)
 
     def apply_raw(self, psi: np.ndarray) -> np.ndarray:
@@ -191,8 +201,22 @@ def conformal_eigenvalue(
 
     `metric` may be a FourierMetric or grid values (n, n) + grid.shape.
     `initial` warm-starts the iteration with a psi-space guess (e.g. the
-    eigenfunction of a nearby metric).
+    eigenfunction of a nearby metric).  A FourierMetric with no mode along
+    some axes is solved on the grid of its invariant sub-torus (see the
+    module docstring); psi comes back on the full grid either way.
     """
+    active = None if isinstance(metric, np.ndarray) else metric.keys.any(axis=0)
+    if active is None or active.all():
+        return _ground_pair(metric, grid, tol, initial)
+    if initial is not None:
+        # the orthogonal projection onto the fields constant along ~active
+        initial = initial.mean(axis=tuple(np.flatnonzero(~active)), keepdims=True)
+    pair = _ground_pair(metric, grid.invariant(active), tol, initial)
+    pair.psi = np.broadcast_to(pair.psi, grid.shape).copy()
+    return pair
+
+
+def _ground_pair(metric, grid: Grid, tol: float, initial) -> ConformalEigenpair:
     geo = MetricGeometry(metric, grid)
     op = _ConformalOperator(geo, conformal_coefficient(geo.n))
 

@@ -13,6 +13,7 @@ products are exact up to aliasing of the unresolved tail.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -54,24 +55,43 @@ def default_grid_size(n: int) -> int:
 
 
 class Grid:
-    """Uniform collocation grid with exact spectral differentiation."""
+    """Uniform collocation grid with exact spectral differentiation.
+
+    `size` points per axis; `shape` holds each axis' length.  The grid of a
+    sub-torus, `invariant(active)`, has `size` points on the active axes and
+    one on the others.  It carries the fields that are constant along the
+    inactive axes (spectrum at k_a = 0 there), and for them every sample,
+    transform, derivative and integral on it equals the full grid's on a
+    slice: a length-1 axis has exactly the wavenumber 0, and its one point
+    stands for the whole circle of length 2 pi in the quadrature.
+    """
 
     def __init__(self, n: int, size: int | None = None):
         self.n = n
         self.size = size if size is not None else default_grid_size(n)
-        self.shape = (self.size,) * n
-        k1 = np.fft.fftfreq(self.size) * self.size  # integer wavenumbers
-        self.wavenumbers = [
-            k1.reshape((1,) * ax + (self.size,) + (1,) * (n - ax - 1))
-            for ax in range(n)
+        self._set_shape((self.size,) * n)
+
+    def _set_shape(self, shape: tuple):
+        self.shape = shape
+        self.wavenumbers = [  # integer wavenumbers
+            (np.fft.fftfreq(m) * m).reshape((1,) * ax + (m,) + (1,) * (self.n - ax - 1))
+            for ax, m in enumerate(shape)
         ]
-        self.cell_volume = (2 * np.pi / self.size) ** n
-        self.volume = (2 * np.pi) ** n
+        n_active = sum(m != 1 for m in shape)
+        self.cell_volume = (2 * np.pi / self.size) ** n_active * (2 * np.pi) ** (self.n - n_active)
+        self.volume = (2 * np.pi) ** self.n
+
+    def invariant(self, active) -> "Grid":
+        """The grid of the fields that are constant along every axis a with
+        active[a] False: length 1 on those axes, `size` on the others."""
+        sub = Grid.__new__(Grid)
+        sub.n, sub.size = self.n, self.size
+        sub._set_shape(tuple(self.size if a else 1 for a in active))
+        return sub
 
     def points(self):
         """Coordinate arrays of shape self.shape, one per axis."""
-        x = 2 * np.pi * np.arange(self.size) / self.size
-        return np.meshgrid(*([x] * self.n), indexing="ij")
+        return np.meshgrid(*(2 * np.pi * np.arange(m) / m for m in self.shape), indexing="ij")
 
     def deriv(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral partial derivative along a coordinate axis."""
@@ -105,12 +125,12 @@ class Grid:
         spectral first derivative cannot carry the Nyquist mode, so that is
         the wavenumber a real derivative actually applies.
         """
-        k1 = np.fft.fftfreq(self.size) * self.size
-        if self.size % 2 == 0:
-            k1[self.size // 2] = 0.0
-        last = k1[: self.size // 2 + 1]
-        k = np.meshgrid(*([k1] * (self.n - 1) + [last]), indexing="ij",
-                        sparse=True)
+        k1 = [np.fft.fftfreq(m) * m for m in self.shape]
+        for m, ka in zip(self.shape, k1):
+            if m % 2 == 0:
+                ka[m // 2] = 0.0
+        k1[-1] = k1[-1][: self.shape[-1] // 2 + 1]
+        k = np.meshgrid(*k1, indexing="ij", sparse=True)
         ik = np.stack(np.broadcast_arrays(*(1j * ka for ka in k)))
         return ik, sum(ka ** 2 for ka in k)
 
@@ -258,12 +278,12 @@ class FourierScalarField(ModeField):
 
     # -- evaluation --------------------------------------------------------
     def sample(self, grid: Grid) -> np.ndarray:
-        if 2 * self.cutoff >= grid.size:
+        if (2 * np.abs(self.keys) >= grid.shape).any():
             raise ValueError(
-                f"grid of size {grid.size} cannot resolve cutoff {self.cutoff}")
+                f"grid of shape {grid.shape} cannot resolve cutoff {self.cutoff}")
         spec = np.zeros(grid.shape, dtype=complex)
-        spec[tuple((self.keys % grid.size).T)] += self.amps
-        return (ifftn(spec) * grid.size**self.n).real
+        spec[tuple((self.keys % grid.shape).T)] += self.amps
+        return (ifftn(spec) * math.prod(grid.shape)).real
 
     def to_json_obj(self):
         return {

@@ -73,6 +73,11 @@ def test_verify_bad_cutoff_exits_2():
     assert main(["verify", "torus", "--cutoff", "99"]) == 2
 
 
+def test_verify_curvalg_passes_where_k3_sample_draws_a_zero_block():
+    # the suite's 13th sample is k3_sample(1362108595), whose first draw is zero
+    assert main(["verify", "curvalg", "--seed", "1362108583"]) == 0
+
+
 def test_verify_unreadable_config_exits_2(tmp_path):
     assert main(["verify", "clifford", "--config", str(tmp_path / "none.json")]) == 2
 

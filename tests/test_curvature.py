@@ -188,3 +188,18 @@ def test_symmetry_violations_batch_grid_axes_like_the_suite_check():
     ]
     assert [res for _, res in curvature_symmetry_violations(riem)] == inline
     assert max(inline) > 0.0  # rounding-level, but not vacuously zero
+
+
+def test_k3_sample_redraws_a_zero_block():
+    # seed 1362108595 first draws the zero block, whose kernel is all 4 spinors
+    rng = np.random.default_rng(1362108595)
+    assert not (rng.integers(-3, 4, size=2).any() or rng.integers(-3, 4, size=3).any())
+    assert joint_kernel_dimension(k3_sample(1362108595)) == 2
+    # a seed whose first block is not zero keeps it
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        (d0, d1), off = rng.integers(-3, 4, size=2), rng.integers(-3, 4, size=3)
+        block = np.array([[d0, off[0], off[1]], [off[0], d1, off[2]],
+                          [off[1], off[2], -d0 - d1]], dtype=float)
+        assert np.array_equal(k3_sample(seed).base.tensor,
+                              spin_compatible_from_block(block).base.tensor)

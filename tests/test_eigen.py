@@ -22,6 +22,7 @@ from spinstab.torus.fields import (
     ifftn,
 )
 from spinstab.torus.geometry import MetricGeometry
+from spinstab.torus.operators import tt_mode_projection
 
 GRID3 = Grid(3, 16)
 
@@ -267,3 +268,71 @@ def test_solve_that_runs_out_of_iterations_raises(monkeypatch):
         assert found is not None
         assert float(found[1]) > eig.HARD_RESIDUAL
         assert 1 <= int(found[2]) <= 3
+
+
+def _subtorus_metric(n, kvec, seed):
+    """Two cosine modes with k_a = 0 wherever kvec is 0, amplitude ~0.05."""
+    rng = np.random.default_rng(seed)
+    k2 = np.zeros(n, dtype=int)
+    k2[np.flatnonzero(kvec)[0]] = 1
+    h = FourierSymTensor.zero(n)
+    for k, phase in ((kvec, 0.0), (tuple(k2), 0.7)):
+        a = rng.standard_normal((n, n))
+        h = h + FourierSymTensor.from_mode(n, k, 0.025 * (a + a.T), phase=phase)
+    return FourierMetric.from_perturbation(h)
+
+
+def _assert_same_pair(reduced, full):
+    scale = np.abs(full.psi).max()
+    assert reduced.psi.shape == full.psi.shape
+    assert abs(reduced.lam - full.lam) <= 1e-14
+    assert np.abs(reduced.psi - full.psi).max() <= 1e-12 * scale
+    assert abs(reduced.min_psi - full.min_psi) <= 1e-12 * scale
+    assert reduced.residual <= eig.EIG_TOL and full.residual <= eig.EIG_TOL
+    assert np.isclose(reduced.residual, full.residual, rtol=1e-2, atol=1e-14)
+
+
+# one and two invariant axes at each grid
+@pytest.mark.parametrize("n,size,kvec", [
+    (3, 24, (0, 1, 1)), (3, 24, (1, 0, 0)),
+    (3, 15, (1, 0, 1)), (3, 15, (0, 1, 0)),
+    (4, 12, (1, 1, 0, 1)), (4, 12, (0, 1, 1, 0)),
+])
+def test_subtorus_solve_matches_full_grid_solve(n, size, kvec):
+    # a FourierMetric is solved on its invariant sub-torus, its grid values
+    # on the full grid: the same eigenpair up to roundoff
+    grid = Grid(n, size)
+    metric = _subtorus_metric(n, kvec, seed=size + n)
+    reduced = conformal_eigenvalue(metric, grid)
+    full = conformal_eigenvalue(metric.sample_matrix(grid), grid)
+    _assert_same_pair(reduced, full)
+    cut = tuple(slice(None) if k else slice(0, 1) for k in kvec)
+    assert np.array_equal(reduced.psi, np.broadcast_to(reduced.psi[cut], grid.shape))
+
+
+def test_subtorus_warm_start_from_a_full_grid_guess():
+    grid = Grid(3, 24)
+    metric = _subtorus_metric(3, (1, 1, 0), seed=8)
+    guess = conformal_eigenvalue(0.9 * metric.sample_matrix(grid)
+                                 + 0.1 * np.eye(3)[:, :, None, None, None], grid).psi
+    reduced = conformal_eigenvalue(metric, grid, initial=guess)
+    _assert_same_pair(reduced, conformal_eigenvalue(metric.sample_matrix(grid), grid,
+                                                    initial=guess))
+    # a guess that varies along the invariant axis is projected onto the
+    # invariant fields; the full-grid solve leaves that part to the iteration,
+    # so the two agree to the solver tolerance, not to roundoff
+    wavy = guess * (1.0 + 0.01 * np.cos(grid.points()[2]))
+    reduced = conformal_eigenvalue(metric, grid, initial=wavy)
+    full = conformal_eigenvalue(metric.sample_matrix(grid), grid, initial=wavy)
+    assert abs(reduced.lam - full.lam) <= 1e-14
+    assert np.abs(reduced.psi - full.psi).max() <= eig.EIG_TOL * np.abs(full.psi).max()
+
+
+@pytest.mark.parametrize("n,size,kvec", [(3, 24, (1, 0, 0)), (4, 12, (0, 1, 1, 0))])
+def test_subtorus_variations_match_tt_form_within_suite_gate(n, size, kvec):
+    amat = tt_mode_projection(np.diag(np.arange(1.0, n + 1)), kvec)
+    h = FourierSymTensor.from_mode(n, kvec, amat)
+    est = eigenvalue_variations(FourierMetric.flat(n), h, Grid(n, size))
+    pred = tt_quadratic_form(h)
+    assert abs(est.second - pred) / abs(pred) <= 2e-5  # second_variation_tt's gate
+    assert abs(est.first) <= 1e-6

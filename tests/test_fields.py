@@ -489,3 +489,53 @@ def test_build_path_sums_repeated_keys_and_drops_zeros():
     f = ModeField._build(2, keys, amps)
     _assert_canonical(f)
     assert dict(f.modes) == {(-1, 5): 3.0, (0, 2): 6.0 + 1j}
+
+
+@pytest.mark.parametrize("n,size,active", [
+    (2, 16, (False, True)), (3, 24, (True, False, False)),
+    (3, 15, (False, True, True)), (4, 12, (True, True, False, False)),
+])
+def test_invariant_grid_matches_the_full_grid_on_a_slice(n, size, active):
+    full = Grid(n, size)
+    sub = full.invariant(active)
+    cut = tuple(slice(None) if a else slice(0, 1) for a in active)
+    assert sub.shape == tuple(size if a else 1 for a in active)
+    # fields with k_a = 0 on the inactive axes
+    rng = np.random.default_rng(size)
+    mask = np.array(active, dtype=np.int64)
+    f0 = FourierScalarField.random_real(n, 2, rng, count=4)
+    f = FourierScalarField._build(n, f0.keys * mask, f0.amps)
+    h0 = FourierSymTensor.random_real(n, 1, rng, scale=0.05, count=2)
+    g = FourierMetric._build(n, h0.keys * mask, h0.amps)
+
+    vals, full_vals = f.sample(sub), f.sample(full)
+    assert np.abs(vals - full_vals[cut]).max() <= 1e-13 * np.abs(full_vals).max()
+    gm, full_gm = g.sample_matrix(sub), g.sample_matrix(full)
+    assert np.abs(gm - full_gm[(slice(None),) * 2 + cut]).max() <= 1e-14
+    grad, full_grad = sub.gradient(vals), full.gradient(full_vals)
+    assert (np.abs(grad - full_grad[(slice(None),) + cut]).max()
+            <= 1e-12 * np.abs(full_grad).max())
+    for mine, theirs in zip(sub.half_symbols, full.half_symbols):
+        assert np.array_equal(mine, theirs[(slice(None),) * (mine.ndim - n) + cut])
+    for mine, theirs in zip(sub.points(), full.points()):
+        assert np.array_equal(mine, theirs[cut])
+    assert np.isclose(sub.integrate(vals ** 2), full.integrate(full_vals ** 2), rtol=1e-13)
+    assert np.isclose(sub.integrate(vals ** 2), f.l2_norm_sq(), rtol=1e-12)
+    # a mode along a length-1 axis is not resolved there
+    with pytest.raises(ValueError, match="cannot resolve"):
+        f0.sample(sub)
+
+
+@pytest.mark.parametrize("n,size", [(2, 16), (3, 15), (3, 24), (4, 12)])
+def test_full_grid_keeps_its_shape_volume_and_symbols(n, size):
+    grid = Grid(n, size)
+    assert grid.shape == (size,) * n
+    assert grid.cell_volume == (2 * np.pi / size) ** n
+    assert grid.invariant((True,) * n).cell_volume == grid.cell_volume
+    k1 = np.fft.fftfreq(size) * size
+    if size % 2 == 0:
+        k1[size // 2] = 0.0
+    k = np.meshgrid(*([k1] * (n - 1) + [k1[: size // 2 + 1]]), indexing="ij", sparse=True)
+    ik, k2 = grid.half_symbols
+    assert np.array_equal(ik, np.stack(np.broadcast_arrays(*(1j * ka for ka in k))))
+    assert np.array_equal(k2, sum(ka ** 2 for ka in k))
