@@ -492,7 +492,8 @@ def run_torus(rep: VerificationReport, seed: int, cfg: dict) -> None:
     gp = _seeded_nonflat_metric(3, rng, amplitude=0.03)
     p1 = eig.conformal_eigenvalue(gp, grid3e)
     rep.add("eigen_residual", "weighted operator residual of the eigenpair",
-            p1.residual, _tol(cfg, 1e-8), lam=p1.lam)
+            p1.residual, _tol(cfg, 1e-8), lam=p1.lam, iterations=p1.iterations,
+            matvecs=p1.matvecs)
     rep.add("eigen_positivity", "first eigenfunction is positive",
             0.0, 0.0, passed=p1.min_psi > 0.0,
             min_psi=p1.min_psi)
@@ -507,10 +508,12 @@ def run_torus(rep: VerificationReport, seed: int, cfg: dict) -> None:
     flips = 0
     qualified = 0
     attempts = 0
+    inner_iterations = 0
     while qualified < sub["sign_invariance_pairs"] and attempts < 3 * sub["sign_invariance_pairs"]:
         attempts += 1
         gp = _seeded_nonflat_metric(3, rng, amplitude=0.05)
         base_pair = eig.conformal_eigenvalue(gp, grid_sign)
+        inner_iterations += base_pair.iterations
         if abs(base_pair.lam) < 1e-4:
             continue
         qualified += 1
@@ -518,13 +521,14 @@ def run_torus(rep: VerificationReport, seed: int, cfg: dict) -> None:
         weight = np.exp(v.sample(grid_sign))
         gw = eig.conformal_rescale(gp, weight, grid_sign)
         new_pair = eig.conformal_eigenvalue(gw, grid_sign)
+        inner_iterations += new_pair.iterations
         if np.sign(new_pair.lam) != np.sign(base_pair.lam):
             flips += 1
     rep.add("conformal_sign_invariance",
             "sign(lambda) is unchanged by conformal rescaling",
             flips, 0.0,
             passed=(flips == 0 and qualified == sub["sign_invariance_pairs"]),
-            pairs=qualified, attempts=attempts)
+            pairs=qualified, attempts=attempts, inner_iterations=inner_iterations)
 
     # first variation at the flat metric vanishes (Ricci-flat criticality)
     worst_first = 0.0

@@ -2,8 +2,8 @@
 
 The operator is discretized in divergence form on the collocation grid and
 conjugated by the volume weight, which makes it exactly symmetric; the
-lowest eigenpair comes from Fourier-preconditioned correction equations
-(inverse iteration deflated against the current estimate), and a solve
+lowest eigenpair comes from preconditioned correction equations (inverse
+iteration deflated against the current estimate), and a solve
 whose residual stays above HARD_RESIDUAL raises.  The first and
 second t-derivatives of the eigenvalue along metric lines g + t h are
 estimated from symmetric 5-point stencils with an empirically chosen step;
@@ -20,9 +20,21 @@ P A P, where P zeroes every rfftn half-spectrum bin with an index at N/2, is
 the truncation to trigonometric polynomials of degree < N/2 on each axis
 (Canuto, Hussaini, Quarteroni & Zang, Spectral Methods; Boyd, Chebyshev and
 Fourier Spectral Methods, ch. 11).  The start vector and every matvec are
-projected by P, and the preconditioner symbol band / (sum_a k~_a^2 + 1)
-(k~ from Grid.half_symbols) is 0 off the band, so every iterate stays in
-range(P).
+projected by P.
+
+The preconditioner is P D M0 D P, after Concus & Golub ("Use of fast direct
+methods for the efficient numerical solution of nonseparable elliptic
+equations", SIAM J. Numer. Anal. 10, 1973): a constant-coefficient inverse
+scaled pointwise to the variable coefficient.  The symmetrized operator
+S A S^-1 has principal symbol g^ij k_i k_j, which is (tr g^-1 / n) |k|^2 up
+to the anisotropy of g; M0 = F^-1 [band / max(sum_a k~_a^2, 1)] F (k~ from
+Grid.half_symbols, F the rfftn) inverts |k|^2 on the band, and the
+multiplication D = (n / tr g^-1)^(1/2) undoes the pointwise scale.  On a
+conformally rescaled metric e^(4v) g that scale is e^(-4v), which the flat
+symbol alone would leave to the iteration.  With B = D P the preconditioner
+is B^T M0 B: symmetric, and positive on range(P), because a band vector
+u != 0 has u . D u > 0, so D u has a band component, where M0 is positive.
+The final P keeps every iterate in range(P).
 
 A FourierMetric whose modes all have k_a = 0 on some axes is constant along
 them, and so are its geometry, the operator's coefficients and its ground
@@ -69,7 +81,8 @@ class ConformalEigenpair:
     lam: float
     psi: np.ndarray
     residual: float
-    iterations: int
+    iterations: int  # inner (correction-equation CG) iterations
+    matvecs: int  # operator applications, inner and outer
     min_psi: float
     normalization: float
 
@@ -84,13 +97,11 @@ class _ConformalOperator:
         self.sqrt_w = np.sqrt(self.w)
         self.pot = c_n * geo.scalar()
         self.wginv = geo.ginv * self.w  # (n, n) + shape
-        self._ik, k2 = self.grid.half_symbols
-        # 1 on the half-spectrum bins with no index at an even grid's N/2
-        self._band = np.ones(k2.shape)
-        for ax, m in enumerate(self.grid.shape):
-            if m % 2 == 0:
-                self._band[(slice(None),) * ax + (m // 2,)] = 0.0
-        self._precond_symbol = self._band / (k2 + 1.0)
+        self._ik = self.grid.half_symbols[0]
+        self._band, self._flat_inverse = self.grid.band_symbols
+        # D = (n / tr g^-1)^(1/2): the pointwise scale of the principal symbol
+        self._scale = np.sqrt(self.n / np.einsum("ii...->...", geo.ginv))
+        self.matvecs = 0
 
     def apply_raw(self, psi: np.ndarray) -> np.ndarray:
         """(-Lap_g + c_n S) psi in divergence form."""
@@ -109,11 +120,15 @@ class _ConformalOperator:
     def apply_sym(self, phi: np.ndarray) -> np.ndarray:
         """P S A S^-1 on phi = S psi, S = sqrt(w): Euclidean-symmetric on
         range(P), which it maps into itself."""
+        self.matvecs += 1
         psi = phi / self.sqrt_w
         return self.project(self.sqrt_w * self.apply_raw(psi))
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        return irfftn(self._precond_symbol * rfftn(r), self.grid.shape)
+        """P D M0 D P r, M0 the flat inverse Laplacian on the band (see the
+        module docstring); r is taken to lie on the band already."""
+        flat = irfftn(self._flat_inverse * rfftn(self._scale * r), self.grid.shape)
+        return self.project(self._scale * flat)
 
 
 def _jd_refine(op: "_ConformalOperator", phi: np.ndarray, tol: float,
@@ -168,27 +183,28 @@ def _jd_refine(op: "_ConformalOperator", phi: np.ndarray, tol: float,
 
 
 def _pcg(apply_a, precond, b, tol, maxiter):
-    """Preconditioned CG for SPD apply_a; returns solution and iterations."""
+    """Preconditioned CG for SPD apply_a; returns the solution and the
+    number of apply_a calls (at most maxiter)."""
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
     p = z.copy()
     rz = float(np.sum(r * z))
     b_norm = float(np.linalg.norm(b))
-    it = 0
-    while it < maxiter:
+    its = 0
+    while its < maxiter:
         ap = apply_a(p)
+        its += 1
         alpha = rz / float(np.sum(p * ap))
         x += alpha * p
         r -= alpha * ap
-        if float(np.linalg.norm(r)) <= tol * b_norm:
+        if its == maxiter or float(np.linalg.norm(r)) <= tol * b_norm:
             break
         z = precond(r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-        it += 1
-    return x, it + 1
+    return x, its
 
 
 def conformal_eigenvalue(
@@ -243,6 +259,7 @@ def _ground_pair(metric, grid: Grid, tol: float, initial) -> ConformalEigenpair:
         psi=psi,
         residual=residual,
         iterations=total_cg,
+        matvecs=op.matvecs,
         min_psi=float(psi.min()),
         normalization=float(grid.integrate(psi * geo.sqrt_det)),
     )

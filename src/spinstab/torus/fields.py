@@ -134,6 +134,22 @@ class Grid:
         ik = np.stack(np.broadcast_arrays(*(1j * ka for ka in k)))
         return ik, sum(ka ** 2 for ka in k)
 
+    @cached_property
+    def band_symbols(self):
+        """The Galerkin band on the rfftn half box and its flat inverse
+        Laplacian: (band, band / max(sum_a k~_a^2, 1)).
+
+        band is 1 on the bins with no index at an even grid's N/2 and 0 on
+        the others (see torus.eigen); the shift max(., 1) keeps the constant
+        mode invertible without damping the |k| = 1 shell.
+        """
+        k2 = self.half_symbols[1]
+        band = np.ones(k2.shape)
+        for ax, m in enumerate(self.shape):
+            if m % 2 == 0:
+                band[(slice(None),) * ax + (m // 2,)] = 0.0
+        return band, band / np.maximum(k2, 1.0)
+
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature over the torus (exact for resolved trigonometric data)."""
         return float(np.sum(values) * self.cell_volume)
