@@ -14,13 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import warped as wmod
-from .spectrum import rayleigh_rows
-from .suites import SUITES, run_suite
-from .torus.fields import MAX_CUTOFF, FourierMetric, FourierSymTensor, Grid
-
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+
+try:
+    from . import warped as wmod
+    from .spectrum import rayleigh_rows
+    from .suites import SUITES, run_suite
+    from .torus.fields import MAX_CUTOFF, FourierMetric, FourierSymTensor, Grid
+except ValueError as exc:  # torus.fields rejects a bad SPINSTAB_THREADS on import
+    print(f"error: {exc}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR) from None
 
 
 def _fmt(x) -> str:

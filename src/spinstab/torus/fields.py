@@ -9,22 +9,51 @@ zero are not stored.  Real fields keep the conjugate symmetry
 coeff(-k) == conj(coeff(k)).  Linear operations act on the whole stack;
 nonlinear pipelines render fields onto a uniform grid where pointwise
 products are exact up to aliasing of the unresolved tail.
+
+Real transforms.  `rfftn`/`irfftn` call the pocketfft binding that
+scipy.fft itself runs on (`scipy.fft._pocketfft.pypocketfft`, the same
+library and plan cache) directly, so a call pays for the transform and not
+for scipy.fft's dispatch layer (argument checks, backend lookup, axis and
+shape normalization), which costs more than the transform itself on the
+small grids of the sub-torus solves.  The
+module is private to scipy; tests/test_fields.py pins both functions to the
+public scipy.fft.rfftn/irfftn bit for bit, batched and on strided input.
+`fftn`/`ifftn` still go through scipy.fft, because perfbench's tracer
+counts transforms at that level (`fields.fft_calls`); they serve only
+Grid.deriv and FourierMetric.conformal_flat, which move to the real
+transforms together with that counter (ROADMAP item 9).
+
+One sampler.  ModeField.half_spectrum scatters the mode stack straight into
+the rfftn half box of a grid (the k_last >= 0 half, both +-k kept on the
+k_last = 0 plane), scaled as rfftn scales the samples, so a field's values
+are the irfftn of it and its derivatives the irfftn of i k~ times it
+(Boyd, Chebyshev and Fourier Spectral Methods, ch. 9-11): no complex
+transform and no forward transform.  The spectrum of a real field is
+Hermitian, so the dropped k_last < 0 half carries nothing new.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
 import scipy.fft as _sfft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 REALITY_TOL = 1e-13
 
-# thread count for the transforms; the only environment knob in the package
-FFT_WORKERS = max(1, int(os.environ.get("SPINSTAB_THREADS", "1")))
+
+def _thread_count(raw: str) -> int:
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise ValueError(f"SPINSTAB_THREADS must be a positive integer, not {raw!r}")
+    return int(raw)
+
+
+# thread count of the transforms, SPINSTAB_THREADS (default 1): the only
+# environment knob in the package, read once, here
+FFT_WORKERS = _thread_count(os.environ.get("SPINSTAB_THREADS", "1"))
 
 
 def fftn(a, axes=None):
@@ -36,12 +65,17 @@ def ifftn(a, axes=None):
 
 
 def rfftn(a, axes=None):
-    return _sfft.rfftn(a, axes=axes, workers=FFT_WORKERS)
+    """scipy.fft.rfftn(a, axes=axes) of a float64 array, without the dispatch
+    (the binding itself takes negative axes, and None for all of them)."""
+    return _pocketfft.r2c(a, axes, True, 0, None, FFT_WORKERS)
 
 
 def irfftn(a, s, axes=None):
-    """Inverse of rfftn; `s` is the real output shape over `axes`."""
-    return _sfft.irfftn(a, s=s, axes=axes, workers=FFT_WORKERS)
+    """scipy.fft.irfftn(a, s=s, axes=axes) of a complex128 array that is the
+    rfftn half box of the real shape `s` over `axes` (the last len(s) axes
+    when None), without the dispatch."""
+    return _pocketfft.c2r(a, range(-len(s), 0) if axes is None else axes, s[-1],
+                          False, 2, None, FFT_WORKERS)
 
 
 # default collocation grid sizes per dimension (2x-padded relative to the
@@ -73,6 +107,8 @@ class Grid:
 
     def _set_shape(self, shape: tuple):
         self.shape = shape
+        self.half_shape = shape[:-1] + (shape[-1] // 2 + 1,)  # the rfftn half box
+        self._invariant = {}  # active pattern -> sub-grid
         self.wavenumbers = [  # integer wavenumbers
             (np.fft.fftfreq(m) * m).reshape((1,) * ax + (m,) + (1,) * (self.n - ax - 1))
             for ax, m in enumerate(shape)
@@ -83,10 +119,14 @@ class Grid:
 
     def invariant(self, active) -> "Grid":
         """The grid of the fields that are constant along every axis a with
-        active[a] False: length 1 on those axes, `size` on the others."""
-        sub = Grid.__new__(Grid)
-        sub.n, sub.size = self.n, self.size
-        sub._set_shape(tuple(self.size if a else 1 for a in active))
+        active[a] False: length 1 on those axes, `size` on the others.  One
+        object per pattern, so its symbols are computed once."""
+        key = tuple(bool(a) for a in active)
+        sub = self._invariant.get(key)
+        if sub is None:
+            sub = self._invariant[key] = Grid.__new__(Grid)
+            sub.n, sub.size = self.n, self.size
+            sub._set_shape(tuple(self.size if a else 1 for a in key))
         return sub
 
     def points(self):
@@ -240,6 +280,22 @@ class ModeField:
     def deriv(self, axis: int) -> "ModeField":
         return self._scaled(1j * self.keys[:, axis])
 
+    def half_spectrum(self, grid: Grid) -> np.ndarray:
+        """rfftn of the field's samples on grid, straight from the mode stack:
+        amps.shape[1:] + grid.half_shape, the amplitudes times the point
+        count.  Modes with k_last < 0 are left out (a real field's are the
+        conjugates of the k_last > 0 ones); both +-k stay on the k_last = 0
+        plane."""
+        keys = self.keys
+        if (2 * np.abs(keys) >= grid.shape).any():
+            raise ValueError(f"grid of shape {grid.shape} cannot resolve cutoff "
+                             f"{int(np.abs(keys).max())}")
+        half = keys[:, -1] >= 0
+        out = np.zeros(self.amps.shape[1:] + grid.half_shape, dtype=complex)
+        out[(...,) + tuple((keys[half] % grid.shape).T)] = (
+            np.moveaxis(self.amps[half], 0, -1) * float(np.prod(grid.shape)))
+        return out
+
     def max_amp(self) -> float:
         # hypot, not np.abs: np.abs of a complex can differ from abs() in the last bit
         return float(np.hypot(self.amps.real, self.amps.imag).max(initial=0.0))
@@ -294,12 +350,7 @@ class FourierScalarField(ModeField):
 
     # -- evaluation --------------------------------------------------------
     def sample(self, grid: Grid) -> np.ndarray:
-        if (2 * np.abs(self.keys) >= grid.shape).any():
-            raise ValueError(
-                f"grid of shape {grid.shape} cannot resolve cutoff {self.cutoff}")
-        spec = np.zeros(grid.shape, dtype=complex)
-        spec[tuple((self.keys % grid.shape).T)] += self.amps
-        return (ifftn(spec) * math.prod(grid.shape)).real
+        return irfftn(self.half_spectrum(grid), grid.shape)
 
     def to_json_obj(self):
         return {
@@ -398,15 +449,22 @@ class _ComponentField(ModeField):
                 for i in range(self.n) for j in range(i, self.n) if nonzero[i, j]}
 
     def sample_matrix(self, grid: Grid) -> np.ndarray:
-        """Values as an array of shape (n, n) + grid.shape; zero entries are
-        not sampled, and equal entries are sampled once."""
+        """Values as an array of shape (n, n) + grid.shape, in one inverse
+        transform; zero entries are not transformed, and equal entries are
+        transformed once."""
         out = np.zeros((self.n, self.n) + grid.shape)
-        samples = {}
-        for (i, j), f in self.components.items():
-            key = (f.keys.tobytes(), f.amps.tobytes())
-            if key not in samples:
-                samples[key] = f.sample(grid)
-            out[i, j] = out[j, i] = samples[key]
+        entries = {}  # amplitude column -> the upper-triangle entries holding it
+        for i, j in zip(*np.triu_indices(self.n)):
+            column = self.amps[:, i, j]
+            if column.any():
+                entries.setdefault(column.tobytes(), []).append((i, j))
+        if entries:
+            first = tuple(np.array([e[0] for e in entries.values()]).T)
+            values = irfftn(self.half_spectrum(grid)[first], grid.shape,
+                            axes=range(-self.n, 0))
+            for v, pairs in zip(values, entries.values()):
+                for i, j in pairs:
+                    out[i, j] = out[j, i] = v
         return out
 
 

@@ -1,10 +1,21 @@
 """Nonlinear Levi-Civita pipeline for perturbed torus metrics.
 
 All derivatives are exact real spectral derivatives of the grid samples,
-with the wavenumber 0 at an even grid's Nyquist bin (Grid.gradient);
+with the wavenumber 0 at an even grid's Nyquist bin (Grid.half_symbols);
 products are pointwise, grid axes last, e.g. (n, n) + grid.shape.
 Pointwise elimination gives the inverse metric and the determinant, and its
 pivots check positivity; the metric's derivatives are not stored.
+
+A FourierMetric's values g and first derivatives dg come from its half
+spectrum (ModeField.half_spectrum): row i of the upper triangle, g_ij and
+d_a g_ij for its nonzero entries j >= i, is one inverse transform, with no
+forward transform and no complex one.  Grid values take one forward
+transform per row instead.  The transforms are batched by row, not by
+pair and not over the whole triangle: a call's cost on the small sub-torus
+grids is mostly its fixed overhead, and a row keeps the transient stacks
+as small as the arrays being filled.  ricci() makes one forward transform
+per row j of Gamma[:, j, j:], one for the contraction C and one inverse per
+row; dgamma one gradient per row Gamma[k, i, i:].
 
 Curvature conventions are fixed so that the round 2-sphere pattern has
 R_1212 = +1 and ricci_jl = sum_i R_ijil (matching the pointwise algebra in
@@ -49,6 +60,39 @@ def _spd_inverse(g: np.ndarray):
     return inv, det
 
 
+def _values_and_gradient(metric, grid: Grid):
+    """g, (n, n) + shape, and dg[a, i, j] = partial_a g_ij (g is symmetric).
+
+    Grid values: one gradient per row g[i, i:].  A FourierMetric: from its
+    half spectrum, one inverse transform per row of the upper triangle that
+    has a nonzero entry.
+    """
+    if isinstance(metric, np.ndarray):
+        n = metric.shape[0]
+        dg = np.empty((n, n, n) + grid.shape)
+        for i in range(n):
+            dg[:, i, i:] = dg[:, i:, i] = grid.gradient(metric[i, i:])
+        return metric, dg
+    n, axes = metric.n, range(-metric.n, 0)
+    ik, _ = grid.half_symbols
+    spec = metric.half_spectrum(grid)
+    nonzero = metric.amps.any(axis=0)
+    g = np.zeros((n, n) + grid.shape)
+    dg = np.zeros((n, n, n) + grid.shape)
+    for i in range(n):
+        cols = [j for j in range(i, n) if nonzero[i, j]]
+        if not cols:
+            continue
+        row = np.empty((1 + n, len(cols)) + grid.half_shape, dtype=complex)
+        row[0] = spec[i, cols]
+        np.multiply(ik[:, None], row[0], out=row[1:])
+        values = irfftn(row, grid.shape, axes=axes)
+        g[i, cols] = g[cols, i] = values[0]
+        dg[:, i, cols] = dg[:, cols, i] = values[1:]
+    g[range(n), range(n)] += 1.0
+    return g, dg
+
+
 class MetricGeometry:
     """Grid-sampled metric with cached inverse and Christoffel symbols.
 
@@ -58,20 +102,10 @@ class MetricGeometry:
 
     def __init__(self, metric, grid: Grid):
         self.grid = grid
-        if isinstance(metric, np.ndarray):
-            g = metric
-            self.n = n = g.shape[0]
-        else:
-            self.n = n = metric.n
-            g = metric.sample_matrix(grid)  # (n, n) + shape
-        self.g = g
-        self.ginv, det = _spd_inverse(g)
+        self.g, dg = _values_and_gradient(metric, grid)
+        self.n = self.g.shape[0]
+        self.ginv, det = _spd_inverse(self.g)
         self.sqrt_det = np.sqrt(det)
-        # dg[a, i, j] = partial_a g_ij; g is symmetric
-        dg = np.empty((n, n, n) + grid.shape)
-        for i in range(n):
-            for j in range(i, n):
-                dg[:, i, j] = dg[:, j, i] = grid.gradient(g[i, j])
         # Christoffel: G^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij);
         # the bracket indexed (i, j, l) is dg + dg.T(1,0,2) - dg.T(1,2,0)
         rest = tuple(range(3, dg.ndim))
@@ -89,9 +123,7 @@ class MetricGeometry:
             out = np.empty((n, n, n, n) + grid.shape)
             for k in range(n):
                 for i in range(n):
-                    for j in range(i, n):
-                        d = grid.gradient(self.gamma[k, i, j])
-                        out[:, k, i, j] = out[:, k, j, i] = d
+                    out[:, k, i, i:] = out[:, k, i:, i] = grid.gradient(self.gamma[k, i, i:])
             self._dgamma = out
         return self._dgamma
 
@@ -113,7 +145,7 @@ class MetricGeometry:
         far fewer transforms than the full rank-4 tensor: the textbook
         Ric_jk = d_i G^i_jk - d_j C_k + G^i_im G^m_jk - G^i_jm G^m_ik, C_k =
         G^i_ik, symmetrized (it equals g^{ik} R_ijkl here).  The derivative
-        terms are summed in the half spectrum, one inverse per (j, k).
+        terms are summed in the half spectrum, one inverse per row j.
         """
         n, grid, gamma = self.n, self.grid, self.gamma
         axes = range(-n, 0)
@@ -122,10 +154,10 @@ class MetricGeometry:
         c_hat = rfftn(c, axes=axes)
         out = np.empty((n, n) + grid.shape)
         for j in range(n):
-            for k in range(j, n):
-                spec = (ik * rfftn(gamma[:, j, k], axes=axes)).sum(axis=0)
-                spec -= 0.5 * (ik[j] * c_hat[k] + ik[k] * c_hat[j])
-                out[j, k] = out[k, j] = irfftn(spec, grid.shape, axes=axes)
+            # spec[k - j] for k >= j
+            spec = (ik[:, None] * rfftn(gamma[:, j, j:], axes=axes)).sum(axis=0)
+            spec -= 0.5 * (ik[j] * c_hat[j:] + ik[j:] * c_hat[j])
+            out[j, j:] = out[j:, j] = irfftn(spec, grid.shape, axes=axes)
         quad = np.einsum("m...,mjk...->jk...", c, gamma)
         quad -= np.einsum("ijm...,mik...->jk...", gamma, gamma)
         out += 0.5 * (quad + np.swapaxes(quad, 0, 1))

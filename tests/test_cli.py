@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +328,28 @@ def test_spectrum_perturbed_metric(tmp_path):
     ground = lines[-1].split(",")
     assert ground[0] == "conformal_ground"
     assert float(ground[4]) <= 1e-8
+
+
+def _cli_with_threads(value):
+    """`python -m spinstab.cli verify clifford` in a fresh process, with
+    SPINSTAB_THREADS set to value (it is read when torus.fields loads)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, SPINSTAB_THREADS=value,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "spinstab.cli", "verify", "clifford"],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_is_a_usage_error(value):
+    out = _cli_with_threads(value)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [
+        f"error: SPINSTAB_THREADS must be a positive integer, not {value!r}"]
+    assert out.stdout == ""
+
+
+def test_valid_thread_count_runs():
+    out = _cli_with_threads("2")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1].startswith("verify clifford: PASS")

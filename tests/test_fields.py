@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from spinstab.torus import fields as fields_module
 from spinstab.torus.fields import (
     FourierMetric,
     FourierScalarField,
@@ -10,6 +12,8 @@ from spinstab.torus.fields import (
     Grid,
     ModeField,
     ifftn,
+    irfftn,
+    rfftn,
 )
 from spinstab.torus.geometry import MetricGeometry, metric_curvature
 from spinstab.torus.operators import cover_pullback, tt_project, tt_split
@@ -337,8 +341,9 @@ def test_public_constructor_still_canonicalizes():
 
 
 def _per_component_samples(field, grid):
-    """The per-component sampling formula: each nonzero upper-triangle entry's
-    amplitudes placed on the fftn box, one inverse transform per entry."""
+    """The per-component complex sampling formula: each nonzero upper-triangle
+    entry's amplitudes placed on the full fftn box, one complex inverse
+    transform per entry, its real part kept."""
     n = field.n
     out = np.zeros((n, n) + grid.shape)
     for i in range(n):
@@ -370,8 +375,9 @@ def test_sample_matrix_matches_per_component_formula(n, size):
         FourierMetric.from_perturbation(FourierSymTensor.from_mode(n, k, 0.1 * amat, phase=0.4)),
     ]
     for field in fields:
-        out = field.sample_matrix(grid)
-        assert out.tobytes() == _per_component_samples(field, grid).tobytes()
+        out, ref = field.sample_matrix(grid), _per_component_samples(field, grid)
+        assert np.array_equal(out == 0, ref == 0)
+        assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_zero_entries_are_exact_zeros_and_not_sampled(monkeypatch):
@@ -380,10 +386,14 @@ def test_zero_entries_are_exact_zeros_and_not_sampled(monkeypatch):
     conf = FourierMetric.conformal_flat(u, grid)
     mode = FourierSymTensor.from_mode(3, (1, 0, 1), np.diag([1.0, 0.0, -1.0]))
     calls = []
-    sample = FourierScalarField.sample
-    monkeypatch.setattr(FourierScalarField, "sample",
-                        lambda self, grid: calls.append(self) or sample(self, grid))
-    # the conformal metric's three equal diagonal entries are sampled once
+    irfftn = fields_module.irfftn
+
+    def counted(a, s, axes=None):
+        calls.extend(np.ndindex(a.shape[:a.ndim - len(s)]))  # one per transformed entry
+        return irfftn(a, s, axes)
+
+    monkeypatch.setattr(fields_module, "irfftn", counted)
+    # the conformal metric's three equal diagonal entries are transformed once
     for field, sampled in ((conf, 1), (mode, 2), (FourierMetric.flat(3), 0)):
         calls.clear()
         out = field.sample_matrix(grid)
@@ -539,3 +549,107 @@ def test_full_grid_keeps_its_shape_volume_and_symbols(n, size):
     ik, k2 = grid.half_symbols
     assert np.array_equal(ik, np.stack(np.broadcast_arrays(*(1j * ka for ka in k))))
     assert np.array_equal(k2, sum(ka ** 2 for ka in k))
+
+
+# -- real transforms, the one sampler, sub-grids ------------------------------
+
+TRANSFORM_SHAPES = [(16, 16), (15,) * 3, (24,) * 3, (12,) * 4, (24, 1, 1), (24, 24, 1),
+                    (12, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES)
+def test_real_transforms_equal_scipy_fft(shape):
+    """rfftn/irfftn call scipy's pocketfft binding directly; they must equal
+    the public scipy.fft functions bit for bit, batched and strided."""
+    rng = np.random.default_rng(len(shape) + shape[0])
+    n = len(shape)
+    axes = range(-n, 0)
+    base = rng.standard_normal((2, 3) + shape)
+    inputs = {
+        "single": base[0, 0],
+        "batched": base,
+        "strided": base[:, ::2],  # non-contiguous leading axis
+        "reversed": base[0, :, ::-1],  # negative stride on a grid axis
+    }
+    for name, a in inputs.items():
+        assert a.flags.c_contiguous == (name in ("single", "batched"))
+        spec = rfftn(a, axes=axes)
+        assert np.array_equal(spec, scipy.fft.rfftn(a, axes=axes)), name
+        back = irfftn(spec, shape, axes=axes)
+        assert np.array_equal(back, scipy.fft.irfftn(spec, s=shape, axes=axes)), name
+        flipped = spec[::-1]  # a negative stride on the spectrum's first axis
+        assert np.array_equal(irfftn(flipped, shape, axes=axes),
+                              scipy.fft.irfftn(flipped, s=shape, axes=axes)), name
+    # no axes: all of them forward, the last len(s) inverse
+    a = base[1, 2]
+    spec = rfftn(a)
+    assert np.array_equal(spec, scipy.fft.rfftn(a))
+    assert np.array_equal(irfftn(spec, shape), scipy.fft.irfftn(spec, s=shape))
+
+
+def _complex_sample(f, grid):
+    """The complex sampler: amplitudes on the full fftn box, the real part of
+    the complex inverse transform."""
+    spec = np.zeros(grid.shape, dtype=complex)
+    spec[tuple((f.keys % grid.shape).T)] += f.amps
+    return (ifftn(spec) * np.prod(grid.shape)).real
+
+
+def _sampler_cases():
+    rng = np.random.default_rng(7)
+    out = []
+    for n, size, active in [(2, 16, None), (3, 15, None), (3, 24, None), (4, 12, None),
+                            (3, 24, (True, True, False)), (3, 24, (True, False, False)),
+                            (4, 12, (True, False, False, False)), (3, 15, (False, True, True))]:
+        mask = np.ones(n, dtype=np.int64) if active is None else np.array(active, np.int64)
+        grid = Grid(n, size) if active is None else Grid(n, size).invariant(active)
+        on = np.flatnonzero(mask)
+        fields = [
+            FourierScalarField.constant(n, 0.7),  # k = 0 only
+            # a conjugate pair on the k_last = 0 plane when on[0] < n - 1
+            FourierScalarField.cosine(n, np.eye(n, dtype=int)[on[0]], 1.3, phase=0.4),
+            FourierScalarField.cosine(n, np.eye(n, dtype=int)[on[-1]], 0.9, phase=-1.1),
+        ]
+        f = FourierScalarField.random_real(n, 2, rng, count=6)
+        fields.append(FourierScalarField._build(n, f.keys * mask, f.amps)
+                      + FourierScalarField.constant(n, -0.2))
+        out += [(grid, field) for field in fields]
+    return out
+
+
+def test_half_spectrum_sampler_matches_the_complex_sampler():
+    planes = 0
+    for grid, f in _sampler_cases():
+        ref = _complex_sample(f, grid)
+        vals = f.sample(grid)
+        assert vals.shape == grid.shape
+        assert np.abs(vals - ref).max() <= 1e-15 * np.abs(ref).max(), (grid.shape, f.keys)
+        planes += bool(((f.keys[:, -1] == 0) & f.keys.any(axis=1)).any())
+        # the half spectrum is the rfftn of the samples
+        spec = f.half_spectrum(grid)
+        assert spec.shape == grid.half_shape
+        assert np.abs(spec - rfftn(ref)).max() <= 1e-12 * np.abs(spec).max()
+    assert planes >= 8  # conjugate pairs with k_last = 0 are covered
+
+
+def test_half_spectrum_of_a_tensor_stacks_its_entries():
+    grid = Grid(3, 15)
+    h = FourierSymTensor.random_real(3, 2, np.random.default_rng(3), scale=0.1, count=3)
+    spec = h.half_spectrum(grid)
+    assert spec.shape == (3, 3) + grid.half_shape
+    for (i, j), f in h.components.items():
+        assert np.array_equal(spec[i, j], f.half_spectrum(grid))
+        assert np.array_equal(spec[j, i], spec[i, j])
+    with pytest.raises(ValueError, match="cannot resolve"):
+        FourierScalarField.cosine(3, (0, 0, 8)).half_spectrum(grid)
+
+
+def test_invariant_grid_is_built_once_per_pattern():
+    grid = Grid(3, 24)
+    sub = grid.invariant((True, True, False))
+    assert grid.invariant(np.array([True, True, False])) is sub
+    assert grid.invariant((1, 1, 0)) is sub
+    assert sub.half_symbols is grid.invariant((True, True, False)).half_symbols
+    other = grid.invariant((True, False, False))
+    assert other is not sub and other.shape == (24, 1, 1)
+    assert Grid(3, 24).invariant((True, True, False)) is not sub  # per parent grid

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from spinstab.torus import geometry as geometry_module
 from spinstab.torus.fields import (
     FourierMetric,
     FourierScalarField,
     FourierSymTensor,
     Grid,
+    irfftn,
+    rfftn,
 )
 from spinstab.torus.geometry import (
     MetricGeometry,
+    _values_and_gradient,
     fd_variation,
     linearized_formulas,
     metric_curvature,
@@ -253,3 +257,104 @@ def test_geometry_matches_lapack_complex_fft_build(n, size):
         assert new.shape == old.shape, name
         err = np.abs(new - old).max() / np.abs(old).max()
         assert err < 1e-12, (name, err)
+
+
+# -- row-batched transforms ----------------------------------------------------
+
+def _pair_loop_dg(g, grid):
+    """dg[a, i, j] = partial_a g_ij, one gradient per pair i <= j."""
+    n = g.shape[0]
+    dg = np.empty((n, n, n) + grid.shape)
+    for i in range(n):
+        for j in range(i, n):
+            dg[:, i, j] = dg[:, j, i] = grid.gradient(g[i, j])
+    return dg
+
+
+def _pair_loop_ricci(geo):
+    """ricci() with one forward and one inverse transform per pair j <= k."""
+    n, grid, gamma = geo.n, geo.grid, geo.gamma
+    axes = range(-n, 0)
+    ik, _ = grid.half_symbols
+    c = np.einsum("iik...->k...", gamma)
+    c_hat = rfftn(c, axes=axes)
+    out = np.empty((n, n) + grid.shape)
+    for j in range(n):
+        for k in range(j, n):
+            spec = (ik * rfftn(gamma[:, j, k], axes=axes)).sum(axis=0)
+            spec -= 0.5 * (ik[j] * c_hat[k] + ik[k] * c_hat[j])
+            out[j, k] = out[k, j] = irfftn(spec, grid.shape, axes=axes)
+    quad = np.einsum("m...,mjk...->jk...", c, gamma)
+    quad -= np.einsum("ijm...,mik...->jk...", gamma, gamma)
+    out += 0.5 * (quad + np.swapaxes(quad, 0, 1))
+    return out
+
+
+def _pair_loop_dgamma(geo):
+    n, grid = geo.n, geo.grid
+    out = np.empty((n, n, n, n) + grid.shape)
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                out[:, k, i, j] = out[:, k, j, i] = grid.gradient(geo.gamma[k, i, j])
+    return out
+
+
+ROW_CASES = [(2, 16, None), (3, 15, None), (3, 24, None), (4, 12, None),
+             (3, 24, (True, True, False)), (4, 12, (True, False, False, False))]
+
+
+def _row_case(n, size, active, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(n, size) if active is None else Grid(n, size).invariant(active)
+    mask = np.ones(n, dtype=np.int64) if active is None else np.array(active, np.int64)
+    h = FourierSymTensor.random_real(n, 2, rng, scale=0.02, count=3)
+    metric = FourierMetric._build(n, h.keys * mask, h.amps)
+    return grid, metric
+
+
+@pytest.mark.parametrize("n, size, active", ROW_CASES)
+def test_row_batched_transforms_equal_the_pair_loops(n, size, active):
+    grid, metric = _row_case(n, size, active, 300 + n + size)
+    g = metric.sample_matrix(grid)
+    values, dg = _values_and_gradient(g, grid)
+    assert values is g
+    assert np.array_equal(dg, _pair_loop_dg(g, grid))
+    geo = MetricGeometry(g, grid)
+    assert np.array_equal(geo.ricci(), _pair_loop_ricci(geo))
+    assert np.array_equal(geo.dgamma, _pair_loop_dgamma(geo))
+
+
+@pytest.mark.parametrize("n, size, active", ROW_CASES)
+def test_fourier_build_matches_the_build_from_grid_values(n, size, active):
+    grid, metric = _row_case(n, size, active, 400 + n + size)
+    geo, ref = MetricGeometry(metric, grid), MetricGeometry(metric.sample_matrix(grid), grid)
+    # its derivatives come from the spectrum, a grid-value build's from the samples
+    g, dg = _values_and_gradient(metric, grid)
+    assert np.abs(dg - _pair_loop_dg(ref.g, grid)).max() <= 1e-13 * np.abs(dg).max()
+    assert np.abs(g - ref.g).max() <= 1e-15
+    for name in ("ginv", "sqrt_det", "gamma"):
+        new, old = getattr(geo, name), getattr(ref, name)
+        assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max(), name
+    ric, ref_ric = geo.ricci(), ref.ricci()
+    assert np.abs(ric - ref_ric).max() <= 1e-13 * np.abs(ref_ric).max()
+
+
+def test_fourier_build_makes_one_inverse_transform_per_row(monkeypatch):
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(geometry_module, name)
+        monkeypatch.setattr(geometry_module, name,
+                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    grid = Grid(3, 12)
+    full = FourierMetric.from_perturbation(
+        FourierSymTensor.random_real(3, 1, np.random.default_rng(5), scale=0.05, count=2))
+    u = FourierScalarField.random_real(3, 1, np.random.default_rng(6), scale=0.1, count=2)
+    conformal = FourierMetric.conformal_flat(u, grid)  # the diagonal only
+    for metric, rows in ((full, 3), (conformal, 3), (FourierMetric.flat(3), 0)):
+        calls.clear()
+        geo = MetricGeometry(metric, grid)
+        assert calls == ["irfftn"] * rows
+    # the zero entries of the conformal metric were not transformed, yet are 0
+    off = ~np.eye(3, dtype=bool)
+    assert not MetricGeometry(conformal, grid).g[off].any()
