@@ -22,8 +22,8 @@ from .torus import cy as cymod
 from .torus import eigen as eig
 from .torus import geometry as geom
 from .torus import operators as ops
-from .torus.fields import (FourierMetric, FourierScalarField, FourierSymTensor,
-                           Grid)
+from .torus.fields import (MAX_CUTOFF, FourierMetric, FourierScalarField,
+                           FourierSymTensor, Grid)
 
 SUITES = ("clifford", "curvalg", "torus", "g2", "warped")
 
@@ -61,8 +61,16 @@ def default_config() -> dict:
 
 
 def merge_config(overrides: dict | None) -> dict:
-    """The defaults with `overrides` merged in at every depth; unknown keys raise."""
-    return _merge_into(default_config(), overrides or {}, "")
+    """The defaults with `overrides` merged in at every depth.  An unknown key
+    raises KeyError; a torus cutoff that is not an int in [1, max(MAX_CUTOFF)]
+    raises ValueError."""
+    cfg = _merge_into(default_config(), overrides or {}, "")
+    limit = max(MAX_CUTOFF.values())
+    for key in ("cutoff", "cy_cutoff"):
+        val = cfg["torus"][key]
+        if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val <= limit:
+            raise ValueError(f"torus.{key} must be an integer in [1, {limit}], not {val!r}")
+    return cfg
 
 
 def _merge_into(cfg: dict, overrides: dict, prefix: str) -> dict:

@@ -34,7 +34,6 @@ Hermitian, so the dropped k_last < 0 half carries nothing new.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -45,29 +44,18 @@ from scipy.fft._pocketfft import pypocketfft as _pocketfft
 REALITY_TOL = 1e-13
 
 
-def _thread_count(raw: str) -> int:
-    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
-        raise ValueError(f"SPINSTAB_THREADS must be a positive integer, not {raw!r}")
-    return int(raw)
-
-
-# thread count of the transforms, SPINSTAB_THREADS (default 1): the only
-# environment knob in the package, read once, here
-FFT_WORKERS = _thread_count(os.environ.get("SPINSTAB_THREADS", "1"))
-
-
 def fftn(a, axes=None):
-    return _sfft.fftn(a, axes=axes, workers=FFT_WORKERS)
+    return _sfft.fftn(a, axes=axes)
 
 
 def ifftn(a, axes=None):
-    return _sfft.ifftn(a, axes=axes, workers=FFT_WORKERS)
+    return _sfft.ifftn(a, axes=axes)
 
 
 def rfftn(a, axes=None):
     """scipy.fft.rfftn(a, axes=axes) of a float64 array, without the dispatch
     (the binding itself takes negative axes, and None for all of them)."""
-    return _pocketfft.r2c(a, axes, True, 0, None, FFT_WORKERS)
+    return _pocketfft.r2c(a, axes, True, 0, None, 1)
 
 
 def irfftn(a, s, axes=None):
@@ -75,7 +63,7 @@ def irfftn(a, s, axes=None):
     rfftn half box of the real shape `s` over `axes` (the last len(s) axes
     when None), without the dispatch."""
     return _pocketfft.c2r(a, range(-len(s), 0) if axes is None else axes, s[-1],
-                          False, 2, None, FFT_WORKERS)
+                          False, 2, None, 1)
 
 
 # default collocation grid sizes per dimension (2x-padded relative to the

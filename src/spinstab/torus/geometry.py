@@ -15,7 +15,9 @@ pair and not over the whole triangle: a call's cost on the small sub-torus
 grids is mostly its fixed overhead, and a row keeps the transient stacks
 as small as the arrays being filled.  ricci() makes one forward transform
 per row j of Gamma[:, j, j:], one for the contraction C and one inverse per
-row; dgamma one gradient per row Gamma[k, i, i:].
+row.  riemann() makes one forward transform of the whole Gamma stack and one
+inverse per pair i < j of d_i Gamma^l_jk - d_j Gamma^l_ik.  Every covariant
+derivative is MetricGeometry.nabla: the gradient minus one Gamma term per slot.
 
 Curvature conventions are fixed so that the round 2-sphere pattern has
 R_1212 = +1 and ricci_jl = sum_i R_ijil (matching the pointwise algebra in
@@ -113,26 +115,21 @@ class MetricGeometry:
         bracket -= dg.transpose(1, 2, 0, *rest)
         del dg
         self.gamma = np.einsum("kl...,ijl...->kij...", 0.5 * self.ginv, bracket)
-        self._dgamma = None
-
-    @property
-    def dgamma(self) -> np.ndarray:
-        """dgamma[a, k, i, j] = partial_a Gamma^k_ij (computed on demand)."""
-        if self._dgamma is None:
-            n, grid = self.n, self.grid
-            out = np.empty((n, n, n, n) + grid.shape)
-            for k in range(n):
-                for i in range(n):
-                    out[:, k, i, i:] = out[:, k, i:, i] = grid.gradient(self.gamma[k, i, i:])
-            self._dgamma = out
-        return self._dgamma
 
     # -- curvature ---------------------------------------------------------
     def riemann(self) -> np.ndarray:
         """R_ijkl with the sign convention stated in the module docstring."""
-        dgm = self.dgamma
-        # textbook R^l_ijk (R(e_i, e_j) e_k = R^l_ijk e_l), then lower and negate
-        r_up = np.einsum("iljk...->lijk...", dgm) - np.einsum("jlik...->lijk...", dgm)
+        # textbook R^l_ijk (R(e_i, e_j) e_k = R^l_ijk e_l), then lower and negate;
+        # its derivative part d_i G^l_jk - d_j G^l_ik is antisymmetric in (i, j)
+        n, grid = self.n, self.grid
+        axes = range(-n, 0)
+        ik, _ = grid.half_symbols
+        spec = rfftn(self.gamma, axes=axes)
+        r_up = np.zeros((n, n, n, n) + grid.shape)
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = irfftn(ik[i] * spec[:, j] - ik[j] * spec[:, i], grid.shape, axes=axes)
+                r_up[:, i, j], r_up[:, j, i] = d, -d
         r_up += np.einsum("lim...,mjk...->lijk...", self.gamma, self.gamma)
         r_up -= np.einsum("ljm...,mik...->lijk...", self.gamma, self.gamma)
         r_low = np.einsum("lm...,mijk...->ijkl...", self.g, r_up)
@@ -167,49 +164,42 @@ class MetricGeometry:
         return np.einsum("jk...,jk...->...", self.ginv, self.ricci())
 
     # -- covariant derivatives ---------------------------------------------
+    def nabla(self, t: np.ndarray) -> np.ndarray:
+        """Covariant derivative of a covariant tensor field t[a_1, ..., a_r]:
+        (nabla t)[b, a_1, ..., a_r] = d_b t - sum_s Gamma^m_{b a_s} t[..., m, ...]
+        with m in slot s."""
+        rank = t.ndim - self.n
+        slots = "acdefhijkl"[:rank]
+        out = self.grid.gradient(t)
+        for s in range(rank):
+            moved = slots[:s] + "m" + slots[s + 1:]
+            out -= np.einsum(f"mb{slots[s]}...,{moved}...->b{slots}...", self.gamma, t)
+        return out
+
     def hessian(self, f: np.ndarray) -> np.ndarray:
         """D^2 f_ij = d_i d_j f - Gamma^m_ij d_m f."""
-        df = self.grid.gradient(f)
-        ddf = self.grid.gradient(df)
-        ddf = 0.5 * (ddf + np.swapaxes(ddf, 0, 1))
-        return ddf - np.einsum("mij...,m...->ij...", self.gamma, df)
+        ddf = self.nabla(self.grid.gradient(f))
+        return 0.5 * (ddf + np.swapaxes(ddf, 0, 1))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Trace of the Hessian: nonpositive-definite Laplace-Beltrami."""
         return np.einsum("ij...,ij...->...", self.ginv, self.hessian(f))
 
-    def nabla_sym2(self, h: np.ndarray) -> np.ndarray:
-        """(nabla h)[a, i, j] = nabla_a h_ij for a symmetric 2-tensor field."""
-        return (self.grid.gradient(h)
-                - np.einsum("mai...,mj...->aij...", self.gamma, h)
-                - np.einsum("maj...,im...->aij...", self.gamma, h))
-
-    def nabla_3tensor(self, t: np.ndarray) -> np.ndarray:
-        """Covariant derivative of a covariant 3-tensor t[a, i, j]."""
-        return (self.grid.gradient(t)
-                - np.einsum("mba...,mij...->baij...", self.gamma, t)
-                - np.einsum("mbi...,amj...->baij...", self.gamma, t)
-                - np.einsum("mbj...,aim...->baij...", self.gamma, t))
-
     def connection_laplacian_sym2(self, h: np.ndarray) -> np.ndarray:
         """nabla* nabla h = -g^{ab} (nabla^2 h)_{ab ij}."""
-        nh = self.nabla_sym2(h)
-        nnh = self.nabla_3tensor(nh)
-        return -np.einsum("ab...,abij...->ij...", self.ginv, nnh)
+        return -np.einsum("ab...,abij...->ij...", self.ginv, self.nabla(self.nabla(h)))
 
     def divergence_sym2(self, h: np.ndarray) -> np.ndarray:
         """(delta h)_j = -g^{ik} nabla_i h_kj."""
-        nh = self.nabla_sym2(h)
-        return -np.einsum("ik...,ikj...->j...", self.ginv, nh)
+        return -np.einsum("ik...,ikj...->j...", self.ginv, self.nabla(h))
 
     def divergence_oneform(self, w: np.ndarray) -> np.ndarray:
         """delta w = -g^{ij} nabla_i w_j."""
-        ndw = self.grid.gradient(w) - np.einsum("mij...,m...->ij...", self.gamma, w)
-        return -np.einsum("ij...,ij...->...", self.ginv, ndw)
+        return -np.einsum("ij...,ij...->...", self.ginv, self.nabla(w))
 
     def sym_derivative_oneform(self, w: np.ndarray) -> np.ndarray:
         """(delta* w)_ij = (nabla_i w_j + nabla_j w_i) / 2, adjoint of delta."""
-        ndw = self.grid.gradient(w) - np.einsum("mij...,m...->ij...", self.gamma, w)
+        ndw = self.nabla(w)
         return 0.5 * (ndw + np.swapaxes(ndw, 0, 1))
 
     def ring_action(self, h: np.ndarray) -> np.ndarray:

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -75,6 +71,36 @@ def test_verify_unknown_suite_exits_2():
 
 def test_verify_bad_cutoff_exits_2():
     assert main(["verify", "torus", "--cutoff", "99"]) == 2
+
+
+def _no_runner(*_):
+    raise AssertionError("a check ran")
+
+
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["--cutoff", "99"], {}, "torus.cutoff must be an integer in [1, 16], not 99"),
+    ([], {"torus": {"cutoff": 0}}, "torus.cutoff must be an integer in [1, 16], not 0"),
+    ([], {"torus": {"cy_cutoff": 17}}, "torus.cy_cutoff must be an integer in [1, 16], not 17"),
+    ([], {"torus": {"cutoff": True}}, "torus.cutoff must be an integer in [1, 16], not True"),
+    ([], {"torus": {"cutoff": 2.0}}, "torus.cutoff must be an integer in [1, 16], not 2.0"),
+])
+def test_verify_bad_cutoff_in_flag_or_file_exits_2_first(tmp_path, monkeypatch, capsys,
+                                                         argv, overrides, message):
+    monkeypatch.setitem(suites.RUNNERS, "torus", _no_runner)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    assert main(["verify", "torus", "--config", str(cfg)] + argv) == 2
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [f"error: {message}"]
+    assert out.out == ""
+
+
+def test_verify_default_cutoffs_run(monkeypatch):
+    seen = []
+    monkeypatch.setitem(suites.RUNNERS, "torus", lambda rep, seed, cfg: seen.append(cfg))
+    assert main(["verify", "torus"]) == 0
+    assert main(["verify", "torus", "--cutoff", "16"]) == 0
+    assert [(c["torus"]["cutoff"], c["torus"]["cy_cutoff"]) for c in seen] == [(2, 2), (16, 2)]
 
 
 def test_verify_curvalg_passes_where_k3_sample_draws_a_zero_block():
@@ -328,28 +354,3 @@ def test_spectrum_perturbed_metric(tmp_path):
     ground = lines[-1].split(",")
     assert ground[0] == "conformal_ground"
     assert float(ground[4]) <= 1e-8
-
-
-def _cli_with_threads(value):
-    """`python -m spinstab.cli verify clifford` in a fresh process, with
-    SPINSTAB_THREADS set to value (it is read when torus.fields loads)."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, SPINSTAB_THREADS=value,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "spinstab.cli", "verify", "clifford"],
-                          env=env, capture_output=True, text=True, timeout=300)
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_count_is_a_usage_error(value):
-    out = _cli_with_threads(value)
-    assert out.returncode == 2
-    assert out.stderr.splitlines() == [
-        f"error: SPINSTAB_THREADS must be a positive integer, not {value!r}"]
-    assert out.stdout == ""
-
-
-def test_valid_thread_count_runs():
-    out = _cli_with_threads("2")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1].startswith("verify clifford: PASS")

@@ -200,11 +200,27 @@ class _ComplexGrid(Grid):
                          for k in self.wavenumbers])
 
 
+def _reference_riemann(geo):
+    """R_ijkl as riemann() once built it: d_a Gamma^k_ij by one geo.grid.gradient
+    per row Gamma[k, i, i:], then textbook R^l_ijk, lowered and negated."""
+    n, grid, gamma = geo.n, geo.grid, geo.gamma
+    dgamma = np.empty((n, n, n, n) + grid.shape)
+    for k in range(n):
+        for i in range(n):
+            dgamma[:, k, i, i:] = dgamma[:, k, i:, i] = grid.gradient(gamma[k, i, i:])
+    r_up = np.einsum("iljk...->lijk...", dgamma) - np.einsum("jlik...->lijk...", dgamma)
+    r_up += np.einsum("lim...,mjk...->lijk...", gamma, gamma)
+    r_up -= np.einsum("ljm...,mik...->lijk...", gamma, gamma)
+    return -np.einsum("lm...,mijk...->ijkl...", geo.g, r_up)
+
+
 def _reference_geometry(g, size):
-    """MetricGeometry as built with batched LAPACK and complex transforms."""
+    """MetricGeometry as built with batched LAPACK and complex transforms;
+    its riemann(), which lichnerowicz() also reads, is _reference_riemann."""
     n = g.shape[0]
     ref = MetricGeometry.__new__(MetricGeometry)
-    ref.grid, ref.n, ref.g, ref._dgamma = _ComplexGrid(n, size), n, g, None
+    ref.grid, ref.n, ref.g = _ComplexGrid(n, size), n, g
+    ref.riemann = lambda: _reference_riemann(ref)
     flat = np.moveaxis(g.reshape(n, n, -1), -1, 0)
     assert np.linalg.eigvalsh(flat).min() > 0
     ref.ginv = np.moveaxis(np.linalg.inv(flat), 0, -1).reshape(g.shape)
@@ -290,16 +306,6 @@ def _pair_loop_ricci(geo):
     return out
 
 
-def _pair_loop_dgamma(geo):
-    n, grid = geo.n, geo.grid
-    out = np.empty((n, n, n, n) + grid.shape)
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                out[:, k, i, j] = out[:, k, j, i] = grid.gradient(geo.gamma[k, i, j])
-    return out
-
-
 ROW_CASES = [(2, 16, None), (3, 15, None), (3, 24, None), (4, 12, None),
              (3, 24, (True, True, False)), (4, 12, (True, False, False, False))]
 
@@ -322,7 +328,8 @@ def test_row_batched_transforms_equal_the_pair_loops(n, size, active):
     assert np.array_equal(dg, _pair_loop_dg(g, grid))
     geo = MetricGeometry(g, grid)
     assert np.array_equal(geo.ricci(), _pair_loop_ricci(geo))
-    assert np.array_equal(geo.dgamma, _pair_loop_dgamma(geo))
+    riem, ref_riem = geo.riemann(), _reference_riemann(geo)
+    assert np.abs(riem - ref_riem).max() <= 1e-14 * np.abs(ref_riem).max()
 
 
 @pytest.mark.parametrize("n, size, active", ROW_CASES)
@@ -340,12 +347,18 @@ def test_fourier_build_matches_the_build_from_grid_values(n, size, active):
     assert np.abs(ric - ref_ric).max() <= 1e-13 * np.abs(ref_ric).max()
 
 
-def test_fourier_build_makes_one_inverse_transform_per_row(monkeypatch):
+def _record_transforms(monkeypatch) -> list:
+    """The list that the names of geometry's transform calls are appended to."""
     calls = []
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(geometry_module, name)
         monkeypatch.setattr(geometry_module, name,
                             lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+def test_fourier_build_makes_one_inverse_transform_per_row(monkeypatch):
+    calls = _record_transforms(monkeypatch)
     grid = Grid(3, 12)
     full = FourierMetric.from_perturbation(
         FourierSymTensor.random_real(3, 1, np.random.default_rng(5), scale=0.05, count=2))
@@ -358,3 +371,41 @@ def test_fourier_build_makes_one_inverse_transform_per_row(monkeypatch):
     # the zero entries of the conformal metric were not transformed, yet are 0
     off = ~np.eye(3, dtype=bool)
     assert not MetricGeometry(conformal, grid).g[off].any()
+
+
+def test_riemann_makes_one_forward_transform_and_one_inverse_per_pair(monkeypatch):
+    calls = _record_transforms(monkeypatch)
+    rng = np.random.default_rng(8)
+    for n, size in ((2, 16), (3, 12), (4, 8)):
+        metric = FourierMetric.from_perturbation(
+            FourierSymTensor.random_real(n, 1, rng, scale=0.05, count=2))
+        geo = MetricGeometry(metric, Grid(n, size))
+        calls.clear()
+        geo.riemann()
+        assert calls == ["rfftn"] + ["irfftn"] * (n * (n - 1) // 2)
+
+
+# -- one covariant derivative --------------------------------------------------
+
+def _nabla_by_rank(geo, t):
+    """The covariant derivatives nabla() replaced, one hand-written formula per rank."""
+    gamma, d = geo.gamma, geo.grid.gradient(t)
+    rank = t.ndim - geo.n
+    if rank == 1:
+        return d - np.einsum("mij...,m...->ij...", gamma, t)
+    if rank == 2:
+        return (d - np.einsum("mai...,mj...->aij...", gamma, t)
+                - np.einsum("maj...,im...->aij...", gamma, t))
+    return (d - np.einsum("mba...,mij...->baij...", gamma, t)
+            - np.einsum("mbi...,amj...->baij...", gamma, t)
+            - np.einsum("mbj...,aim...->baij...", gamma, t))
+
+
+@pytest.mark.parametrize("n, size, active", [(3, 15, None), (3, 24, (True, True, False))])
+def test_nabla_equals_the_formulas_by_rank(n, size, active):
+    grid, metric = _row_case(n, size, active, 500 + size)
+    geo = MetricGeometry(metric, grid)
+    rng = np.random.default_rng(600 + size)
+    h = rng.standard_normal((n, n) + grid.shape)
+    for t in (h[0], h + np.swapaxes(h, 0, 1), rng.standard_normal((n, n, n) + grid.shape)):
+        assert np.array_equal(geo.nabla(t), _nabla_by_rank(geo, t))
