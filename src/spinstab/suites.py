@@ -60,17 +60,37 @@ def default_config() -> dict:
     }
 
 
+# the sample and mode counts: each must be an int >= 1
+COUNT_KEYS = {
+    "clifford": ("isometry_samples",),
+    "curvalg": ("curvature_samples", "tensor_samples"),
+    "torus": ("rayleigh_samples", "first_variation_samples", "second_variation_modes",
+              "sign_invariance_pairs"),
+    "g2": ("identity_samples", "field_modes"),
+    "warped": ("oracle_samples", "scan_points", "bound_samples"),
+}
+
+
 def merge_config(overrides: dict | None) -> dict:
     """The defaults with `overrides` merged in at every depth.  An unknown key
-    raises KeyError; a torus cutoff that is not an int in [1, max(MAX_CUTOFF)]
-    raises ValueError."""
+    raises KeyError; a torus cutoff that is not an int in [1, max(MAX_CUTOFF)],
+    or a COUNT_KEYS count that is not an int >= 1, raises ValueError."""
     cfg = _merge_into(default_config(), overrides or {}, "")
     limit = max(MAX_CUTOFF.values())
     for key in ("cutoff", "cy_cutoff"):
-        val = cfg["torus"][key]
-        if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val <= limit:
-            raise ValueError(f"torus.{key} must be an integer in [1, {limit}], not {val!r}")
+        _require_int(f"torus.{key}", cfg["torus"][key], limit)
+    for suite, keys in COUNT_KEYS.items():
+        for key in keys:
+            _require_int(f"{suite}.{key}", cfg[suite][key])
     return cfg
+
+
+def _require_int(name: str, val, limit: int | None = None) -> None:
+    """ValueError unless val is an int (not a bool) in [1, limit]."""
+    if (isinstance(val, bool) or not isinstance(val, int) or val < 1
+            or (limit is not None and val > limit)):
+        bound = ">= 1" if limit is None else f"in [1, {limit}]"
+        raise ValueError(f"{name} must be an integer {bound}, not {val!r}")
 
 
 def _merge_into(cfg: dict, overrides: dict, prefix: str) -> dict:

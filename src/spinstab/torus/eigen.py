@@ -96,8 +96,15 @@ class _ConformalOperator:
         self.w = geo.sqrt_det
         self.sqrt_w = np.sqrt(self.w)
         self.pot = c_n * geo.scalar()
-        self.wginv = geo.ginv * self.w  # (n, n) + shape
+        # the derivative and the flux along a length-1 axis are exact zeros,
+        # so they are formed on the axes of length > 1 only
+        active = [a for a, m in enumerate(self.grid.shape) if m > 1]
         self._ik = self.grid.half_symbols[0]
+        if len(active) == self.n:
+            self.wginv = geo.ginv * self.w  # (n, n) + shape
+        else:
+            self.wginv = geo.ginv[np.ix_(active, active)] * self.w
+            self._ik = self._ik[active]
         self._band, self._flat_inverse = self.grid.band_symbols
         # D = (n / tr g^-1)^(1/2): the pointwise scale of the principal symbol
         self._scale = np.sqrt(self.n / np.einsum("ii...->...", geo.ginv))

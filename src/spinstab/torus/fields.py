@@ -18,10 +18,22 @@ shape normalization), which costs more than the transform itself on the
 small grids of the sub-torus solves.  The
 module is private to scipy; tests/test_fields.py pins both functions to the
 public scipy.fft.rfftn/irfftn bit for bit, batched and on strided input.
-`fftn`/`ifftn` still go through scipy.fft, because perfbench's tracer
-counts transforms at that level (`fields.fft_calls`); they serve only
-Grid.deriv and FourierMetric.conformal_flat, which move to the real
-transforms together with that counter (ROADMAP item 9).
+
+The binding is loaded from its file (`scipy/fft/_pocketfft/pypocketfft`
+plus an extension suffix, under the scipy package's search path) without
+running any scipy `__init__`: the public scipy.fft brings scipy.special and
+the array-API layer and took more than half of a `warped build` or
+`spectrum` run, the binding alone under a millisecond.  It is registered in
+sys.modules under its name, so a later `import scipy.fft` runs on the same
+object; where the file is absent, the ordinary import is used.
+
+`fftn`/`ifftn` serve only Grid.deriv and FourierMetric.conformal_flat.
+When scipy.fft is loaded they call its public functions, the level at which
+perfbench/tests/test_trace.py counts transforms (`fields.fft_calls`);
+otherwise they call the binding with the arguments scipy.fft would pass, so
+no command imports scipy.fft for them.  Both paths give the same bits
+(tests/test_fields.py).  The two users move to the real transforms, and
+this branch goes, together with that counter (ROADMAP item 9).
 
 One sampler.  ModeField.half_spectrum scatters the mode stack straight into
 the rfftn half box of a grid (the k_last >= 0 half, both +-k kept on the
@@ -34,22 +46,62 @@ Hermitian, so the dropped k_last < 0 half carries nothing new.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
-import scipy.fft as _sfft
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 REALITY_TOL = 1e-13
+_BINDING = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _binding_file() -> str | None:
+    """Path of the pocketfft extension inside the scipy package, or None."""
+    spec = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_binding():
+    """The pocketfft binding: the loaded one if scipy.fft came first, else
+    loaded from its file and registered under its name, else imported."""
+    if _BINDING in sys.modules:
+        return sys.modules[_BINDING]
+    path = _binding_file()
+    if path is None:
+        return importlib.import_module(_BINDING)
+    spec = importlib.util.spec_from_file_location(_BINDING, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_BINDING] = module
+    return module
+
+
+_pocketfft = _load_binding()
 
 
 def fftn(a, axes=None):
-    return _sfft.fftn(a, axes=axes)
+    """scipy.fft.fftn(a, axes=axes) of a float64 or complex128 array."""
+    sfft = sys.modules.get("scipy.fft")
+    if sfft is not None:
+        return sfft.fftn(a, axes=axes)
+    return _pocketfft.c2c(a, axes, True, 0, None, 1)
 
 
 def ifftn(a, axes=None):
-    return _sfft.ifftn(a, axes=axes)
+    """scipy.fft.ifftn(a, axes=axes) of a complex128 array."""
+    sfft = sys.modules.get("scipy.fft")
+    if sfft is not None:
+        return sfft.ifftn(a, axes=axes)
+    return _pocketfft.c2c(a, axes, False, 2, None, 1)
 
 
 def rfftn(a, axes=None):

@@ -103,6 +103,49 @@ def test_verify_default_cutoffs_run(monkeypatch):
     assert [(c["torus"]["cutoff"], c["torus"]["cy_cutoff"]) for c in seen] == [(2, 2), (16, 2)]
 
 
+COUNT_KEYS = [(suite, key) for suite, keys in suites.COUNT_KEYS.items() for key in keys]
+
+
+def test_count_keys_name_every_sample_count():
+    assert COUNT_KEYS == [
+        ("clifford", "isometry_samples"),
+        ("curvalg", "curvature_samples"), ("curvalg", "tensor_samples"),
+        ("torus", "rayleigh_samples"), ("torus", "first_variation_samples"),
+        ("torus", "second_variation_modes"), ("torus", "sign_invariance_pairs"),
+        ("g2", "identity_samples"), ("g2", "field_modes"),
+        ("warped", "oracle_samples"), ("warped", "scan_points"), ("warped", "bound_samples"),
+    ]
+
+
+@pytest.mark.parametrize("value", [0, -5, True, 2.5])
+@pytest.mark.parametrize("suite, key", COUNT_KEYS)
+def test_verify_bad_count_in_config_exits_2_first(tmp_path, monkeypatch, capsys,
+                                                  suite, key, value):
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.RUNNERS, name, _no_runner)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({suite: {key: value}}))
+    assert main(["verify", "all", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [f"error: {suite}.{key} must be an integer >= 1, "
+                                    f"not {value!r}"]
+    assert out.out == ""
+
+
+def test_verify_default_and_unit_counts_run(tmp_path, monkeypatch):
+    seen = []
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.RUNNERS, name, lambda rep, seed, cfg: seen.append(cfg))
+    assert main(["verify", "all"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({suite: dict.fromkeys(keys, 1)
+                               for suite, keys in suites.COUNT_KEYS.items()}))
+    assert main(["verify", "all", "--config", str(cfg)]) == 0
+    defaults = default_config()
+    assert len(seen) == 2 * len(suites.SUITES)
+    assert all(seen[0][s][k] == defaults[s][k] and seen[-1][s][k] == 1 for s, k in COUNT_KEYS)
+
+
 def test_verify_curvalg_passes_where_k3_sample_draws_a_zero_block():
     # the suite's 13th sample is k3_sample(1362108595), whose first draw is zero
     assert main(["verify", "curvalg", "--seed", "1362108583"]) == 0

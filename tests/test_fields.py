@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 
+import spinstab
 from spinstab.torus import fields as fields_module
 from spinstab.torus.fields import (
     FourierMetric,
@@ -585,6 +590,99 @@ def test_real_transforms_equal_scipy_fft(shape):
     spec = rfftn(a)
     assert np.array_equal(spec, scipy.fft.rfftn(a))
     assert np.array_equal(irfftn(spec, shape), scipy.fft.irfftn(spec, s=shape))
+
+
+_FRESH_IMPORT = """
+import sys
+import numpy as np
+import spinstab.cli
+from spinstab.torus import fields
+print(sorted(m for m in ("scipy.fft", "scipy.special") if m in sys.modules))
+grid = fields.Grid(2, 16)
+u = fields.FourierScalarField.random_real(2, 2, np.random.default_rng(4), scale=0.3)
+x, y = grid.points()
+values = (grid.deriv(np.sin(x) * np.cos(3 * y), 1),
+          fields.FourierMetric.conformal_flat(u, grid).amps)
+print(sorted(m for m in ("scipy.fft", "scipy.special") if m in sys.modules))
+import scipy.fft
+import scipy.fft._pocketfft.basic
+print(sys.modules[fields._BINDING] is fields._pocketfft,
+      scipy.fft._pocketfft.basic.pfft is fields._pocketfft)
+again = (grid.deriv(np.sin(x) * np.cos(3 * y), 1),
+         fields.FourierMetric.conformal_flat(u, grid).amps)
+print(all(np.array_equal(a, b) for a, b in zip(values, again)))
+"""
+
+
+def test_package_import_loads_the_binding_alone():
+    # a fresh interpreter: spinstab.cli loads neither scipy.fft nor
+    # scipy.special, the complex transforms do not load them either and give
+    # the bits they give through scipy.fft, and a later scipy.fft runs on the
+    # binding spinstab loaded
+    env = dict(os.environ, PYTHONPATH=str(Path(spinstab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "[]", "True True", "True"]
+
+
+def test_binding_is_the_one_scipy_fft_runs_on():
+    # scipy.fft came first in this process: spinstab took its binding
+    assert sys.modules[fields_module._BINDING] is fields_module._pocketfft
+    assert scipy.fft._pocketfft.basic.pfft is fields_module._pocketfft
+    assert fields_module._load_binding() is fields_module._pocketfft
+
+
+def test_grid_deriv_reaches_scipy_fft_once_loaded(monkeypatch):
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _original=getattr(scipy.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    grid = Grid(2, 8)
+    x, y = grid.points()
+    d = grid.deriv(np.sin(x + 2 * y), 1)
+    assert calls == ["fftn", "ifftn"]
+    assert np.abs(d - 2 * np.cos(x + 2 * y)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (15,) * 3, (24, 24, 1), (12,) * 4])
+def test_complex_transforms_without_scipy_fft_equal_scipy_fft(monkeypatch, shape):
+    # with scipy.fft not loaded, fftn/ifftn call the binding themselves
+    monkeypatch.delitem(sys.modules, "scipy.fft")
+    rng = np.random.default_rng(len(shape) + shape[0])
+    n = len(shape)
+    real = rng.standard_normal((2,) + shape)
+    cplx = real + 1j * rng.standard_normal((2,) + shape)
+    for a in (real, cplx, real[0], cplx[0, ..., ::-1]):
+        for axes in (range(-n, 0), None):
+            if axes is None and a.ndim != n:
+                continue
+            spec = fields_module.fftn(a, axes=axes)
+            assert np.array_equal(spec, scipy.fft.fftn(a, axes=axes))
+            assert np.array_equal(fields_module.ifftn(spec, axes=axes),
+                                  scipy.fft.ifftn(spec, axes=axes))
+
+
+def test_binding_falls_back_to_the_ordinary_import(monkeypatch):
+    # no binding file found: the binding comes from the ordinary import
+    # (run here with the registered module taken out of sys.modules), and the
+    # transforms on it still equal the public scipy.fft bit for bit
+    package = sys.modules["scipy.fft._pocketfft"]
+    monkeypatch.setattr(package, "pypocketfft", fields_module._pocketfft, raising=False)
+    monkeypatch.delitem(sys.modules, fields_module._BINDING)
+    monkeypatch.setattr(fields_module, "_binding_file", lambda: None)
+    binding = fields_module._load_binding()
+    assert sys.modules[fields_module._BINDING] is binding
+    monkeypatch.setattr(fields_module, "_pocketfft", binding)
+    rng = np.random.default_rng(5)
+    for shape in [(16, 16), (15,) * 3, (24, 24, 1)]:
+        axes = range(-len(shape), 0)
+        a = rng.standard_normal((2,) + shape)
+        spec = rfftn(a, axes=axes)
+        assert np.array_equal(spec, scipy.fft.rfftn(a, axes=axes))
+        assert np.array_equal(irfftn(spec, shape, axes=axes),
+                              scipy.fft.irfftn(spec, s=shape, axes=axes))
 
 
 def _complex_sample(f, grid):
