@@ -58,13 +58,6 @@ class GammaRep:
     def skew_residual(self) -> float:
         return max(float(np.abs(g.conj().T + g).max()) for g in self.gamma)
 
-    def to_json_obj(self):
-        """Gamma tables as arrays of 'a+bi' strings."""
-        return [
-            [[f"{v.real:+g}{v.imag:+g}i" for v in row] for row in g]
-            for g in self.gamma
-        ]
-
 
 def build_gamma_rep(n: int) -> GammaRep:
     """Skew-adjoint gamma matrices for Cl(n), spinor dimension 2^(n//2).
@@ -129,10 +122,6 @@ class TwistedSpinor:
         # product <h, h~> equals; the imaginary part is frame noise that
         # cancels only for h == h~.
         return float(np.real(np.sum(self.components * other.components.conj())))
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.components) ** 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -147,10 +147,6 @@ class OctonionSpinor:
     scalar: object
     vector: np.ndarray
 
-    @property
-    def norm_sq(self):
-        return self.scalar * self.scalar + self.vector @ self.vector
-
 
 SIGMA0 = OctonionSpinor(1, np.zeros(7, dtype=np.int64))
 

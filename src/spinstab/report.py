@@ -71,9 +71,6 @@ class VerificationReport:
         self.records.append(rec)
         return rec
 
-    def failures(self):
-        return [r for r in self.records if not r.passed]
-
     def to_json(self) -> str:
         obj = {
             "suite": self.suite,

@@ -71,13 +71,3 @@ def dirac_vs_dolbeault(m: int, cutoff: int = 2) -> dict:
         "adjoint_sign": -1,
         "modes": (2 * cutoff + 1) ** (2 * m),
     }
-
-
-def single_mode_check(m: int, k) -> float:
-    """Apply both operators to the second basis state at one frequency."""
-    model = cy_clifford_model(m)
-    v = np.zeros(model.dim, dtype=complex)
-    v[1] = 1.0
-    lhs = dirac_symbol(model.gamma, k) @ v
-    rhs = np.sqrt(2.0) * (dbar_symbol(model, k) - dbar_star_symbol(model, k)) @ v
-    return float(np.abs(lhs - rhs).max())

@@ -392,25 +392,6 @@ class FourierScalarField(ModeField):
     def sample(self, grid: Grid) -> np.ndarray:
         return irfftn(self.half_spectrum(grid), grid.shape)
 
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "cutoff": self.cutoff,
-            "modes": {" ".join(str(v) for v in k): [a.real, a.imag]
-                      for k, a in self.modes.items()},
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        modes = {
-            tuple(int(v) for v in key.split()): complex(re, im)
-            for key, (re, im) in obj["modes"].items()
-        }
-        f = cls(obj["n"], modes)
-        if f.cutoff > obj["cutoff"]:
-            raise ValueError(f"mode with |k|_inf {f.cutoff} exceeds cutoff {obj['cutoff']}")
-        return f
-
 
 def _cosine_halves(k, half) -> dict:
     """Amplitudes of 2 Re(half exp(i k.x)): half at k, conj(half) at -k,

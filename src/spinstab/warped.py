@@ -644,6 +644,12 @@ def fd_curvature_oracle(w: WarpedMetric, r: float, q) -> dict:
             "coarse": s_full, "fine": s_half}
 
 
+def oracle_gate(error_bar: float) -> float:
+    """The largest |formula - FD estimate| that agrees with the oracle:
+    max(1e-6, 3 error bars)."""
+    return max(1e-6, 3.0 * error_bar)
+
+
 def sample_oracle_points(w: WarpedMetric, r_range, samples: int, rng) -> list:
     """Up to `samples` seeded (r, q) oracle points with r in r_range.
 

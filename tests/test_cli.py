@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from spinstab import clifford as cliff
 from spinstab import report, suites
 from spinstab.cli import _metric_from_descriptor, main
 from spinstab.report import VerificationReport
 from spinstab.suites import default_config, merge_config
+from spinstab.torus import operators as ops
 from spinstab.warped import scan_scalar_positivity, warped_scalar
 
 
@@ -29,7 +31,7 @@ def test_report_pass_logic():
     assert rep.passed
     rep.add("bad", "trivial", 5.0, 1.0)
     assert not rep.passed
-    assert [r.check_id for r in rep.failures()] == ["bad"]
+    assert [r.check_id for r in rep.records if not r.passed] == ["bad"]
 
 
 def test_report_default_rule_at_tolerance_zero():
@@ -69,44 +71,45 @@ def test_verify_unknown_suite_exits_2():
         main(["verify", "nonsense"])  # argparse rejects the choice
 
 
-def test_verify_bad_cutoff_exits_2():
-    assert main(["verify", "torus", "--cutoff", "99"]) == 2
+def test_verify_bad_cutoff_exits_2(capsys):
+    # the cutoffs are constants of the suites; the flag is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "torus", "--cutoff", "99"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cutoff 99" in capsys.readouterr().err
 
 
 def _no_runner(*_):
     raise AssertionError("a check ran")
 
 
-@pytest.mark.parametrize("argv, overrides, message", [
-    (["--cutoff", "99"], {}, "torus.cutoff must be an integer in [1, 16], not 99"),
-    ([], {"torus": {"cutoff": 0}}, "torus.cutoff must be an integer in [1, 16], not 0"),
-    ([], {"torus": {"cy_cutoff": 17}}, "torus.cy_cutoff must be an integer in [1, 16], not 17"),
-    ([], {"torus": {"cutoff": True}}, "torus.cutoff must be an integer in [1, 16], not True"),
-    ([], {"torus": {"cutoff": 2.0}}, "torus.cutoff must be an integer in [1, 16], not 2.0"),
-])
-def test_verify_bad_cutoff_in_flag_or_file_exits_2_first(tmp_path, monkeypatch, capsys,
-                                                         argv, overrides, message):
-    monkeypatch.setitem(suites.RUNNERS, "torus", _no_runner)
+@pytest.mark.parametrize("overrides, message", [
+    ([1, 2], "config must be an object, not [1, 2]"),
+    (None, "config must be an object, not None"),
+    ({"torus": 5}, "torus must be an object, not 5"),
+    ({"torus": {"cutoff": 2}}, "unknown config key 'torus.cutoff'"),
+    ({"tolerance_scale": 2.0}, "unknown config key 'tolerance_scale'"),
+    # one mode is on T^3 only, and conformal_second_variation scales T^4 by it
+    ({"torus": {"second_variation_modes": 1}},
+     "torus.second_variation_modes must be an integer >= 2, not 1"),
+], ids=["list", "null", "suite_not_object", "cutoff", "tolerance_scale", "one_mode"])
+def test_verify_malformed_config_exits_2_first(tmp_path, monkeypatch, capsys,
+                                               overrides, message):
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.RUNNERS, name, _no_runner)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
-    assert main(["verify", "torus", "--config", str(cfg)] + argv) == 2
+    assert main(["verify", "all", "--config", str(cfg)]) == 2
     out = capsys.readouterr()
     assert out.err.splitlines() == [f"error: {message}"]
     assert out.out == ""
 
 
-def test_verify_default_cutoffs_run(monkeypatch):
-    seen = []
-    monkeypatch.setitem(suites.RUNNERS, "torus", lambda rep, seed, cfg: seen.append(cfg))
-    assert main(["verify", "torus"]) == 0
-    assert main(["verify", "torus", "--cutoff", "16"]) == 0
-    assert [(c["torus"]["cutoff"], c["torus"]["cy_cutoff"]) for c in seen] == [(2, 2), (16, 2)]
-
-
-COUNT_KEYS = [(suite, key) for suite, keys in suites.COUNT_KEYS.items() for key in keys]
+COUNT_KEYS = [(suite, key) for suite, counts in default_config().items() for key in counts]
 
 
 def test_count_keys_name_every_sample_count():
+    # the sample and mode counts are the only settable values
     assert COUNT_KEYS == [
         ("clifford", "isometry_samples"),
         ("curvalg", "curvature_samples"), ("curvalg", "tensor_samples"),
@@ -127,23 +130,44 @@ def test_verify_bad_count_in_config_exits_2_first(tmp_path, monkeypatch, capsys,
     cfg.write_text(json.dumps({suite: {key: value}}))
     assert main(["verify", "all", "--config", str(cfg)]) == 2
     out = capsys.readouterr()
-    assert out.err.splitlines() == [f"error: {suite}.{key} must be an integer >= 1, "
+    low = suites.MIN_COUNT.get(f"{suite}.{key}", 1)
+    assert out.err.splitlines() == [f"error: {suite}.{key} must be an integer >= {low}, "
                                     f"not {value!r}"]
     assert out.out == ""
 
 
 def test_verify_default_and_unit_counts_run(tmp_path, monkeypatch):
+    # every count at its least value: 1, or MIN_COUNT where that is larger
     seen = []
     for name in suites.SUITES:
         monkeypatch.setitem(suites.RUNNERS, name, lambda rep, seed, cfg: seen.append(cfg))
     assert main(["verify", "all"]) == 0
+    least = {s: {k: suites.MIN_COUNT.get(f"{s}.{k}", 1) for k in counts}
+             for s, counts in default_config().items()}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({suite: dict.fromkeys(keys, 1)
-                               for suite, keys in suites.COUNT_KEYS.items()}))
+    cfg.write_text(json.dumps(least))
     assert main(["verify", "all", "--config", str(cfg)]) == 0
-    defaults = default_config()
     assert len(seen) == 2 * len(suites.SUITES)
-    assert all(seen[0][s][k] == defaults[s][k] and seen[-1][s][k] == 1 for s, k in COUNT_KEYS)
+    assert seen[0] == default_config() and seen[-1] == least
+
+
+def test_odd_sample_counts_draw_every_sample(monkeypatch):
+    # embedding_isometry makes one TwistedSpinor.inner per sample and
+    # rayleigh_floor one tt_project; the odd sample goes to the first dimension
+    dims = []
+    inner, tt_project = cliff.TwistedSpinor.inner, ops.tt_project
+    monkeypatch.setattr(cliff.TwistedSpinor, "inner",
+                        lambda a, b: dims.append(len(a.components)) or inner(a, b))
+    monkeypatch.setattr(ops, "tt_project", lambda h: dims.append(h.n) or tt_project(h))
+    least = {"first_variation_samples": 1, "second_variation_modes": 2,
+             "sign_invariance_pairs": 1}
+    for count in (1, 3):
+        dims.clear()
+        (clif,) = suites.run_suite("clifford", 0, {"clifford": {"isometry_samples": count}})
+        assert clif.passed and dims == [4] * (count - count // 2) + [7] * (count // 2)
+        dims.clear()
+        (torus,) = suites.run_suite("torus", 0, {"torus": {"rayleigh_samples": count, **least}})
+        assert torus.passed and dims == [4] * (count - count // 2) + [7] * (count // 2)
 
 
 def test_verify_curvalg_passes_where_k3_sample_draws_a_zero_block():
@@ -202,19 +226,23 @@ def test_verify_clifford_writes_report(tmp_path, capsys):
     assert "PASS" in text
 
 
-def test_verify_tolerance_scale_flag(tmp_path):
-    out = tmp_path / "rep.json"
-    code = main(["verify", "clifford", "--tolerance-scale", "10.0",
-                 "--out", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["config"]["tolerance_scale"] == 10.0
+def test_verify_tolerance_scale_flag(capsys):
+    # the tolerances are constants of the checks; neither flag is listed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "clifford", "--tolerance-scale", "10.0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance-scale 10.0" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    usage = capsys.readouterr().out
+    assert "--config" in usage
+    assert "--tolerance-scale" not in usage and "--cutoff" not in usage
 
 
 @pytest.mark.parametrize("overrides, path", [
     ({"tolerance_scal": 2.0}, "tolerance_scal"),
     ({"warped": {"scan_point": 10}}, "warped.scan_point"),
-    ({"torus": {"grids": {"5": 16}}}, "torus.grids.5"),
+    ({"torus": {"grids": {"5": 16}}}, "torus.grids"),
 ])
 def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, path):
     with pytest.raises(KeyError, match=path):
@@ -226,11 +254,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, path):
 
 
 def test_merge_config_merges_nested_dicts():
-    cfg = merge_config({"torus": {"grids": {"3": 16}}, "tolerance_scale": 2.0})
-    assert cfg["torus"]["grids"] == {"2": 32, "3": 16, "4": 12}
-    assert cfg["torus"]["cutoff"] == 2
-    assert cfg["tolerance_scale"] == 2.0
-    assert merge_config(None) == default_config()
+    cfg = merge_config({"torus": {"rayleigh_samples": 16}, "g2": {}})
+    expect = default_config()
+    expect["torus"]["rayleigh_samples"] = 16
+    assert cfg == expect
+    assert merge_config({}) == default_config()
 
 
 def test_warped_oracle_product(tmp_path):

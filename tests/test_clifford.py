@@ -32,14 +32,6 @@ def test_dimension_range_guard():
         build_gamma_rep(13)
 
 
-def test_gamma_table_json_dump():
-    rep = build_gamma_rep(2)
-    obj = rep.to_json_obj()
-    assert len(obj) == 2 and len(obj[0]) == 2
-    assert all(isinstance(v, str) and v.endswith("i")
-               for row in obj[0] for v in row)
-
-
 def test_n2_anticommutation_by_hand():
     rep = build_gamma_rep(2)
     g0, g1 = rep.gamma
@@ -76,7 +68,7 @@ def test_chirality_squares_to_identity():
 def test_embed_zero_and_identity():
     rep = build_gamma_rep(4)
     zero = spinor_embed(SymTensor(np.zeros((4, 4))), rep)
-    assert zero.norm_sq == 0.0
+    assert zero.inner(zero) == 0.0
     ident = spinor_embed(SymTensor(np.eye(4)), rep)
     assert abs(ident.inner(ident) - 4.0) < 1e-14  # <h, h> = tr(Id^2) = 4
 

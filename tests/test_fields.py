@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -73,16 +72,6 @@ def test_l2_inner_matches_grid_quadrature():
     spectral = complex(f.l2_inner(g)).real
     quad = grid.integrate(f.sample(grid) * g.sample(grid))
     assert abs(spectral - quad) < 1e-10 * max(1.0, abs(spectral))
-
-
-def test_scalar_field_json_roundtrip():
-    rng = np.random.default_rng(1)
-    f = FourierScalarField.random_real(2, 2, rng, count=3)
-    obj = json.loads(json.dumps(f.to_json_obj()))
-    g = FourierScalarField.from_json_obj(obj)
-    assert set(f.modes) == set(g.modes)
-    for k in f.modes:
-        assert f.modes[k] == g.modes[k]
 
 
 def test_sym_tensor_constructors_and_trace():
@@ -229,17 +218,9 @@ def test_cutoff_is_derived_from_modes():
     f = FourierScalarField.random_real(3, 2, rng, count=1)
     assert (f - f).cutoff == 0
     assert f.cutoff == max(max(abs(v) for v in k) for k in f.modes)
-
-
-def test_json_cutoff_is_derived_and_checked():
-    f = FourierScalarField.cosine(2, (2, 1), 1.0)
-    g = f - f + FourierScalarField.cosine(2, (1, 0), 1.0)
-    assert g.to_json_obj()["cutoff"] == 1
-    obj = f.to_json_obj()
-    assert obj["cutoff"] == 2
-    obj["cutoff"] = 1
-    with pytest.raises(ValueError, match="exceeds cutoff"):
-        FourierScalarField.from_json_obj(obj)
+    g = FourierScalarField.cosine(2, (2, 1), 1.0)
+    assert g.cutoff == 2
+    assert (g - g + FourierScalarField.cosine(2, (1, 0), 1.0)).cutoff == 1
 
 
 def test_max_amp_is_python_abs():
@@ -298,13 +279,12 @@ def _assert_canonical(f):
 def test_trusted_containers_match_public_constructor(n):
     # every field is built by one path: a derived field equals the dict
     # constructor applied to its own modes, keys, order and value bits
-    # (signed zeros included), and so does its JSON
+    # (signed zeros included)
     for f in _derived_fields(n, seed=n):
         _assert_canonical(f)
         if type(f) is FourierScalarField:
             ref = FourierScalarField(f.n, f.modes, check_reality=False)
             assert all(type(v) is complex for v in f.modes.values())
-            assert json.dumps(f.to_json_obj()) == json.dumps(ref.to_json_obj())
         else:
             ref = type(f)(f.n, f.modes)
         assert type(ref) is type(f) and ref.n == f.n

@@ -268,11 +268,6 @@ def test_exterior_algebra_star_signs():
     assert np.array_equal(star, expect)
 
 
-def test_octonion_spinor_norm():
-    s = OctonionSpinor(2, np.array([1, 0, 2, 0, 0, 0, 0]))
-    assert s.norm_sq == 4 + 5
-
-
 def test_structure_and_spinor_compare_by_identity():
     other = standard_g2_structure()
     assert G2 == G2 and G2 != other
