@@ -83,6 +83,34 @@ def _no_runner(*_):
     raise AssertionError("a check ran")
 
 
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["--cutoff", "99"], {}, "torus.cutoff may not be set by a flag"),
+    ([], {"torus": {"cutoff": 0}}, "torus.cutoff may not be set in the config"),
+    ([], {"torus": {"cy_cutoff": 17}}, "torus.cy_cutoff may not be set in the config"),
+    ([], {"torus": {"cutoff": True}}, "torus.cutoff may not be set in the config, even to true"),
+    ([], {"torus": {"cutoff": 2.0}}, "torus.cutoff may not be set in the config, even to 2.0"),
+])
+def test_verify_bad_cutoff_in_flag_or_file_exits_2_first(tmp_path, monkeypatch, capsys,
+                                                         argv, overrides, message):
+    # the torus cutoffs are constants: argparse rejects the flag and
+    # merge_config the key, both before a check runs
+    monkeypatch.setitem(suites.RUNNERS, "torus", _no_runner)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    try:
+        code = main(["verify", "torus", "--config", str(cfg)] + argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2, message
+    assert out.out == ""
+    if argv:
+        assert "unrecognized arguments: --cutoff 99" in out.err
+    else:
+        (key,) = overrides["torus"]
+        assert out.err.splitlines() == [f"error: unknown config key 'torus.{key}'"], message
+
+
 @pytest.mark.parametrize("overrides, message", [
     ([1, 2], "config must be an object, not [1, 2]"),
     (None, "config must be an object, not None"),
