@@ -4,11 +4,18 @@ Curvature samples compatible with a kernel spinor are generated in dimension
 4 from a traceless block on one chirality of 2-forms; that construction
 forces the first Bianchi identity and Ricci-flatness exactly (all entries
 are quarter-integers, so double precision arithmetic is exact).
+
+A sample holds its spinor action as one (n, n, d, d) stack rho, built by a
+single einsum on first use; the kernel chirality, the compatibility residual
+and the joint-kernel dimension all read that stack.  The Bochner identities
+take a (T, n, n) batch of tensors and build the triple products once per
+sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,18 +101,6 @@ def ring_action(r: AlgCurvature, h: SymTensor) -> SymTensor:
     return SymTensor(out)
 
 
-def _rho(r: AlgCurvature, rep: GammaRep, k: int, l: int) -> np.ndarray:
-    """rho_kl = 1/4 sum_ij R_klij gamma_i gamma_j."""
-    n, d = r.n, rep.spin_dim
-    rho = np.zeros((d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c = r.tensor[k, l, i, j]
-            if c != 0.0:
-                rho += 0.25 * c * (rep.gamma[i] @ rep.gamma[j])
-    return rho
-
-
 @dataclass(frozen=True, eq=False)
 class SpinCompatibleCurvature:
     """Curvature together with a gamma representation and a kernel spinor.
@@ -118,18 +113,18 @@ class SpinCompatibleCurvature:
     rep: GammaRep
     sigma0: Spinor
 
-    def spinor_action(self, k: int, l: int) -> np.ndarray:
-        return _rho(self.base, self.rep, k, l)
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """(n, n, d, d) stack rho_kl = 1/4 sum_ij R_klij gamma_i gamma_j.
+
+        The gamma matrices are monomial with entries 0, +-1, +-i, so every
+        product and sum here is exact for quarter-integer curvature."""
+        gam = np.stack(self.rep.gamma)
+        return 0.25 * np.einsum("klij,iab,jbc->klac", self.base.tensor, gam, gam)
 
     def compatibility_residual(self) -> float:
-        worst = 0.0
-        for k in range(self.base.n):
-            for l in range(self.base.n):
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(self.spinor_action(k, l) @ self.sigma0.components)),
-                )
-        return worst
+        """max over (k, l) of |rho_kl sigma0|."""
+        return float(np.linalg.norm(self.rho @ self.sigma0.components, axis=-1).max())
 
 
 _PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -175,13 +170,12 @@ def curvature_from_chirality_block(block: np.ndarray) -> AlgCurvature:
     return validate_curvature(r)
 
 
-def _annihilated_chirality(r: AlgCurvature, rep: GammaRep):
-    """Return the exact chirality basis killed by all rho_kl, or None."""
+def _annihilated_chirality(rho: np.ndarray, rep: GammaRep):
+    """Return the exact chirality basis killed by the whole rho stack, or None."""
     chi = np.diag(chirality_operator(rep)).real
-    rhos = [_rho(r, rep, k, l) for k in range(4) for l in range(4)]
     for sign in (1.0, -1.0):
         idx = np.where(chi == sign)[0]
-        if all(float(np.abs(rho[:, idx]).max()) <= KERNEL_TOL for rho in rhos):
+        if float(np.abs(rho[..., idx]).max()) <= KERNEL_TOL:
             return idx
     return None
 
@@ -213,15 +207,17 @@ def k3_sample(seed: int) -> SpinCompatibleCurvature:
 
 def spin_compatible_from_block(block: np.ndarray) -> SpinCompatibleCurvature:
     rep = build_gamma_rep(4)
-    r = curvature_from_chirality_block(block)
-    idx = _annihilated_chirality(r, rep)
+    sigma = np.zeros(rep.spin_dim, dtype=complex)
+    out = SpinCompatibleCurvature(base=curvature_from_chirality_block(block), rep=rep,
+                                  sigma0=Spinor(sigma))
+    # the stack does not depend on sigma0, whose entry is set once the stack
+    # shows which chirality it kills
+    idx = _annihilated_chirality(out.rho, rep)
     if idx is None:
         raise OrientationError(
             "no chirality annihilated by the curvature spinor action"
         )
-    sigma = np.zeros(rep.spin_dim, dtype=complex)
     sigma[idx[0]] = 1.0
-    out = SpinCompatibleCurvature(base=r, rep=rep, sigma0=Spinor(sigma))
     resid = out.compatibility_residual()
     if resid > KERNEL_TOL:
         raise OrientationError(f"kernel spinor residual {resid:.3e} above tolerance")
@@ -231,45 +227,31 @@ def spin_compatible_from_block(block: np.ndarray) -> SpinCompatibleCurvature:
 def joint_kernel_dimension(c: SpinCompatibleCurvature) -> int:
     """Dimension of the joint kernel of all rho_kl, via SVD of the stack
     (singular values <= 1e-8 relative to the largest, floored at 1)."""
-    n, d = c.base.n, c.rep.spin_dim
-    stack = np.vstack([c.spinor_action(k, l) for k in range(n) for l in range(n)])
-    s = np.linalg.svd(stack, compute_uv=False)
+    s = np.linalg.svd(c.rho.reshape(-1, c.rep.spin_dim), compute_uv=False)
     return int(np.sum(s <= 1e-8 * max(1.0, s[0])))
 
 
-def bochner_curvature_identity(c: SpinCompatibleCurvature, h: SymTensor):
+def bochner_curvature_identity(c: SpinCompatibleCurvature, hs: np.ndarray) -> dict:
     """Residuals of the two cubic-contraction identities behind the Bochner
-    formula for the twisted Dirac square.
+    formula for the twisted Dirac square, for a (T, n, n) batch hs of
+    symmetric tensors h.
 
-    For each free index j:
-        res1_j = || 1/2 sum_klip R_kljp h_ip g_k g_l g_i s0
-                     + 2 sum_k (Rh)_kj g_k s0 ||
-    and for each free index p:
-        res2_p = || 1/2 sum_kli R_klip g_k g_l g_i s0 ||.
+    For each tensor t and free index j:
+        ring_contraction[t, j] = || 1/2 sum_klip R_kljp h_ip g_k g_l g_i s0
+                                    + 2 sum_k (Rh)_kj g_k s0 ||
+    and, independent of h, for each free index p:
+        ricci_contraction[p] = || 1/2 sum_kli R_klip g_k g_l g_i s0 ||.
     Both vanish when the curvature admits the kernel spinor and is
     Ricci-flat.
     """
-    n, d = c.base.n, c.rep.spin_dim
-    gam = c.rep.gamma
+    gam = np.stack(c.rep.gamma)
     s0 = c.sigma0.components
     r = c.base.tensor
-    # triple products gamma_k gamma_l gamma_i applied to sigma0
-    trip = np.empty((n, n, n, d), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            gkl = gam[k] @ gam[l]
-            for i in range(n):
-                trip[k, l, i] = gkl @ (gam[i] @ s0)
-    gam_s0 = np.stack([g @ s0 for g in gam])
-    ring = np.einsum("ikjl,kl->ij", r, h.components)
-
-    res1 = []
-    for j in range(n):
-        acc = 0.5 * np.einsum("klp,ip,klis->s", r[:, :, j, :], h.components, trip)
-        acc = acc + 2.0 * np.einsum("k,ks->s", ring[:, j], gam_s0)
-        res1.append(float(np.linalg.norm(acc)))
-    res2 = []
-    for p in range(n):
-        acc = 0.5 * np.einsum("kli,klis->s", r[:, :, :, p], trip)
-        res2.append(float(np.linalg.norm(acc)))
-    return {"ring_contraction": res1, "ricci_contraction": res2}
+    # triple products gamma_k gamma_l gamma_i sigma0, exact: gamma is monomial
+    trip = np.einsum("kab,lbc,icd,d->klia", gam, gam, gam, s0)
+    ring = np.einsum("ikjl,tkl->tij", r, hs)
+    acc = 0.5 * np.einsum("kljp,tip,klis->tjs", r, hs, trip)
+    acc = acc + 2.0 * np.einsum("tkj,ks->tjs", ring, gam @ s0)
+    ricci = 0.5 * np.einsum("klip,klis->ps", r, trip)
+    return {"ring_contraction": np.linalg.norm(acc, axis=-1),
+            "ricci_contraction": np.linalg.norm(ricci, axis=-1)}

@@ -2,8 +2,11 @@
 
 Forms of degree p are coefficient vectors over the lexicographic basis of
 sorted index tuples.  All structure tables (wedge by a 1-form, interior
-product, Hodge star) are integer-signed, so compositions of these maps are
-exact in integer, rational or float arithmetic alike.
+product, wedge of a p-form and a q-form, Hodge star) are integer-signed, so
+compositions of these maps are exact in integer, rational or float
+arithmetic alike.  The wedge and interior-product tables are built once per
+algebra, on first use; the general wedge is one einsum on its (p, q) table,
+batched over leading axes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ class ExteriorAlgebra:
         }
         self._wedge1_cache: dict = {}
         self._hook1_cache: dict = {}
+        self._wedge_cache: dict = {}
 
     def dim(self, p: int) -> int:
         return len(self.basis[p])
@@ -80,21 +84,24 @@ class ExteriorAlgebra:
         out[..., list(rows)] = np.array(signs) * coeffs
         return out
 
+    def _wedge_table(self, p: int, q: int) -> np.ndarray:
+        """Signed (dim(p+q), dim(p), dim(q)) table of the wedge product:
+        e_ta ^ e_tb = table[:, ta, tb] on basis tuples (integer)."""
+        key = (p, q)
+        if key not in self._wedge_cache:
+            out = np.zeros((self.dim(p + q), self.dim(p), self.dim(q)), dtype=np.int64)
+            for ia, ta in enumerate(self.basis[p]):
+                for ib, tb in enumerate(self.basis[q]):
+                    if not set(ta) & set(tb):
+                        merged = self.index[p + q][tuple(sorted(ta + tb))]
+                        out[merged, ia, ib] = _perm_sign(list(ta) + list(tb))
+            self._wedge_cache[key] = out
+        return self._wedge_cache[key]
+
     def wedge(self, a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
-        """General wedge product of a p-form and a q-form."""
-        out = np.zeros(self.dim(p + q), dtype=np.result_type(a.dtype, b.dtype))
-        for ia, ta in enumerate(self.basis[p]):
-            va = a[ia]
-            if va == 0:
-                continue
-            for ib, tb in enumerate(self.basis[q]):
-                vb = b[ib]
-                if vb == 0 or set(ta) & set(tb):
-                    continue
-                merged = tuple(sorted(ta + tb))
-                sign = _perm_sign(list(ta) + list(tb))
-                out[self.index[p + q][merged]] += sign * va * vb
-        return out
+        """General wedge product of a p-form and a q-form, batched over the
+        leading axes of a and b; exact for integer and object input."""
+        return np.einsum("kij,...i,...j->...k", self._wedge_table(p, q), a, b)
 
     def to_tensor(self, coeffs: np.ndarray, p: int) -> np.ndarray:
         """Full antisymmetric rank-p array from the compact coefficients."""

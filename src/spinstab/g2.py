@@ -2,8 +2,13 @@
 
 The fundamental 3-form, its dual 4-form, the induced cross product and the
 octonionic Clifford model R + TM are all integer-valued in the standard
-coframe, so every pointwise identity here is checked exactly.  Fields on
-T^7 carry complex Fourier amplitudes against the same integer tables.
+coframe, so every pointwise identity here is checked exactly.  The cross
+product, phi and the Clifford action broadcast over leading axes, so each
+identity family is one array expression on a whole batch of integer inputs.
+Tables derived from the forms (the dual tensor, the integer table of the
+tensor-to-3-form embedding) are built once per structure, on first use.
+Fields on T^7 carry complex Fourier amplitudes against the same integer
+tables.
 """
 
 from __future__ import annotations
@@ -60,25 +65,24 @@ class G2Structure:
 
     @cached_property
     def embedding_matrix(self) -> np.ndarray:
-        """(35, 49) matrix of sym_to_three_form on row-major flattened h."""
-        cols = []
-        for i in range(7):
-            for j in range(7):
-                e = np.zeros((7, 7), dtype=np.int64)
-                e[i, j] = 1
-                cols.append([int(v) for v in sym_to_three_form(self, e)])
-        return np.array(cols, dtype=float).T
+        """Integer (35, 49) table of sym_to_three_form: column 7 i + j is
+        e^i ^ (e_j _| phi), the image of h = e_i (x) e_j."""
+        table = np.einsum("ibc,jcd,d->bij", _stacked(EXT7.wedge1, 2),
+                          _stacked(EXT7.hook1, 3), self.phi3)
+        return table.reshape(EXT7.dim(3), 49)
 
     def cross(self, x, y) -> np.ndarray:
-        """P(x, y)_k = phi(x, y, e_k); bilinear and antisymmetric."""
+        """P(x, y)_k = phi(x, y, e_k); bilinear and antisymmetric, batched
+        over the leading axes of x and y."""
         x = np.asarray(x)
         y = np.asarray(y)
-        if x.shape != (7,) or y.shape != (7,):
+        if x.shape[-1:] != (7,) or y.shape[-1:] != (7,):
             raise ValueError("cross product needs 7-dimensional vectors")
-        return np.einsum("ijk,i,j->k", self.phi_tensor, x, y)
+        return np.einsum("ijk,...i,...j->...k", self.phi_tensor, x, y, optimize=True)
 
     def phi_value(self, x, y, z):
-        return np.einsum("ijk,i,j,k->", self.phi_tensor, np.asarray(x),
+        """phi(x, y, z), batched over the leading axes."""
+        return np.einsum("ijk,...i,...j,...k->...", self.phi_tensor, np.asarray(x),
                          np.asarray(y), np.asarray(z))
 
 
@@ -94,8 +98,14 @@ def standard_g2_structure() -> G2Structure:
                        phi_tensor=EXT7.to_tensor(phi3, 3))
 
 
+def _dot(a, b):
+    """<a, b> over the last axis, batched over the leading ones."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def cross_identity_residuals(g2: G2Structure, x, y, z) -> dict:
-    """Exact residuals of the four cross-product identities at one triple.
+    """Exact residuals of the four cross-product identities, each the max
+    over a batch of triples (the leading axes of x, y and z).
 
         (1) P(X,Y) + P(Y,X) = 0
         (2) <P(X,Y), P(X,Z)> = |X|^2 <Y,Z> - <X,Y><X,Z>
@@ -103,39 +113,28 @@ def cross_identity_residuals(g2: G2Structure, x, y, z) -> dict:
         (4) X _| (Y _| *phi) = -P(X,Y) _| phi + X* ^ Y*
     """
     x, y, z = (np.asarray(v, dtype=np.int64) for v in (x, y, z))
-    star_t = g2.star_phi_tensor
     pxy = g2.cross(x, y)
-    r1 = int(np.abs(pxy + g2.cross(y, x)).max())
-    r2 = int(abs(pxy @ g2.cross(x, z) - ((x @ x) * (y @ z) - (x @ y) * (x @ z))))
-    r3 = int(np.abs(g2.cross(x, pxy) + (x @ x) * y - (x @ y) * x).max())
-    lhs4 = np.einsum("i,j,jikl->kl", x, y, star_t)
-    rhs4 = -np.einsum("m,mkl->kl", pxy, g2.phi_tensor) + np.outer(x, y) - np.outer(y, x)
-    r4 = int(np.abs(lhs4 - rhs4).max())
-    return {1: r1, 2: r2, 3: r3, 4: r4}
+    xx, xy = _dot(x, x), _dot(x, y)
+    r1 = np.abs(pxy + g2.cross(y, x)).max()
+    r2 = np.abs(_dot(pxy, g2.cross(x, z)) - (xx * _dot(y, z) - xy * _dot(x, z))).max()
+    r3 = np.abs(g2.cross(x, pxy) + xx[..., None] * y - xy[..., None] * x).max()
+    lhs4 = np.einsum("...i,...j,jikl->...kl", x, y, g2.star_phi_tensor)
+    outer = x[..., :, None] * y[..., None, :]
+    rhs4 = -np.einsum("...m,mkl->...kl", pxy, g2.phi_tensor) + outer - np.swapaxes(outer, -1, -2)
+    return {1: int(r1), 2: int(r2), 3: int(r3), 4: int(np.abs(lhs4 - rhs4).max())}
 
 
 def verify_cross_identities(g2: G2Structure, seed: int = 0, samples: int = 100) -> dict:
-    """Exhaustive check over all basis tuples plus seeded integer triples.
+    """Exhaustive check over all basis triples plus seeded integer triples.
 
     The identities are multilinear-polynomial, so exact integer checks are
     conclusive on any spanning family.
     """
-    basis = list(np.eye(7, dtype=np.int64))
-    worst = {1: 0, 2: 0, 3: 0, 4: 0}
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                res = cross_identity_residuals(g2, x, y, z)
-                for key in worst:
-                    worst[key] = max(worst[key], res[key])
-    rng = np.random.default_rng(seed)
-    worst_rand = {1: 0, 2: 0, 3: 0, 4: 0}
-    for _ in range(samples):
-        x, y, z = (rng.integers(-4, 5, size=7) for _ in range(3))
-        res = cross_identity_residuals(g2, x, y, z)
-        for key in worst_rand:
-            worst_rand[key] = max(worst_rand[key], res[key])
-    return {"basis": worst, "random": worst_rand}
+    e = np.eye(7, dtype=np.int64)
+    x, y, z = (e[idx.reshape(-1)] for idx in np.indices((7, 7, 7)))
+    rand = np.random.default_rng(seed).integers(-4, 5, size=(samples, 3, 7))
+    return {"basis": cross_identity_residuals(g2, x, y, z),
+            "random": cross_identity_residuals(g2, rand[:, 0], rand[:, 1], rand[:, 2])}
 
 
 # -- spinor model -----------------------------------------------------------
@@ -152,37 +151,33 @@ SIGMA0 = OctonionSpinor(1, np.zeros(7, dtype=np.int64))
 
 
 def clifford_act(g2: G2Structure, x, s: OctonionSpinor) -> OctonionSpinor:
-    """X . (a, Y) = (-<X, Y>, a X + P(X, Y))."""
+    """X . (a, Y) = (-<X, Y>, a X + P(X, Y)), batched over the leading axes
+    of x and of the spinor's parts."""
     x = np.asarray(x)
-    return OctonionSpinor(-(x @ s.vector), s.scalar * x + g2.cross(x, s.vector))
+    return OctonionSpinor(-_dot(x, s.vector),
+                          np.asarray(s.scalar)[..., None] * x + g2.cross(x, s.vector))
 
 
 def clifford_relation_residual(g2: G2Structure, seed: int = 0, samples: int = 100) -> int:
     """max |X.(X.s) + |X|^2 s| over the basis and seeded integer data."""
-    rng = np.random.default_rng(seed)
-    cases = [(e, SIGMA0) for e in np.eye(7, dtype=np.int64)]
-    for _ in range(samples):
-        x = rng.integers(-4, 5, size=7)
-        s = OctonionSpinor(int(rng.integers(-4, 5)), rng.integers(-4, 5, size=7))
-        cases.append((x, s))
-    worst = 0
-    for x, s in cases:
-        xxs = clifford_act(g2, x, clifford_act(g2, x, s))
-        norm = int(np.asarray(x) @ np.asarray(x))
-        worst = max(worst, int(abs(xxs.scalar + norm * s.scalar)),
-                    int(np.abs(xxs.vector + norm * s.vector).max()))
-    return worst
+    # per sample: X, then the scalar and the vector of s
+    draws = np.random.default_rng(seed).integers(-4, 5, size=(samples, 15))
+    x = np.concatenate([np.eye(7, dtype=np.int64), draws[:, :7]])
+    s = OctonionSpinor(np.concatenate([np.ones(7, dtype=np.int64), draws[:, 7]]),
+                       np.concatenate([np.zeros((7, 7), dtype=np.int64), draws[:, 8:]]))
+    xxs = clifford_act(g2, x, clifford_act(g2, x, s))
+    norm = _dot(x, x)
+    return max(int(np.abs(xxs.scalar + norm * s.scalar).max()),
+               int(np.abs(xxs.vector + norm[:, None] * s.vector).max()))
 
 
 def triple_pairing_residual(g2: G2Structure, vectors) -> int:
-    """phi(X,Y,Z) + <X.Y.Z.sigma0, sigma0> must vanish identically."""
-    worst = 0
-    for x in vectors:
-        for y in vectors:
-            for z in vectors:
-                s = clifford_act(g2, x, clifford_act(g2, y, clifford_act(g2, z, SIGMA0)))
-                worst = max(worst, int(abs(g2.phi_value(x, y, z) + s.scalar)))
-    return worst
+    """phi(X,Y,Z) + <X.Y.Z.sigma0, sigma0> must vanish identically; checked
+    on every triple drawn from `vectors`."""
+    v = np.asarray(vectors)
+    x, y, z = np.broadcast_arrays(v[:, None, None], v[None, :, None], v[None, None, :])
+    s = clifford_act(g2, x, clifford_act(g2, y, clifford_act(g2, z, SIGMA0)))
+    return int(np.abs(g2.phi_value(x, y, z) + s.scalar).max())
 
 
 # -- type decomposition of 3-forms -----------------------------------------
@@ -198,12 +193,7 @@ class ThreeFormTypes:
         self.g2 = g2
         phi = np.asarray(g2.phi3, dtype=np.int64)
         # image of alpha -> *(phi ^ alpha) on the coframe basis, one row each
-        rows = []
-        for a in range(7):
-            e = np.zeros(EXT7.dim(1), dtype=np.int64)
-            e[a] = 1
-            rows.append(EXT7.star(EXT7.wedge(g2.phi3, 3, e, 1), 4))
-        seven = np.array(rows, dtype=np.int64)
+        seven = EXT7.star(EXT7.wedge(g2.phi3, 3, np.eye(7, dtype=np.int64), 1), 4)
         gram = seven @ seven.T
         diag = int(gram[0, 0])
         if not np.array_equal(gram, diag * np.eye(7, dtype=np.int64)):
@@ -249,20 +239,9 @@ def sym_to_three_form(g2: G2Structure, h: np.ndarray):
     """h_ij e^i ^ (e_j _| phi) as a compact 3-form coefficient vector.
 
     Maps the identity to 3 phi and traceless tensors into the 27-type piece.
-    Exact for integer or Fraction input.
+    Exact for integer or Fraction input: the sum runs on Python objects.
     """
-    h = np.asarray(h)
-    dim3 = EXT7.dim(3)
-    out = np.zeros(dim3, dtype=object)
-    for i in range(7):
-        for j in range(7):
-            v = h[i, j]
-            if v == 0:
-                continue
-            hook = EXT7.hook1(j, 3) @ g2.phi3  # 2-form
-            w = EXT7.wedge1(i, 2) @ hook
-            out = out + v * w.astype(object)
-    return out
+    return g2.embedding_matrix.astype(object) @ np.asarray(h, dtype=object).reshape(49)
 
 
 def sym_to_three_form_rank(g2: G2Structure) -> int:
@@ -326,21 +305,12 @@ def sym_field_to_three_form(g2: G2Structure, h) -> FormField:
 def octonion_dirac_by_action(g2: G2Structure, h) -> ModeField:
     """Dirac of the embedded tensor, computed from the Clifford action:
     per coframe index j, sum_k e_k . (0, d_k h_(.)j)."""
-    modes = {}
-    for k, hk in h.mode_matrices().items():
-        out = np.zeros((8, 7), dtype=complex)
-        for ax, kv in enumerate(k):
-            if kv == 0:
-                continue
-            dh = 1j * kv * hk  # d_ax h
-            for j in range(7):
-                w = dh[:, j]
-                # e_ax . (0, w) = (-w_ax, P(e_ax, w))
-                out[0, j] += -w[ax]
-                out[1:, j] += np.einsum(
-                    "ik,i->k", g2.phi_tensor[ax], w).astype(complex)
-        modes[k] = out
-    return ModeField(7, modes)
+    # dh[m, k, j] = d_k h_(.)j at mode m, the vector part of (0, d_k h_(.)j)
+    dh = 1j * h.keys[:, :, None, None] * np.swapaxes(h.amps, 1, 2)[:, None]
+    e = np.eye(7, dtype=np.int64)[:, None, :]  # e_k, broadcast over j
+    act = clifford_act(g2, e, OctonionSpinor(0, dh))
+    return ModeField._build(7, h.keys, np.concatenate(
+        [act.scalar.sum(axis=1)[:, None], np.swapaxes(act.vector.sum(axis=1), 1, 2)], axis=1))
 
 
 def octonion_dirac_closed_form(g2: G2Structure, h) -> ModeField:

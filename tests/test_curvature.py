@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from spinstab.clifford import SymTensor, build_gamma_rep
+from spinstab import curvature
+from spinstab.clifford import SymTensor, build_gamma_rep, unit_spinor
 from spinstab.curvature import (
+    AlgCurvature,
     CurvatureSymmetryError,
+    SpinCompatibleCurvature,
     bochner_curvature_identity,
     curvature_from_chirality_block,
     curvature_symmetry_violations,
@@ -13,6 +16,7 @@ from spinstab.curvature import (
     spin_compatible_from_block,
     validate_curvature,
 )
+from spinstab.suites import run_suite
 
 
 def sphere_pattern():
@@ -105,11 +109,8 @@ def test_zero_block_annihilates_everything():
     rep = build_gamma_rep(4)
     assert np.abs(r.tensor).max() == 0.0
     # every spinor is in the kernel of the zero action
-    stack = []
-    for k in range(4):
-        for l in range(4):
-            stack.append(np.zeros((4, 4)))
-    assert all(np.abs(m).max() == 0.0 for m in stack)
+    c = SpinCompatibleCurvature(r, rep, unit_spinor(rep))
+    assert c.rho.shape == (4, 4, 4, 4) and np.abs(c.rho).max() == 0.0
 
 
 def test_k3_sample_kernel_spinor_exact():
@@ -119,46 +120,88 @@ def test_k3_sample_kernel_spinor_exact():
         assert joint_kernel_dimension(sample) == 2
 
 
+def test_rho_stack_matches_the_double_sum():
+    # rho_kl = 1/4 sum_ij R_klij gamma_i gamma_j, summed term by term
+    for seed in (0, 1, 2, 5, 11):
+        sample = k3_sample(seed)
+        gam, r = sample.rep.gamma, sample.base.tensor
+        loop = np.zeros((4, 4, 4, 4), dtype=complex)
+        for k in range(4):
+            for l in range(4):
+                for i in range(4):
+                    for j in range(4):
+                        if r[k, l, i, j] != 0.0:
+                            loop[k, l] += 0.25 * r[k, l, i, j] * (gam[i] @ gam[j])
+        assert sample.rho.tobytes() == loop.tobytes()
+        assert sample.rho is sample.rho  # built once per sample
+
+
 def test_generic_spinor_not_annihilated():
     sample = k3_sample(1)
     sigma = np.ones(4, dtype=complex) / 2.0
-    worst = max(
-        float(np.linalg.norm(sample.spinor_action(k, l) @ sigma))
-        for k in range(4) for l in range(4))
+    worst = float(np.linalg.norm(sample.rho @ sigma, axis=-1).max())
     assert worst > 1e-3
 
 
 def test_bochner_zero_curvature_trivial():
     rep = build_gamma_rep(4)
-    from spinstab.clifford import Spinor, unit_spinor
-    from spinstab.curvature import AlgCurvature, SpinCompatibleCurvature
-
     c = SpinCompatibleCurvature(
         AlgCurvature(4, np.zeros((4,) * 4)), rep, unit_spinor(rep))
-    out = bochner_curvature_identity(c, SymTensor(np.eye(4)))
-    assert max(out["ring_contraction"]) == 0.0
-    assert max(out["ricci_contraction"]) == 0.0
+    out = bochner_curvature_identity(c, np.eye(4)[None])
+    assert out["ring_contraction"].shape == (1, 4)
+    assert out["ring_contraction"].max() == 0.0
+    assert out["ricci_contraction"].max() == 0.0
+
+
+def _symmetric(rng, count):
+    a = rng.standard_normal((count, 4, 4))
+    return 0.5 * (a + np.swapaxes(a, 1, 2))
 
 
 def test_bochner_identity_on_seeded_data():
     rng = np.random.default_rng(9)
     worst = 0.0
     for seed in range(5):
-        sample = k3_sample(seed)
-        for _ in range(5):
-            a = rng.standard_normal((4, 4))
-            h = SymTensor(0.5 * (a + a.T))
-            out = bochner_curvature_identity(sample, h)
-            worst = max(worst, max(out["ring_contraction"]),
-                        max(out["ricci_contraction"]))
+        out = bochner_curvature_identity(k3_sample(seed), _symmetric(rng, 5))
+        worst = max(worst, out["ring_contraction"].max(), out["ricci_contraction"].max())
     assert worst <= 1e-10
+
+
+def test_batched_bochner_matches_per_tensor_calls():
+    rng = np.random.default_rng(3)
+    for seed in (0, 7):
+        sample = k3_sample(seed)
+        hs = _symmetric(rng, 20)
+        out = bochner_curvature_identity(sample, hs)
+        assert out["ring_contraction"].shape == (20, 4)
+        for t, h in enumerate(hs):
+            one = bochner_curvature_identity(sample, h[None])
+            assert one["ring_contraction"][0].tobytes() == out["ring_contraction"][t].tobytes()
+            assert one["ricci_contraction"].tobytes() == out["ricci_contraction"].tobytes()
 
 
 def test_bochner_identity_on_identity_tensor():
     sample = k3_sample(4)
-    out = bochner_curvature_identity(sample, SymTensor(np.eye(4)))
-    assert max(out["ring_contraction"]) <= 1e-10
-    assert max(out["ricci_contraction"]) <= 1e-10
+    out = bochner_curvature_identity(sample, np.eye(4)[None])
+    assert out["ring_contraction"].max() <= 1e-10
+    assert out["ricci_contraction"].max() <= 1e-10
+
+
+def test_curvalg_counts_what_it_checked(monkeypatch):
+    # a joint kernel that is not 2-dimensional at the second sample ends the
+    # loop there: two samples checked, one sample's tensors paired
+    calls = []
+
+    def kernel_dim(c):
+        calls.append(c)
+        return 3 if len(calls) == 2 else 2
+
+    monkeypatch.setattr(curvature, "joint_kernel_dimension", kernel_dim)
+    report = run_suite("curvalg", seed=0)[0]
+    records = {r.check_id: r for r in report.records}
+    assert records["kernel_spinor"].detail["samples"] == 2
+    assert records["bochner_contractions"].detail["pairs"] == 20
+    assert records["kernel_dimension"].value == 1 and not report.passed
 
 
 def test_curvature_values_compare_by_identity():

@@ -64,6 +64,31 @@ def test_all_identities_exact():
     assert max(out["random"].values()) == 0
 
 
+def test_batched_identities_match_per_triple_calls():
+    rng = np.random.default_rng(5)
+    x, y, z = rng.integers(-4, 5, size=(3, 30, 7))
+    per_triple = [cross_identity_residuals(G2, *t) for t in zip(x, y, z)]
+    batched = cross_identity_residuals(G2, x, y, z)
+    assert batched == {key: max(r[key] for r in per_triple) for key in batched}
+    # a broken structure is seen by the batch as by the single triple
+    flipped = dataclasses.replace(G2, phi3=-G2.phi3, star_phi4=-G2.star_phi4)
+    assert cross_identity_residuals(flipped, x, y, z)[4] > 0
+    assert np.array_equal(G2.cross(x, y), np.array([G2.cross(a, b) for a, b in zip(x, y)]))
+
+
+def test_batched_clifford_action_matches_per_item_calls():
+    rng = np.random.default_rng(6)
+    x, v = rng.integers(-4, 5, size=(2, 12, 7))
+    a = rng.integers(-4, 5, size=12)
+    out = clifford_act(G2, x, OctonionSpinor(a, v))
+    for i in range(12):
+        one = clifford_act(G2, x[i], OctonionSpinor(int(a[i]), v[i]))
+        assert one.scalar == out.scalar[i]
+        assert np.array_equal(one.vector, out.vector[i])
+    assert np.array_equal(G2.phi_value(x, v, x[::-1]),
+                          [G2.phi_value(p, q, r) for p, q, r in zip(x, v, x[::-1])])
+
+
 def test_clifford_action_on_vacuum():
     s = clifford_act(G2, E[0], SIGMA0)
     assert s.scalar == 0
@@ -266,6 +291,17 @@ def test_exterior_algebra_star_signs():
     expect = np.zeros(ext.dim(2), dtype=np.int64)
     expect[ext.index[2][(2, 3)]] = 1
     assert np.array_equal(star, expect)
+
+
+def test_wedge_table_agrees_with_wedge_by_a_one_form():
+    rng = np.random.default_rng(8)
+    for p in range(7):
+        beta = rng.integers(-3, 4, size=EXT7.dim(p))
+        batched = EXT7.wedge(E, 1, beta, p)  # one row per coframe 1-form
+        assert np.array_equal(batched, [EXT7.wedge1(ax, p) @ beta for ax in range(7)])
+    third = np.array([Fraction(int(v), 3) for v in G2.phi3], dtype=object)
+    exact = EXT7.wedge(third, 3, G2.star_phi4, 4)
+    assert exact.dtype == object and list(exact) == [Fraction(7, 3)]  # |phi|^2 / 3
 
 
 def test_structure_and_spinor_compare_by_identity():

@@ -6,10 +6,11 @@ Both files are `verify --out` payloads (a single report's JSON works too).
 Timings are stripped as `VerificationReport.strip_timings` strips them.
 Prints one line per record whose value moved: suite.id, tolerance, old
 value, new value and relative change |new - old| / |old|; a moved record
-with tolerance 0 (an exact check) is flagged EXACT.  Then one line per
-difference in the records' shape: ids and their order, anchors, tolerances,
-pass flags, detail keys, sample counts (the report config and the detail
-entries named in COUNT_KEYS), and a summary line.
+with tolerance 0 (an exact check) is flagged EXACT, and one whose old value
+was exactly 0 is flagged WAS-0.  Then one line per difference in the
+records' shape: ids and their order, anchors, tolerances, pass flags, detail
+keys, sample counts (the report config and the detail entries named in
+COUNT_KEYS), and a summary line that counts the moved and the WAS-0 records.
 
 Exits 1 when the shape differs or an exact record moved, else 0.
 """
@@ -85,12 +86,13 @@ def main(argv=None) -> int:
     before, after = load(args.before), load(args.after)
     moved, problems = diff(before, after)
     for name, tol, old, new, rel in moved:
-        flag = "  EXACT" if tol == 0 else ""
+        flag = ("  EXACT" if tol == 0 else "") + ("  WAS-0" if old == 0 else "")
         print(f"{name:45s} tol {tol:<8.1e} {old:.9e} -> {new:.9e}  rel {rel:.2e}{flag}")
     for line in problems:
         print(f"DIFFERS {line}")
     total = sum(len(r["records"]) for r in before)
-    print(f"{total} records, {len(moved)} moved, "
+    was_zero = sum(1 for _, _, old, _, _ in moved if old == 0)
+    print(f"{total} records, {len(moved)} moved, {was_zero} WAS-0, "
           f"{'same shape' if not problems else f'{len(problems)} problems'}")
     return 1 if problems else 0
 
