@@ -50,6 +50,28 @@ def _load_json(path):
         raise SystemExit(f"cannot read {path}: {exc}") from None
 
 
+def _object(value, name: str) -> dict:
+    """A descriptor object; {} for null or absent."""
+    if value is not None and not isinstance(value, dict):
+        raise SystemExit(f"{name} must be an object, not {value!r}")
+    return value or {}
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """A descriptor integer in [low, high]; anything else is a usage error."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise SystemExit(f"{name} must be an integer {bound}, not {value!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -96,22 +118,25 @@ def _family_from_descriptor(desc: dict) -> wmod.FiberFamily:
     if kind == "torus":
         start = float(fiber.get("scale_start", 1.0))
         end = float(fiber.get("scale_end", start))
-        return wmod.FlatTorusConformalFamily(int(fiber.get("k", 2)),
+        return wmod.FlatTorusConformalFamily(_integer(fiber.get("k", 2), "fiber.k", 1),
                                              *wmod.smooth_path(start, end))
     raise SystemExit(f"unknown fiber kind {kind!r}")
 
 
 def _scan_settings(desc: dict) -> tuple:
     """(points, r_max_factor) of the descriptor's positivity scan."""
-    scan = desc.get("scan", {})
-    return int(scan.get("points", 4000)), float(scan.get("r_max_factor", 4.0))
+    scan = _object(desc.get("scan"), "scan")
+    factor = float(scan.get("r_max_factor", 4.0))
+    if not factor > 0.0:
+        raise SystemExit(f"scan.r_max_factor must be > 0, not {factor!r}")
+    return _integer(scan.get("points", 4000), "scan.points", 1), factor
 
 
 def _metric_from_descriptor(desc: dict):
     """(metric, certificate); the certificate is the construction's scan,
     None for a fixed profile."""
     family = _family_from_descriptor(desc)
-    prof_desc = desc.get("profile", {"kind": "construct"})
+    prof_desc = _object(desc.get("profile"), "profile")
     kind = prof_desc.get("kind", "construct")
     if kind == "construct":
         return wmod.construct_negative_mass(family, *_scan_settings(desc))
@@ -130,7 +155,7 @@ def _metric_from_descriptor(desc: dict):
 
 
 def cmd_warped(args) -> int:
-    desc = _load_json(args.family)
+    desc = _object(_load_json(args.family), "descriptor")
     try:
         metric, cert = _metric_from_descriptor(desc)
     except wmod.ConstructionError as exc:
@@ -183,7 +208,8 @@ def cmd_warped(args) -> int:
             r_range = (3.0, 30.0)
         rows = []
         failures = 0
-        samples = int(desc.get("oracle", {}).get("samples", 25))
+        samples = _integer(_object(desc.get("oracle"), "oracle").get("samples", 25),
+                           "oracle.samples", 1)
         points = wmod.sample_oracle_points(metric, r_range, samples,
                                            np.random.default_rng(args.seed))
         for r, q in points:
@@ -209,24 +235,17 @@ def cmd_spectrum(args) -> int:
     if args.count < 0:
         print("error: --count must be nonnegative", file=sys.stderr)
         return USAGE_ERROR
-    desc = _load_json(args.descriptor) if args.descriptor else {"dim": 4}
-    n = int(desc.get("dim", 4))
-    if not 2 <= n <= 4:
-        print("error: spectrum supports dim in [2, 4]", file=sys.stderr)
-        return USAGE_ERROR
-    cutoff = int(desc.get("cutoff", 1))
-    if cutoff > MAX_CUTOFF[n]:
-        print(f"error: cutoff {cutoff} exceeds limit {MAX_CUTOFF[n]} for "
-              f"dimension {n}", file=sys.stderr)
-        return USAGE_ERROR
-    grid = Grid(n, int(desc["grid"])) if "grid" in desc else Grid(n)
-    pert = desc.get("perturbation")
+    desc = _object(_load_json(args.descriptor), "descriptor") if args.descriptor else {"dim": 4}
+    n = _integer(desc.get("dim", 4), "dim", 2, 4)
+    cutoff = _integer(desc.get("cutoff", 1), "cutoff", 0, MAX_CUTOFF[n])
+    grid = Grid(n, _integer(desc["grid"], "grid", 1)) if "grid" in desc else Grid(n)
+    pert = _object(desc.get("perturbation"), "perturbation")
     if pert:
         rng = np.random.default_rng(int(pert.get("seed", args.seed)))
         h = FourierSymTensor.random_real(
-            n, int(pert.get("cutoff", 1)), rng,
+            n, _integer(pert.get("cutoff", 1), "perturbation.cutoff", 1, MAX_CUTOFF[n]), rng,
             scale=float(pert.get("amplitude", 0.02)),
-            count=int(pert.get("count", 2)))
+            count=_integer(pert.get("count", 2), "perturbation.count", 1))
         metric = FourierMetric.from_perturbation(h)
     else:
         metric = FourierMetric.flat(n)
@@ -250,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a module verification suite")
     pv.add_argument("suite", choices=list(SUITES) + ["all"])
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_seed, default=0)
     pv.add_argument("--config", help="JSON file of sample counts")
     pv.add_argument("--out", help="write the JSON report here")
     pv.set_defaults(func=cmd_verify)
@@ -260,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--family", required=True,
                     help="JSON descriptor of the fiber family and profile")
     pw.add_argument("--out", help="output file (JSON for build, CSV otherwise)")
-    pw.add_argument("--seed", type=int, default=0)
+    pw.add_argument("--seed", type=_seed, default=0)
     pw.set_defaults(func=cmd_warped)
 
     ps = sub.add_parser("spectrum", help="Rayleigh spectra and ground state")
     ps.add_argument("--descriptor", help="JSON metric descriptor")
     ps.add_argument("--count", type=int, default=5)
     ps.add_argument("--out", help="CSV output path")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.set_defaults(func=cmd_spectrum)
     return p
 

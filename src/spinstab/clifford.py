@@ -31,13 +31,9 @@ def _kron_chain(mats):
 
 def _anticommutator_residual(gamma) -> float:
     """Max entry of |{gamma_i, gamma_j} + 2 delta_ij Id| over all pairs."""
-    eye = np.eye(gamma[0].shape[0])
-    worst = 0.0
-    for i, gi in enumerate(gamma):
-        for j, gj in enumerate(gamma):
-            acom = gi @ gj + gj @ gi + 2.0 * (i == j) * eye
-            worst = max(worst, float(np.abs(acom).max()))
-    return worst
+    g = np.asarray(gamma)
+    delta = np.eye(len(g))[:, :, None, None] * np.eye(g.shape[1])
+    return float(np.abs(g[:, None] @ g + g @ g[:, None] + 2.0 * delta).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +210,6 @@ class CYCliffordModel:
         self.gamma = tuple(gamma)
         self.degree = np.array([bin(i).count("1") for i in range(self.dim)])
         self.even_mask = self.degree % 2 == 0
-        self.odd_mask = ~self.even_mask
 
     def _creation_matrix(self, j: int) -> np.ndarray:
         c = np.zeros((self.dim, self.dim), dtype=complex)
@@ -271,12 +266,10 @@ class CYCliffordModel:
         return _anticommutator_residual(self.gamma)
 
     def parity_residual(self) -> float:
-        """Generators must swap even and odd form degrees (the S+/S- split)."""
-        worst = 0.0
-        for g in self.gamma:
-            worst = max(worst, float(np.abs(g[np.ix_(self.even_mask, self.even_mask)]).max()))
-            worst = max(worst, float(np.abs(g[np.ix_(self.odd_mask, self.odd_mask)]).max()))
-        return worst
+        """Generators must swap even and odd form degrees (the S+/S- split):
+        the max entry between two states of equal degree parity."""
+        same = self.even_mask[:, None] == self.even_mask
+        return float(np.abs(np.asarray(self.gamma)[:, same]).max())
 
     def intertwiner(self, rep: GammaRep):
         """Unitary U with U gamma_model U^-1 = gamma_rep, plus residual."""

@@ -1,12 +1,15 @@
 """Integer exterior algebra on a small oriented Euclidean coordinate space.
 
 Forms of degree p are coefficient vectors over the lexicographic basis of
-sorted index tuples.  All structure tables (wedge by a 1-form, interior
-product, wedge of a p-form and a q-form, Hodge star) are integer-signed, so
-compositions of these maps are exact in integer, rational or float
-arithmetic alike.  The wedge and interior-product tables are built once per
-algebra, on first use; the general wedge is one einsum on its (p, q) table,
-batched over leading axes.
+sorted index tuples.  One signed integer table per pair of degrees, the
+wedge table e_ta ^ e_tb = table[:, ta, tb], holds every structure map: the
+wedge by a coframe 1-form is its (1, p) table, the interior product is the
+transpose of that (the adjoint in the orthonormal basis), and the Hodge
+star reads the top-degree slice of the (p, n - p) table.  Compositions of
+these maps are therefore exact in integer, rational or float arithmetic
+alike.  Each table is built once per algebra, on first use, and is
+read-only, since the maps hand out views of it; the general wedge is one
+einsum on its table, batched over leading axes.
 """
 
 from __future__ import annotations
@@ -23,70 +26,34 @@ class ExteriorAlgebra:
         self.index = {
             p: {t: i for i, t in enumerate(self.basis[p])} for p in range(n + 1)
         }
-        self._wedge1_cache: dict = {}
-        self._hook1_cache: dict = {}
         self._wedge_cache: dict = {}
 
     def dim(self, p: int) -> int:
         return len(self.basis[p])
 
-    @staticmethod
-    def _insert(idx: int, t: tuple):
-        """Position and sign for e_idx ^ e_t, or None if idx in t."""
-        if idx in t:
-            return None
-        pos = sum(1 for v in t if v < idx)
-        return tuple(sorted(t + (idx,))), (-1) ** pos
+    def wedge1(self, p: int) -> np.ndarray:
+        """(n, dim(p+1), dim(p)) stack whose slice a is the matrix of
+        e^a ^ . : Lambda^p -> Lambda^(p+1) (integer)."""
+        return np.moveaxis(self._wedge_table(1, p), 1, 0)
 
-    def wedge1(self, axis: int, p: int) -> np.ndarray:
-        """Matrix of e^axis ^ . : Lambda^p -> Lambda^(p+1) (integer)."""
-        key = (axis, p)
-        if key not in self._wedge1_cache:
-            out = np.zeros((self.dim(p + 1), self.dim(p)), dtype=np.int64)
-            for col, t in enumerate(self.basis[p]):
-                hit = self._insert(axis, t)
-                if hit is not None:
-                    tgt, sign = hit
-                    out[self.index[p + 1][tgt], col] = sign
-            self._wedge1_cache[key] = out
-        return self._wedge1_cache[key]
-
-    def hook1(self, axis: int, p: int) -> np.ndarray:
-        """Matrix of e_axis interior product: Lambda^p -> Lambda^(p-1)."""
-        key = (axis, p)
-        if key not in self._hook1_cache:
-            out = np.zeros((self.dim(p - 1), self.dim(p)), dtype=np.int64)
-            for col, t in enumerate(self.basis[p]):
-                if axis not in t:
-                    continue
-                pos = t.index(axis)
-                rest = t[:pos] + t[pos + 1:]
-                out[self.index[p - 1][rest], col] = (-1) ** pos
-            self._hook1_cache[key] = out
-        return self._hook1_cache[key]
-
-    def star_table(self, p: int):
-        """For each basis p-form, the complementary tuple and the sign of the
-        permutation (t, t^c) relative to (0..n-1)."""
-        table = []
-        for t in self.basis[p]:
-            comp = tuple(sorted(set(range(self.n)) - set(t)))
-            perm = list(t) + list(comp)
-            sign = _perm_sign(perm)
-            table.append((self.index[self.n - p][comp], sign))
-        return table
+    def hook1(self, p: int) -> np.ndarray:
+        """(n, dim(p-1), dim(p)) stack whose slice a is the matrix of the
+        interior product e_a _| : Lambda^p -> Lambda^(p-1), the transpose of
+        wedge1(p - 1)[a]."""
+        return np.swapaxes(self.wedge1(p - 1), 1, 2)
 
     def star(self, coeffs: np.ndarray, p: int) -> np.ndarray:
         """Hodge star with orientation e^0 ^ ... ^ e^(n-1), batched over the
-        leading axes of coeffs."""
-        rows, signs = zip(*self.star_table(p))
-        out = np.zeros(coeffs.shape[:-1] + (self.dim(self.n - p),), dtype=coeffs.dtype)
-        out[..., list(rows)] = np.array(signs) * coeffs
-        return out
+        leading axes of coeffs.  e_t ^ e_(t^c) = sign vol gives
+        *e_t = sign e_(t^c); each output coefficient is gathered from its one
+        input, so signed zeros pass through as sign * coefficient."""
+        top = self._wedge_table(p, self.n - p)[0]  # top[t, c] vol = e_t ^ e_c
+        src = np.abs(top).argmax(axis=0)  # per output c, the t with t^c = c
+        return top[src, np.arange(len(src))] * coeffs[..., src]
 
     def _wedge_table(self, p: int, q: int) -> np.ndarray:
         """Signed (dim(p+q), dim(p), dim(q)) table of the wedge product:
-        e_ta ^ e_tb = table[:, ta, tb] on basis tuples (integer)."""
+        e_ta ^ e_tb = table[:, ta, tb] on basis tuples (integer, read-only)."""
         key = (p, q)
         if key not in self._wedge_cache:
             out = np.zeros((self.dim(p + q), self.dim(p), self.dim(q)), dtype=np.int64)
@@ -95,6 +62,7 @@ class ExteriorAlgebra:
                     if not set(ta) & set(tb):
                         merged = self.index[p + q][tuple(sorted(ta + tb))]
                         out[merged, ia, ib] = _perm_sign(list(ta) + list(tb))
+            out.flags.writeable = False
             self._wedge_cache[key] = out
         return self._wedge_cache[key]
 

@@ -8,7 +8,9 @@ identity family is one array expression on a whole batch of integer inputs.
 Tables derived from the forms (the dual tensor, the integer table of the
 tensor-to-3-form embedding) are built once per structure, on first use.
 Fields on T^7 carry complex Fourier amplitudes against the same integer
-tables.
+tables: d, d* and the expansions contract whole mode stacks with the
+(7, rows, cols) wedge and interior-product stacks of EXT7, views of its one
+signed wedge table.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ class G2Structure:
     def embedding_matrix(self) -> np.ndarray:
         """Integer (35, 49) table of sym_to_three_form: column 7 i + j is
         e^i ^ (e_j _| phi), the image of h = e_i (x) e_j."""
-        table = np.einsum("ibc,jcd,d->bij", _stacked(EXT7.wedge1, 2),
-                          _stacked(EXT7.hook1, 3), self.phi3)
+        table = np.einsum("ibc,jcd,d->bij", EXT7.wedge1(2), EXT7.hook1(3), self.phi3)
         return table.reshape(EXT7.dim(3), 49)
 
     def cross(self, x, y) -> np.ndarray:
@@ -252,11 +253,6 @@ def sym_to_three_form_rank(g2: G2Structure) -> int:
 
 # -- fields over T^7 ---------------------------------------------------------
 
-def _stacked(table, p):
-    """(7, rows, cols) stack of the integer matrices table(ax, p), ax = 0..6."""
-    return np.stack([table(ax, p) for ax in range(7)])
-
-
 class FormField(ModeField):
     """p-form field on T^7: per mode a compact coefficient vector."""
 
@@ -270,17 +266,16 @@ class FormField(ModeField):
     def _like(self, keys, amps) -> "FormField":
         return _form(self.p, keys, amps)
 
-    def _symbol(self, table, p: int) -> np.ndarray:
-        """sum_a k_a table(a, p) applied to each mode's amplitude."""
-        return np.einsum("ma,aij,mj->mi", self.keys, _stacked(table, p), self.amps,
-                         optimize=True)
+    def _symbol(self, stack: np.ndarray) -> np.ndarray:
+        """sum_a k_a stack[a] applied to each mode's amplitude."""
+        return np.einsum("ma,aij,mj->mi", self.keys, stack, self.amps, optimize=True)
 
     def exterior_d(self) -> "FormField":
-        return _form(self.p + 1, self.keys, 1j * self._symbol(EXT7.wedge1, self.p))
+        return _form(self.p + 1, self.keys, 1j * self._symbol(EXT7.wedge1(self.p)))
 
     def codifferential(self) -> "FormField":
         """-sum_k e_k _| d_k on the flat torus."""
-        return _form(self.p - 1, self.keys, -1j * self._symbol(EXT7.hook1, self.p))
+        return _form(self.p - 1, self.keys, -1j * self._symbol(EXT7.hook1(self.p)))
 
     def star(self) -> "FormField":
         return _form(7 - self.p, self.keys, EXT7.star(self.amps, self.p))
@@ -334,10 +329,10 @@ def _codifferential_expansion(g2: G2Structure, h) -> FormField:
     """The right-hand side of codifferential_identity_residual, a 2-form."""
     ik = 1j * h.keys  # d_k h_ij = ik[:, k] h_ij
     div = -np.einsum("mi,mij->mj", ik, h.amps)  # (div h)_j
-    hook_phi = _stacked(EXT7.hook1, 3) @ g2.phi3  # (7, 21), row j: e_j _| phi
+    hook_phi = EXT7.hook1(3) @ g2.phi3  # (7, 21), row j: e_j _| phi
     # h_(ij,k) e^i ^ P(e_j, e_k)^flat
     pvec = np.einsum("mk,mij,jkq->miq", ik, h.amps, g2.phi_tensor, optimize=True)
-    wedge = _stacked(EXT7.wedge1, 1)  # (7, 21, 7)
+    wedge = EXT7.wedge1(1)  # (7, 21, 7)
     return _form(2, h.keys, div @ hook_phi
                  + np.einsum("miq,ibq->mb", pvec, wedge, optimize=True))
 
@@ -355,37 +350,38 @@ def star_d_identity_residual(g2: G2Structure, h) -> float:
 def _star_d_expansion(g2: G2Structure, h) -> FormField:
     """The right-hand side of star_d_identity_residual, a 3-form."""
     ik = 1j * h.keys  # d_k h_ij = ik[:, k] h_ij
-    hook_star = _stacked(EXT7.hook1, 4) @ g2.star_phi4  # (7, 35), row i: e_i _| *phi
+    hook_star = EXT7.hook1(4) @ g2.star_phi4  # (7, 35), row i: e_i _| *phi
     tr_d = ik * np.trace(h.amps, axis1=1, axis2=2)[:, None]  # h_(ii,k)
     div_d = np.einsum("mk,mik->mi", ik, h.amps)  # h_(ik,k)
     # third[i, k, j] = e^j ^ (e_k _| (e_i _| *phi))
-    third = np.einsum("jbq,kqr,ir->ikjb", _stacked(EXT7.wedge1, 2),
-                      _stacked(EXT7.hook1, 3), hook_star, optimize=True)
+    third = np.einsum("jbq,kqr,ir->ikjb", EXT7.wedge1(2), EXT7.hook1(3), hook_star,
+                      optimize=True)
     return _form(3, h.keys, (div_d - tr_d) @ hook_star
                  - np.einsum("mk,mij,ikjb->mb", ik, h.amps, third, optimize=True))
 
 
-def harmonic_constraint_basis() -> KernelBasis:
+def harmonic_constraint_basis(g2: G2Structure) -> KernelBasis:
     """Mode-wise solutions of tr h = 0, div h = 0, P-contraction = 0 on T^7.
 
     On the flat torus the joint constraints kill every nonzero frequency
     (this is the flat-kernel statement for the octonionic model), so the
     returned basis consists of the 27 constant traceless tensors; nonzero
-    modes up to cutoff 1 are scanned to confirm they contribute nothing.
+    modes up to cutoff 1 are scanned to confirm they contribute nothing,
+    with the P-contraction of the structure g2.
     """
-    extra, margin = _nonzero_mode_kernel_dim(7, 1, _harmonic_constraints())
+    extra, margin = _nonzero_mode_kernel_dim(7, 1, _harmonic_constraints(g2))
     if extra:
         raise AssertionError(
             f"unexpected nonconstant harmonic solutions ({extra})")
     return KernelBasis(_constant_traceless_basis(7), margin)
 
 
-def _harmonic_constraints():
+def _harmonic_constraints(g2: G2Structure):
     """The scan's constraint builder for harmonic_constraint_basis: a (K, 7)
     mode array to the (K, 57, 28) real stack of the rows tr e, k.e and
     h_ij k_k phi_ikm on the columns e of _sym_basis(7)."""
     basis = np.array(_sym_basis(7))
-    phi = standard_g2_structure().phi_tensor.astype(float)
+    phi = g2.phi_tensor.astype(float)
     # contraction[k, (m, j), s] = sum_i e_s[i, j] phi[i, k, m]
     contraction = np.einsum("sij,ikm->kmjs", basis, phi).reshape(7, -1)
 

@@ -677,7 +677,7 @@ def run_g2(rep: VerificationReport, seed: int, cfg: dict) -> None:
             "*d of the embedded 3-form equals its algebraic expansion",
             g2mod.star_d_identity_residual(g2, h), 1e-11)
 
-    basis = g2mod.harmonic_constraint_basis()
+    basis = g2mod.harmonic_constraint_basis(g2)
     worst = 0.0
     for mat in basis[:5]:
         hm = FourierSymTensor.from_constant(mat)

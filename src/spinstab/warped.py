@@ -677,7 +677,8 @@ def sample_oracle_points(w: WarpedMetric, r_range, samples: int, rng) -> list:
 @dataclass
 class ConstructionCertificate:
     """Scan of the scalar curvature: scan_values[q_index, i] is the value at
-    fiber sample q_index and radius scan_radii[i]."""
+    fiber sample q_index and radius scan_radii[i]; empty_pieces, the (lo, hi)
+    pieces of the profile that hold no scanned radius."""
 
     min_scalar: float
     argmin_r: float
@@ -685,6 +686,7 @@ class ConstructionCertificate:
     min_lapse_margin: float
     scan_radii: np.ndarray
     scan_values: np.ndarray
+    empty_pieces: list
     passed: bool
 
 
@@ -711,6 +713,10 @@ def construct_negative_mass(family: FiberFamily, scan_points: int = 4000,
     metric = WarpedMetric(profile=profile, family=family,
                           r2=profile.r2, r3=profile.r3)
     cert = scan_scalar_positivity(metric, scan_points, r_max_factor)
+    if cert.empty_pieces:
+        pieces = ", ".join(f"[{lo:.6g}, {hi:.6g})" for lo, hi in cert.empty_pieces)
+        raise ConstructionError(f"positivity scan at {scan_points} radii leaves the profile "
+                                f"piece(s) {pieces} without a scanned radius")
     if not cert.passed:
         raise ConstructionError(
             f"positivity scan failed: min scalar {cert.min_scalar:.3e} at "
@@ -720,8 +726,15 @@ def construct_negative_mass(family: FiberFamily, scan_points: int = 4000,
 
 def scan_scalar_positivity(w: WarpedMetric, scan_points: int = 4000,
                            r_max_factor: float = 4.0) -> ConstructionCertificate:
+    """Scalar curvature at scan_points equal steps of (0, r_top] and every
+    fiber sample.  It passes if each piece [0, b1), [b1, b2), ..., [bk, r_top]
+    between the profile's breakpoints holds a radius, S >= SCAN_FLOOR and
+    r > 2 m(r)."""
     r_top = r_max_factor * (w.r3 if w.r3 is not None else 10.0)
     radii = np.linspace(r_top / scan_points, r_top, scan_points)
+    edges = [0.0] + [b for b in w.profile.breakpoints if b < r_top] + [r_top]
+    held = np.histogram(radii, edges)[0]  # half-open bins, the last one closed
+    empty = [(lo, hi) for lo, hi, count in zip(edges, edges[1:], held) if count == 0]
     values = np.array([warped_scalar(w, radii, q) for q in w.family.sample_points()])
     # the first minimum in (fiber sample, radius) order
     arg_q, i = np.unravel_index(np.argmin(values), values.shape)
@@ -731,7 +744,7 @@ def scan_scalar_positivity(w: WarpedMetric, scan_points: int = 4000,
     return ConstructionCertificate(
         min_scalar=worst, argmin_r=float(radii[i]), argmin_q_index=int(arg_q),
         min_lapse_margin=min_margin, scan_radii=radii, scan_values=values,
-        passed=(worst >= SCAN_FLOOR) and (min_margin > 0.0))
+        empty_pieces=empty, passed=not empty and worst >= SCAN_FLOOR and min_margin > 0.0)
 
 
 def scalar_lower_bound(report: AdmissibilityReport, w: WarpedMetric, r: float) -> dict:

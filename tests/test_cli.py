@@ -385,6 +385,62 @@ def test_warped_build_reports_mass(tmp_path):
     assert min(values) > 0.0
 
 
+SPHERE_ZERO = {"fiber": {"kind": "sphere", "radius": 1.0}, "profile": {"kind": "zero"}}
+
+
+@pytest.mark.parametrize("argv, desc, message", [
+    (["warped", "build"], [1], "descriptor must be an object, not [1]"),
+    (["spectrum"], [1], "descriptor must be an object, not [1]"),
+    (["spectrum"], {"dim": 3, "grid": 0}, "grid must be an integer >= 1, not 0"),
+    (["spectrum"], {"dim": 3, "cutoff": -1}, "cutoff must be an integer in [0, 8], not -1"),
+    (["spectrum"], {"dim": 3, "perturbation": 5}, "perturbation must be an object, not 5"),
+    (["warped", "scan"], {**SPHERE_ZERO, "scan": {"points": 0}},
+     "scan.points must be an integer >= 1, not 0"),
+    (["warped", "scan"], {**SPHERE_ZERO, "scan": {"r_max_factor": -1}},
+     "scan.r_max_factor must be > 0, not -1.0"),
+    (["warped", "oracle"], {**SPHERE_ZERO, "oracle": {"samples": 0}},
+     "oracle.samples must be an integer >= 1, not 0"),
+    (["warped", "scan"], {**SPHERE_ZERO, "fiber": {"kind": "torus", "k": 0}},
+     "fiber.k must be an integer >= 1, not 0"),
+    (["verify", "all", "--seed", "-1"], {}, "argument --seed: must be >= 0, not -1"),
+], ids=["warped_list", "spectrum_list", "grid_0", "cutoff_-1", "perturbation_5",
+        "points_0", "r_max_factor_-1", "samples_0", "k_0", "seed_-1"])
+def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                     argv, desc, message):
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.RUNNERS, name, _no_runner)
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(desc))
+    flag = {"warped": "--family", "spectrum": "--descriptor"}.get(argv[0])
+    out = tmp_path / "out"
+    try:
+        code = main(argv + ([flag, str(path)] if flag else []) + ["--out", str(out)])
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    err = capsys.readouterr()
+    assert code == 2
+    assert err.out == "" and not out.exists()
+    errors = [line for line in err.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+    if flag:
+        assert err.err.splitlines() == errors
+
+
+@pytest.mark.parametrize("points", [1, 10])
+def test_verify_warped_fails_when_the_scan_misses_a_profile_piece(tmp_path, capsys, points):
+    # r_top = 4 r3 = 86.3: one radius lies in the tail only, and ten skip the
+    # pieces [18, 19) and [19, 21.57) of the construction's profile
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"warped": {"scan_points": points}}))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "warped", "--config", str(cfg), "--out", str(out)]) == 1
+    last = json.loads(out.read_text())["reports"][0]["records"][-1]
+    assert last["id"] == "suite_error" and not last["passed"]
+    assert last["detail"]["error"].startswith("ConstructionError: positivity scan at ")
+    assert "[19, 21.5714) without a scanned radius" in last["detail"]["error"]
+    assert "verify warped: FAIL" in capsys.readouterr().out
+
+
 def test_warped_bad_descriptor_exits_2(tmp_path):
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps({"fiber": {"kind": "klein_bottle"}}))

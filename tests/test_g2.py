@@ -2,8 +2,9 @@ import dataclasses
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from spinstab.exterior import ExteriorAlgebra
+from spinstab.exterior import ExteriorAlgebra, _perm_sign
 from spinstab.g2 import (
     EXT7,
     SIGMA0,
@@ -207,7 +208,7 @@ def test_harmonicity_identities_for_generic_fields():
 
 
 def test_constrained_fields_are_harmonic():
-    basis = harmonic_constraint_basis()
+    basis = harmonic_constraint_basis(G2)
     assert len(basis) == 27
     for mat in basis[:3]:
         hm = FourierSymTensor.from_constant(mat)
@@ -228,13 +229,13 @@ def test_batched_harmonic_constraints_match_per_mode_systems():
             rows.append(np.array(cons))
         return np.array(rows).T
 
-    build = g2mod._harmonic_constraints()
+    build = g2mod._harmonic_constraints(G2)
     modes = _freq_box(7, 1)
     for start in range(0, len(modes), ops._SCAN_CHUNK):
         chunk = modes[start:start + ops._SCAN_CHUNK]
         got = build(np.array(chunk, dtype=float))
         assert got.tobytes() == np.array([per_mode(k) for k in chunk]).tobytes()
-    assert 0.35 < harmonic_constraint_basis().rank_margin <= 1.0
+    assert 0.35 < harmonic_constraint_basis(G2).rank_margin <= 1.0
 
 
 def test_derived_tables_belong_to_their_structure():
@@ -298,7 +299,7 @@ def test_wedge_table_agrees_with_wedge_by_a_one_form():
     for p in range(7):
         beta = rng.integers(-3, 4, size=EXT7.dim(p))
         batched = EXT7.wedge(E, 1, beta, p)  # one row per coframe 1-form
-        assert np.array_equal(batched, [EXT7.wedge1(ax, p) @ beta for ax in range(7)])
+        assert np.array_equal(batched, EXT7.wedge1(p) @ beta)
     third = np.array([Fraction(int(v), 3) for v in G2.phi3], dtype=object)
     exact = EXT7.wedge(third, 3, G2.star_phi4, 4)
     assert exact.dtype == object and list(exact) == [Fraction(7, 3)]  # |phi|^2 / 3
@@ -316,11 +317,95 @@ def test_structure_and_spinor_compare_by_identity():
     assert np.array_equal(other.embedding_matrix, G2.embedding_matrix)
 
 
+# -- references: the per-tuple constructions of the exterior maps ------------
+
+def _ref_insert(idx, t):
+    """Position and sign for e_idx ^ e_t, or None if idx in t."""
+    if idx in t:
+        return None
+    pos = sum(1 for v in t if v < idx)
+    return tuple(sorted(t + (idx,))), (-1) ** pos
+
+
+def _ref_wedge1(ext, axis, p):
+    out = np.zeros((ext.dim(p + 1), ext.dim(p)), dtype=np.int64)
+    for col, t in enumerate(ext.basis[p]):
+        hit = _ref_insert(axis, t)
+        if hit is not None:
+            tgt, sign = hit
+            out[ext.index[p + 1][tgt], col] = sign
+    return out
+
+
+def _ref_hook1(ext, axis, p):
+    out = np.zeros((ext.dim(p - 1), ext.dim(p)), dtype=np.int64)
+    for col, t in enumerate(ext.basis[p]):
+        if axis not in t:
+            continue
+        pos = t.index(axis)
+        rest = t[:pos] + t[pos + 1:]
+        out[ext.index[p - 1][rest], col] = (-1) ** pos
+    return out
+
+
+def _ref_star_table(ext, p):
+    """Per basis p-form, the complementary tuple's index and the sign of the
+    permutation (t, t^c)."""
+    table = []
+    for t in ext.basis[p]:
+        comp = tuple(sorted(set(range(ext.n)) - set(t)))
+        table.append((ext.index[ext.n - p][comp], _perm_sign(list(t) + list(comp))))
+    return table
+
+
+def _ref_star(ext, coeffs, p):
+    rows, signs = zip(*_ref_star_table(ext, p))
+    out = np.zeros(coeffs.shape[:-1] + (ext.dim(ext.n - p),), dtype=coeffs.dtype)
+    out[..., list(rows)] = np.array(signs) * coeffs
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_exterior_maps_match_per_tuple_constructions_bit_for_bit(n):
+    ext = ExteriorAlgebra(n)
+    rng = np.random.default_rng(n)
+    for p in range(n + 1):
+        if p < n:
+            want = np.stack([_ref_wedge1(ext, ax, p) for ax in range(n)])
+            assert ext.wedge1(p).dtype == want.dtype
+            assert ext.wedge1(p).tobytes() == want.tobytes()
+        if p > 0:
+            want = np.stack([_ref_hook1(ext, ax, p) for ax in range(n)])
+            assert ext.hook1(p).dtype == want.dtype
+            assert ext.hook1(p).tobytes() == want.tobytes()
+        ints = rng.integers(-5, 6, size=(3, ext.dim(p)))
+        parts = rng.choice([0.0, -0.0, 1.5, -2.0], size=(2, 3, ext.dim(p)))
+        cplx = parts[0] + 1j * parts[1]
+        cplx[0] = -0.0 * (1 + 1j)  # -0.0 in the real part, +0.0 in the imaginary one
+        fracs = np.array([Fraction(int(v), 3) for v in ints[0]], dtype=object)
+        for coeffs in (ints, cplx, fracs):
+            got, want = ext.star(coeffs, p), _ref_star(ext, coeffs, p)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if coeffs.dtype == object:
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_exterior_tables_are_read_only():
+    ext = ExteriorAlgebra(4)
+    for view in (ext.wedge1(1), ext.hook1(2), ext._wedge_table(2, 2)):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0, 0] = 5
+    assert ext.wedge1(1).base is ext._wedge_table(1, 1)
+
+
 # -- oracles: the per-mode loops of the dict-of-modes implementation ---------
 
 def _loop_star(a, p):
     out = np.zeros(EXT7.dim(7 - p), dtype=complex)
-    for col, (row, sign) in enumerate(EXT7.star_table(p)):
+    for col, (row, sign) in enumerate(_ref_star_table(EXT7, p)):
         out[row] = out[row] + sign * a[col]
     return out
 
@@ -331,7 +416,7 @@ def _loop_d(form, table, p, sign):
         acc = np.zeros(EXT7.dim(p), dtype=complex)
         for ax, kv in enumerate(k):
             if kv != 0:
-                acc += sign * 1j * kv * (table(ax, form.p) @ a)
+                acc += sign * 1j * kv * (table(EXT7, ax, form.p) @ a)
         out[k] = acc
     return out
 
@@ -344,10 +429,10 @@ def _loop_codifferential_expansion(g2, h):
         acc = np.zeros(EXT7.dim(2), dtype=complex)
         for j in range(7):
             if divh[j] != 0:
-                acc += divh[j] * (EXT7.hook1(j, 3) @ g2.phi3)
+                acc += divh[j] * (_ref_hook1(EXT7, j, 3) @ g2.phi3)
         pvec = np.einsum("kij,jkm->im", dh, g2.phi_tensor)
         for i in range(7):
-            acc += EXT7.wedge1(i, 1) @ pvec[i]
+            acc += _ref_wedge1(EXT7, i, 1) @ pvec[i]
         out[k] = acc
     return out
 
@@ -361,14 +446,14 @@ def _loop_star_d_expansion(g2, h):
         tr_d = np.einsum("kii->k", dh)
         div_d = np.einsum("kik->i", dh)
         for ax in range(7):
-            acc -= tr_d[ax] * (EXT7.hook1(ax, 4) @ star4)
-            acc += div_d[ax] * (EXT7.hook1(ax, 4) @ star4)
+            acc -= tr_d[ax] * (_ref_hook1(EXT7, ax, 4) @ star4)
+            acc += div_d[ax] * (_ref_hook1(EXT7, ax, 4) @ star4)
         for i in range(7):
-            hook_i = EXT7.hook1(i, 4) @ star4
+            hook_i = _ref_hook1(EXT7, i, 4) @ star4
             for ax in range(7):
-                two = EXT7.hook1(ax, 3) @ hook_i
+                two = _ref_hook1(EXT7, ax, 3) @ hook_i
                 for j in range(7):
-                    acc -= dh[ax, i, j] * (EXT7.wedge1(j, 2) @ two)
+                    acc -= dh[ax, i, j] * (_ref_wedge1(EXT7, j, 2) @ two)
         out[k] = acc
     return out
 
@@ -382,8 +467,8 @@ def test_g2_field_operators_match_per_mode_loops():
     psi = sym_field_to_three_form(G2, h)
     assert_matches_loop(psi, {k: G2.embedding_matrix @ m.reshape(-1)
                               for k, m in h.mode_matrices().items()})
-    assert_matches_loop(psi.exterior_d(), _loop_d(psi, EXT7.wedge1, 4, 1.0))
-    assert_matches_loop(psi.codifferential(), _loop_d(psi, EXT7.hook1, 2, -1.0))
+    assert_matches_loop(psi.exterior_d(), _loop_d(psi, _ref_wedge1, 4, 1.0))
+    assert_matches_loop(psi.codifferential(), _loop_d(psi, _ref_hook1, 2, -1.0))
     assert_matches_loop(psi.star(), {k: _loop_star(a, 3) for k, a in psi.modes.items()})
     assert psi.exterior_d().p == 4 and psi.codifferential().p == 2 and psi.star().p == 4
     closed = {}

@@ -390,6 +390,20 @@ def test_scan_on_product_metric():
     assert abs(cert.min_scalar - 2.0) < 1e-12  # S = S_M = 2 everywhere
 
 
+def test_scan_fails_unless_every_profile_piece_holds_a_radius():
+    metric, _ = construct_negative_mass(desk_family(), scan_points=800)
+    prof = metric.profile
+    cert = scan_scalar_positivity(metric, scan_points=10)
+    assert cert.empty_pieces == [(prof.r1, prof.r2), (prof.r2, prof.r3)]
+    assert cert.min_scalar >= 0.0 and not cert.passed
+    assert scan_scalar_positivity(metric, scan_points=800).empty_pieces == []
+    with pytest.raises(ConstructionError, match=r"piece\(s\) \[18, 19\), \[19, 21.5714\)"):
+        construct_negative_mass(desk_family(), scan_points=10)
+    # a profile without breakpoints is one piece, which any scan covers
+    product = WarpedMetric(profile=ZeroMass(), family=ConformalSphereFamily.constant(1.0))
+    assert scan_scalar_positivity(product, scan_points=1).passed
+
+
 def test_lower_bound_zero_constants():
     # C1 = C2 = C3 = 0: A = B = 0 and bound = -S^- + a0 r1^2 / r^2
     fam = desk_family()
@@ -480,7 +494,7 @@ def test_shrink_metric_ricci_trace_and_descriptor():
     # the shrink construction's fiber is a ReparametrizedFamily: its ricci
     # and to_json_obj run only here
     steep = ConformalSphereFamily.smooth_radius_path(1.0, 0.9)
-    metric = construct_from_positive_path(steep, scan_points=200)["metric"]
+    metric = construct_from_positive_path(steep, scan_points=1500)["metric"]
     rng = np.random.default_rng(5)
     for _ in range(10):
         r = float(rng.uniform(metric.r2 * 1.03, metric.r3 * 0.97))
@@ -613,7 +627,7 @@ def array_fixtures():
     """name -> (metric, radii, per-point parent values for each fiber sample)."""
     metric, _ = construct_negative_mass(desk_family(), scan_points=200)
     shrink = construct_from_positive_path(
-        ConformalSphereFamily.smooth_radius_path(1.0, 0.9), scan_points=200)["metric"]
+        ConformalSphereFamily.smooth_radius_path(1.0, 0.9), scan_points=1500)["metric"]
     flat = FlatTorusConformalFamily(2, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
     fixtures = {
         "construction": (metric, _construction_radii(metric.profile, SCAN)),
