@@ -10,7 +10,8 @@ tensor-to-3-form embedding) are built once per structure, on first use.
 Fields on T^7 carry complex Fourier amplitudes against the same integer
 tables: d, d* and the expansions contract whole mode stacks with the
 (7, rows, cols) wedge and interior-product stacks of EXT7, views of its one
-signed wedge table.
+signed wedge table.  Cross-product identity (2) in symbol form settles the
+flat harmonic constraints at every frequency (harmonic_constraint_basis).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 from .clifford import OrientationError
 from .exterior import ExteriorAlgebra
 from .torus.fields import ModeField
-from .torus.operators import (KernelBasis, _constant_traceless_basis, _nonzero_mode_kernel_dim,
-                              _sym_basis, _trace_div_rows)
+from .torus.operators import KernelBasis, _constant_traceless_basis, _sym_basis, _symbol_margin
 
 EXT7 = ExteriorAlgebra(7)
 
@@ -361,32 +361,18 @@ def _star_d_expansion(g2: G2Structure, h) -> FormField:
 
 
 def harmonic_constraint_basis(g2: G2Structure) -> KernelBasis:
-    """Mode-wise solutions of tr h = 0, div h = 0, P-contraction = 0 on T^7.
+    """Solutions of tr h = 0, div h = 0, P-contraction = 0 on T^7, with the
+    P-contraction h_ij k_k phi_ikm of the structure g2.
 
-    On the flat torus the joint constraints kill every nonzero frequency
-    (this is the flat-kernel statement for the octonionic model), so the
-    returned basis consists of the 27 constant traceless tensors; nonzero
-    modes up to cutoff 1 are scanned to confirm they contribute nothing,
-    with the P-contraction of the structure g2.
+    The divergence rows stacked on the P-contraction rows obey the symbol
+    identity of operators._symbol_margin: on column j of h, v = h_(.)j, they
+    read <k, v> and P(v, k), and |P(v, k)|^2 + <k, v>^2 = |k|^2 |v|^2 is
+    cross-product identity (2).  So the flat constraints kill every nonzero
+    frequency, and the basis is the 27 constant traceless tensors.
     """
-    extra, margin = _nonzero_mode_kernel_dim(7, 1, _harmonic_constraints(g2))
-    if extra:
-        raise AssertionError(
-            f"unexpected nonconstant harmonic solutions ({extra})")
-    return KernelBasis(_constant_traceless_basis(7), margin)
-
-
-def _harmonic_constraints(g2: G2Structure):
-    """The scan's constraint builder for harmonic_constraint_basis: a (K, 7)
-    mode array to the (K, 57, 28) real stack of the rows tr e, k.e and
-    h_ij k_k phi_ikm on the columns e of _sym_basis(7)."""
-    basis = np.array(_sym_basis(7))
-    phi = g2.phi_tensor.astype(float)
-    # contraction[k, (m, j), s] = sum_i e_s[i, j] phi[i, k, m]
-    contraction = np.einsum("sij,ikm->kmjs", basis, phi).reshape(7, -1)
-
-    def constraints(kv):
-        return np.concatenate([_trace_div_rows(kv, basis),
-                               (kv @ contraction).reshape(len(kv), -1, len(basis))], axis=1)
-
-    return constraints
+    basis = _sym_basis(7)  # (28, 7, 7)
+    # the rows of k_k at column e_s: e_s[k, j] (row j, the divergence), then
+    # sum_i e_s[i, j] phi[i, k, m] (row (m, j), the P-contraction)
+    contraction = np.einsum("sij,ikm->kmjs", basis, g2.phi_tensor).reshape(7, 49, -1)
+    rows = np.concatenate([basis.transpose(1, 2, 0), contraction], axis=1)
+    return KernelBasis(_constant_traceless_basis(7), _symbol_margin(rows, "G2"))

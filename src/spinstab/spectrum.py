@@ -34,7 +34,7 @@ def tt_probe_fields(n: int, cutoff: int, limit: int | None = None):
 
 def _tt_basis_for_mode(n: int, k):
     """Orthonormal basis of symmetric matrices with A k = 0 and tr A = 0."""
-    cand = ops.tt_mode_projection(np.array(ops._sym_basis(n)), k).reshape(-1, n * n)
+    cand = ops.tt_mode_projection(ops._sym_basis(n), k).reshape(-1, n * n)
     q, r = np.linalg.qr(cand.T)
     keep = [q[:, idx].reshape(n, n) for idx in range(q.shape[1])
             if abs(r[idx, idx]) > 1e-10]

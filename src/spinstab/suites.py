@@ -439,7 +439,7 @@ def run_torus(rep: VerificationReport, seed: int, cfg: dict) -> None:
     # --- kernel dimensions ---------------------------------------------------
     for n, expect in ((2, 2), (4, 9), (7, 27)):
         g = cliff.build_gamma_rep(n)
-        basis = ops.stability_kernel_basis(n, g, cutoff=1 if n == 7 else 2)
+        basis = ops.stability_kernel_basis(n, g)
         rep.add(f"kernel_dim_n{n}",
                 "flat kernel = constant traceless tensors, dim n(n+1)/2 - 1",
                 len(basis) - expect, 0.0, rank_margin=basis.rank_margin)

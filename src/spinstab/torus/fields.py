@@ -256,8 +256,9 @@ class ModeField:
     The amplitudes sit in one stack: `keys`, a (K, n) int64 array of
     distinct frequency vectors in lexicographic order, and `amps`, the
     (K, ...) complex stack of their amplitudes, none of them zero.  Every
-    field is built by _store, and every operation is an expression on the
-    whole stack.  `modes` is a read-only {k-tuple: amplitude} view of it.
+    field is built by _store, or on an existing field's keys by _keep alone;
+    every operation is an expression on the whole stack.  `modes` is a
+    read-only {k-tuple: amplitude} view of it.
     """
 
     def __init__(self, n: int, modes: dict):
@@ -274,12 +275,18 @@ class ModeField:
 
     def _store(self, keys: np.ndarray, amps: np.ndarray) -> "ModeField":
         """The one build path: sort the keys, sum the amplitudes of repeated
-        keys in their input order, drop the modes whose amplitude is zero."""
+        keys in their input order, then _keep."""
         order, keys, repeat = _lex_sorted(keys)
         amps = np.asarray(amps, dtype=complex)[order]
         if repeat.any():
             first = np.flatnonzero(~repeat)
             keys, amps = keys[first], np.add.reduceat(amps, first, axis=0)
+        return self._keep(keys, amps)
+
+    def _keep(self, keys: np.ndarray, amps: np.ndarray) -> "ModeField":
+        """Hold sorted, distinct keys and their amplitudes, as one contiguous
+        complex stack, without the modes whose amplitude is zero."""
+        amps = np.ascontiguousarray(amps, dtype=complex)
         keep = amps.any(axis=tuple(range(1, amps.ndim)))
         self.keys, self.amps = (keys, amps) if keep.all() else (keys[keep], amps[keep])
         return self
@@ -290,14 +297,29 @@ class ModeField:
         f.n = n
         return f._store(keys, amps)
 
+    @classmethod
+    def _build_sorted(cls, n: int, keys: np.ndarray, amps: np.ndarray):
+        """_build on the keys of an existing field, already sorted and
+        distinct: nothing to sort or merge, only the zero modes to drop."""
+        f = cls.__new__(cls)
+        f.n = n
+        return f._keep(keys, amps)
+
     def _like(self, keys: np.ndarray, amps: np.ndarray):
         """A field of the same kind with the given keys and amplitudes."""
         return self._build(self.n, keys, amps)
 
+    def _on_keys(self, amps: np.ndarray):
+        """_build_sorted on this field's keys, keeping its other attributes
+        (a FormField's degree)."""
+        f = self.__class__.__new__(self.__class__)
+        f.__dict__.update(self.__dict__)
+        return f._keep(self.keys, amps)
+
     def _scaled(self, factor: np.ndarray):
         """Each mode's amplitude times factor[mode]."""
         shape = (-1,) + (1,) * (self.amps.ndim - 1)
-        return self._like(self.keys, np.reshape(factor, shape) * self.amps)
+        return self._on_keys(np.reshape(factor, shape) * self.amps)
 
     @property
     def modes(self) -> MappingProxyType:
@@ -315,7 +337,7 @@ class ModeField:
                           np.concatenate([self.amps, -other.amps]))
 
     def __rmul__(self, c: float):
-        return self._like(self.keys, c * self.amps)
+        return self._on_keys(c * self.amps)
 
     def deriv(self, axis: int) -> "ModeField":
         return self._scaled(1j * self.keys[:, axis])
@@ -444,23 +466,24 @@ class _ComponentField(ModeField):
     @classmethod
     def from_stack(cls, n: int, keys: np.ndarray, mats: np.ndarray):
         """The field with amplitude matrix mats[m] at keys[m], the upper
-        triangle of each read."""
+        triangle of each read; keys sorted and distinct, an existing field's."""
         upper = np.tri(n, dtype=bool).T  # diagonal included
-        return cls._build(n, keys, np.where(upper, mats, np.swapaxes(mats, -1, -2)))
+        return cls._build_sorted(n, keys, np.where(upper, mats, np.swapaxes(mats, -1, -2)))
 
     @classmethod
     def from_mode_matrices(cls, n: int, mats: dict):
         """The field with amplitude matrix mats[k] at each k, its upper
         triangle read."""
-        return cls.from_stack(n, np.array(list(mats), dtype=np.int64).reshape(-1, n),
-                              np.array(list(mats.values()), dtype=complex).reshape(-1, n, n))
+        f = cls.from_stack(n, np.array(list(mats), dtype=np.int64).reshape(-1, n),
+                           np.array(list(mats.values()), dtype=complex).reshape(-1, n, n))
+        return f._store(f.keys, f.amps)  # a dict's keys are distinct but not sorted
 
     def mode_matrices(self) -> dict:
         """{k: complex symmetric (n, n) amplitude matrix}, in key order."""
         return dict(self.modes)
 
     def component(self, i: int, j: int) -> FourierScalarField:
-        return FourierScalarField._build(self.n, self.keys, self.amps[:, i, j])
+        return FourierScalarField._build_sorted(self.n, self.keys, self.amps[:, i, j])
 
     @property
     def components(self) -> dict:
@@ -512,7 +535,7 @@ class FourierSymTensor(_ComponentField):
     @classmethod
     def conformal(cls, u: FourierScalarField):
         """u times the flat metric."""
-        return cls._build(u.n, u.keys, u.amps[:, None, None] * np.eye(u.n))
+        return cls._build_sorted(u.n, u.keys, u.amps[:, None, None] * np.eye(u.n))
 
     @classmethod
     def random_real(cls, n: int, cutoff: int, rng, scale: float = 1.0, count: int | None = None):
@@ -533,13 +556,13 @@ class FourierSymTensor(_ComponentField):
         return ModeField.l2_norm_sq(self)
 
     def trace_flat(self) -> FourierScalarField:
-        return FourierScalarField._build(self.n, self.keys,
-                                         np.trace(self.amps, axis1=1, axis2=2))
+        return FourierScalarField._build_sorted(self.n, self.keys,
+                                                np.trace(self.amps, axis1=1, axis2=2))
 
     def divergence_flat(self) -> list:
         """(delta h)_j = -sum_i d_i h_ij, one scalar field per j."""
         div = (-1.0 * ((1j * self.keys)[:, :, None] * self.amps)).sum(axis=1)
-        return [FourierScalarField._build(self.n, self.keys, div[:, j])
+        return [FourierScalarField._build_sorted(self.n, self.keys, div[:, j])
                 for j in range(self.n)]
 
     def rough_laplacian_flat(self) -> "FourierSymTensor":
@@ -556,7 +579,7 @@ class FourierMetric(_ComponentField):
 
     @classmethod
     def from_perturbation(cls, h: FourierSymTensor, t: float = 1.0):
-        return cls._build(h.n, h.keys, t * h.amps)
+        return cls._build_sorted(h.n, h.keys, t * h.amps)
 
     @classmethod
     def conformal_flat(cls, u: FourierScalarField, grid: Grid):

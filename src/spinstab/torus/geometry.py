@@ -16,8 +16,12 @@ grids is mostly its fixed overhead, and a row keeps the transient stacks
 as small as the arrays being filled.  ricci() makes one forward transform
 per row j of Gamma[:, j, j:], one for the contraction C and one inverse per
 row.  riemann() makes one forward transform of the whole Gamma stack and one
-inverse per pair i < j of d_i Gamma^l_jk - d_j Gamma^l_ik.  Every covariant
-derivative is MetricGeometry.nabla: the gradient minus one Gamma term per slot.
+inverse per pair i < j of d_i Gamma^l_jk - d_j Gamma^l_ik, once per
+geometry: the tensor is kept, read-only, so the lichnerowicz calls on one
+geometry share it.  Every covariant derivative is MetricGeometry.nabla: the
+gradient minus one Gamma term per slot.  The Lichnerowicz Laplacian contracts
+g^{ab} into the Gamma terms before it differentiates nabla h, and raises
+indices as two pointwise matrix products, so it costs O(n^4) per point.
 
 Curvature conventions are fixed so that the round 2-sphere pattern has
 R_1212 = +1 and ricci_jl = sum_i R_ijil (matching the pointwise algebra in
@@ -115,10 +119,14 @@ class MetricGeometry:
         bracket -= dg.transpose(1, 2, 0, *rest)
         del dg
         self.gamma = np.einsum("kl...,ijl...->kij...", 0.5 * self.ginv, bracket)
+        self._riemann = None
 
     # -- curvature ---------------------------------------------------------
     def riemann(self) -> np.ndarray:
-        """R_ijkl with the sign convention stated in the module docstring."""
+        """R_ijkl with the sign convention stated in the module docstring,
+        built on the first call and then kept, read-only."""
+        if self._riemann is not None:
+            return self._riemann
         # textbook R^l_ijk (R(e_i, e_j) e_k = R^l_ijk e_l), then lower and negate;
         # its derivative part d_i G^l_jk - d_j G^l_ik is antisymmetric in (i, j)
         n, grid = self.n, self.grid
@@ -133,7 +141,9 @@ class MetricGeometry:
         r_up += np.einsum("lim...,mjk...->lijk...", self.gamma, self.gamma)
         r_up -= np.einsum("ljm...,mik...->lijk...", self.gamma, self.gamma)
         r_low = np.einsum("lm...,mijk...->ijkl...", self.g, r_up)
-        return -r_low
+        self._riemann = -r_low
+        self._riemann.flags.writeable = False
+        return self._riemann
 
     def ricci(self) -> np.ndarray:
         """Ricci tensor (positive for the round sphere).
@@ -186,8 +196,21 @@ class MetricGeometry:
         return np.einsum("ij...,ij...->...", self.ginv, self.hessian(f))
 
     def connection_laplacian_sym2(self, h: np.ndarray) -> np.ndarray:
-        """nabla* nabla h = -g^{ab} (nabla^2 h)_{ab ij}."""
-        return -np.einsum("ab...,abij...->ij...", self.ginv, self.nabla(self.nabla(h)))
+        """nabla* nabla h = -g^{ab} (nabla^2 h)_{ab ij}, contracted first: with
+        T = nabla h, -g^{ab} d_a T_bij + (g^{ab} G^m_ab) T_mij + X_ij + X_ji,
+        X_ij = (g^{ab} G^m_ai) T_bmj; only T's components i <= j are
+        differentiated (T_bij is symmetric in (i, j))."""
+        n, ginv, gamma = self.n, self.ginv, self.gamma
+        iu, ju = np.triu_indices(n)
+        t = self.nabla(h)
+        tu = t[:, iu, ju]  # (b, p) + shape, p running over the pairs i <= j
+        upper = np.einsum("m...,mp...->p...", np.einsum("ab...,mab...->m...", ginv, gamma), tu)
+        upper -= np.einsum("ab...,abp...->p...", ginv, self.grid.gradient(tu))
+        x = np.einsum("bmi...,bmj...->ij...", np.einsum("ab...,mai...->bmi...", ginv, gamma), t)
+        out = x + np.swapaxes(x, 0, 1)
+        out[iu, ju] += upper
+        out[ju, iu] = out[iu, ju]
+        return out
 
     def divergence_sym2(self, h: np.ndarray) -> np.ndarray:
         """(delta h)_j = -g^{ik} nabla_i h_kj."""
@@ -202,11 +225,15 @@ class MetricGeometry:
         ndw = self.nabla(w)
         return 0.5 * (ndw + np.swapaxes(ndw, 0, 1))
 
+    def _raised(self, a: np.ndarray) -> np.ndarray:
+        """a^{ij} = g^{ik} a_kl g^{lj} of a symmetric 2-tensor, as two
+        pointwise matrix products."""
+        ga = np.einsum("ik...,kl...->il...", self.ginv, a)
+        return np.einsum("il...,lj...->ij...", ga, self.ginv)
+
     def ring_action(self, h: np.ndarray) -> np.ndarray:
         """(R h)_ij = g^{ka} g^{lb} R_ikjl h_ab (curvature action on sym2)."""
-        r = self.riemann()
-        hu = np.einsum("ka...,lb...,ab...->kl...", self.ginv, self.ginv, h)
-        return np.einsum("ikjl...,kl...->ij...", r, hu)
+        return np.einsum("ikjl...,kl...->ij...", self.riemann(), self._raised(h))
 
     def lichnerowicz(self, h: np.ndarray) -> np.ndarray:
         """nabla* nabla h - 2 (R h)."""
@@ -214,11 +241,12 @@ class MetricGeometry:
 
     def compose_sym(self, k: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Symmetric part of the (1,1)-composition of two sym 2-tensors."""
-        kh = np.einsum("ia...,ab...,bj...->ij...", k, self.ginv, h)
+        kg = np.einsum("ia...,ab...->ib...", k, self.ginv)
+        kh = np.einsum("ib...,bj...->ij...", kg, h)
         return 0.5 * (kh + np.swapaxes(kh, 0, 1))
 
     def inner_sym2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ia...,jb...,ij...,ab...->...", self.ginv, self.ginv, a, b)
+        return np.einsum("ij...,ij...->...", self._raised(a), b)
 
     def inner_oneform(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("ij...,i...,j...->...", self.ginv, a, b)
@@ -227,12 +255,13 @@ class MetricGeometry:
 def metric_curvature(metric: FourierMetric, grid: Grid) -> dict:
     """Full curvature data of a torus metric as pointwise grid fields."""
     geo = MetricGeometry(metric, grid)
+    ric = geo.ricci()
     return {
         "geometry": geo,
         "christoffel": geo.gamma,
         "riemann": geo.riemann(),
-        "ricci": geo.ricci(),
-        "scalar": geo.scalar(),
+        "ricci": ric,
+        "scalar": np.einsum("jk...,jk...->...", geo.ginv, ric),
     }
 
 

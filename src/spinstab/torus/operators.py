@@ -1,7 +1,12 @@
 """Flat-background spectral operators: twisted Dirac, TT splitting, covers.
 
 Everything in this module is diagonal in Fourier modes, so operators act
-exactly on the stored coefficients; no grids are involved.
+exactly on the stored coefficients; no grids are involved.  The flat kernel
+is proved at every frequency at once, not scanned mode by mode: constraint
+rows linear in k whose symbol squares to |k|^2 G (_symbol_margin) kill every
+nonzero frequency when Re G is positive definite, and the rank margin is the
+exact bound sqrt(lambda_min / lambda_max) of Re G (Lawson and Michelsohn,
+Spin Geometry, ch. II section 5: the Dirac symbol squares to -|k|^2).
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..clifford import GammaRep, unit_spinor
-from .fields import FourierSymTensor, ModeField, _freq_array
+from .fields import FourierSymTensor, ModeField
 
 
 def spinor_embed_field(h: FourierSymTensor, rep: GammaRep) -> ModeField:
@@ -17,7 +22,7 @@ def spinor_embed_field(h: FourierSymTensor, rep: GammaRep) -> ModeField:
     with the unit spinor s0."""
     sig = unit_spinor(rep)
     gam_sig = np.stack([g @ sig.components for g in rep.gamma])  # (n, spin_dim)
-    return ModeField._build(h.n, h.keys, np.swapaxes(h.amps, 1, 2) @ gam_sig)
+    return ModeField._build_sorted(h.n, h.keys, np.swapaxes(h.amps, 1, 2) @ gam_sig)
 
 
 def dirac_symbol(gamma, k) -> np.ndarray:
@@ -32,7 +37,7 @@ def twisted_dirac(phi: ModeField, rep: GammaRep) -> ModeField:
     Acts as identity on the coframe slot.  The symbol is Hermitian, so the
     operator is its own formal adjoint (checked discretely in tests).
     """
-    return phi._like(phi.keys, phi.amps @ np.swapaxes(dirac_symbol(rep.gamma, phi.keys), 1, 2))
+    return phi._on_keys(phi.amps @ np.swapaxes(dirac_symbol(rep.gamma, phi.keys), 1, 2))
 
 
 def lichnerowicz_flat(h: FourierSymTensor) -> FourierSymTensor:
@@ -86,9 +91,9 @@ def tt_mode_projection(a: np.ndarray, kvec) -> np.ndarray:
 
 
 class KernelBasis(list):
-    """Basis of a flat kernel found by a mode scan, with the scan's rank
-    margin: the least sqrt(mu_min / mu_max) over the scanned Gram matrices,
-    the smallest singular value relative to the largest."""
+    """Basis of a flat kernel, with its rank margin: sqrt(lambda_min /
+    lambda_max) of Re G in _symbol_margin's identity, the least singular
+    value of the constraint rows at any k != 0 relative to the largest."""
 
     def __init__(self, basis, rank_margin: float):
         super().__init__(basis)
@@ -96,106 +101,60 @@ class KernelBasis(list):
 
 
 def stability_kernel_basis(n: int, rep: GammaRep, cutoff: int = 2) -> KernelBasis:
-    """Basis of band-limited h with tr h = 0, div h = 0, Dirac(embed h) = 0.
+    """Basis of the real h with tr h = 0, div h = 0, Dirac(embed h) = 0.
 
-    The tensor-to-spinor embedding is injective only over the reals (all
-    gamma_i sigma0 sit in one chirality), so each +-k mode pair is analyzed
-    as a real-linear system on (Re h(k), Im h(k)).  On the flat torus every
-    nonzero pair comes out trivial and the kernel is exactly the constant
-    traceless tensors.
+    The Dirac rows alone kill every nonzero frequency (_symbol_margin: the
+    Clifford relation pushed through the embedding), so the kernel is the
+    constant traceless tensors at every frequency; `cutoff` bounds nothing.
     """
-    extra, margin = _nonzero_mode_kernel_dim(n, cutoff, _stability_constraints(n, rep))
-    if extra:
-        raise AssertionError(
-            f"nonzero-frequency kernel of dimension {extra}: operator bug")
+    margin = _symbol_margin(_dirac_rows(n, rep), "Dirac")
     return KernelBasis([FourierSymTensor.from_constant(m)
                         for m in _constant_traceless_basis(n)], margin)
 
 
-def _stability_constraints(n: int, rep: GammaRep):
-    """The scan's constraint builder for stability_kernel_basis.
-
-    The complex constraint matrix at mode k has the rows tr e, k.e and
-    (e^T G) dirac_symbol(gamma, k)^T, G the rows gamma_i sigma0, on the
-    columns e of _sym_basis.  The returned builder stacks, for each row k
-    of a (K, n) mode array, the real system on (Re h(k), Im h(k)) that also
-    imposes the constraints at -k, where a real field carries x - i y.
-    """
-    basis = np.array(_sym_basis(n))  # (m, n, n)
+def _dirac_rows(n: int, rep: GammaRep) -> np.ndarray:
+    """The (n, n spin_dim, m) stack D_a of the Dirac rows on the columns e_s
+    of _sym_basis(n), i sum_a k_a D_a at mode k: D_a[(j, b), s] =
+    ((e_s^T G) gamma_a^T)[j, b], G the rows gamma_i sigma0."""
+    basis = _sym_basis(n)  # (m, n, n)
     gam_sig = np.stack([g @ unit_spinor(rep).components for g in rep.gamma])
-    # dirac[a, (j, b), s] = ((e_s^T G) gamma_a^T)[j, b]; the Dirac rows at k
-    # are i sum_a k_a dirac[a]
     emb = np.einsum("sij,ic->sjc", basis, gam_sig)
-    dirac = np.einsum("sjc,abc->ajbs", emb, np.array(rep.gamma)).reshape(n, -1)
-
-    def constraint_matrices(kv):
-        rows = _trace_div_rows(kv, basis).astype(complex)
-        return np.concatenate([rows, 1j * (kv @ dirac).reshape(len(kv), -1, len(basis))],
-                              axis=1)
-
-    def real_systems(kv):
-        blocks = []
-        for m, sgn in ((constraint_matrices(kv), 1.0), (constraint_matrices(-kv), -1.0)):
-            blocks.append(np.concatenate([m.real, sgn * -m.imag], axis=2))
-            blocks.append(np.concatenate([m.imag, sgn * m.real], axis=2))
-        return np.concatenate(blocks, axis=1)
-
-    return real_systems
+    return np.einsum("sjc,abc->ajbs", emb, np.array(rep.gamma)).reshape(n, -1, len(basis))
 
 
-def _trace_div_rows(kv: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(K, 1 + n, m) stack of the rows tr e and k.e on the columns e of
-    basis (m, n, n), one matrix per row k of kv (K, n)."""
-    trace = np.broadcast_to(np.trace(basis, axis1=1, axis2=2), (len(kv), 1, len(basis)))
-    return np.concatenate([trace, np.einsum("ki,sij->kjs", kv, basis)], axis=1)
+def _symbol_margin(rows: np.ndarray, name: str) -> float:
+    """Rank margin of the rows R(k) = sum_a k_a R_a (rows: the (n, r, m)
+    stack R_a) once the symbol identity proves they kill every k != 0.
 
-
-_SCAN_CHUNK = 128
-
-
-def _nonzero_mode_kernel_dim(n: int, cutoff: int, constraints) -> tuple:
-    """Summed null dimension of the real constraint matrices over the
-    nonzero frequencies |k|_inf <= cutoff, one per +-k pair, and the least
-    sqrt(mu_min / mu_max) over their Gram matrices (the rank margin).
-
-    `constraints` maps a (K, n) float array of modes to the (K, rows, cols)
-    stack of their matrices.  Modes go in chunks of _SCAN_CHUNK, so the
-    whole box (about 125 MB of matrices for the 1093 modes of T^7 at
-    cutoff 1) is never held at once.  Ranks come from the eigenvalues mu of
-    the Gram matrices A^T A, exact integers for the integer tables used
-    here: a direction is null when mu <= 1e-10 max(1, mu_max), that is
-    sigma <= 1e-5 max(1, sigma_max).
+    If R_a^H R_b + R_b^H R_a = 2 delta_ab G, then R(k)^H R(k) = |k|^2 G.  A
+    real field's +-k pair (x + iy, x - iy), x and y real, has R(k)x = R(k)y
+    = 0, so |k|^2 x^T Re(G) x = 0 (Im G is antisymmetric): x = y = 0 when
+    Re G is positive definite.  The tables are Gaussian integers, so the
+    identity is checked exactly; AssertionError when it or Re G > 0 fails.
     """
-    modes = _freq_array(n, cutoff).astype(float)
-    extra, margin = 0, 1.0
-    for start in range(0, len(modes), _SCAN_CHUNK):
-        a = constraints(modes[start:start + _SCAN_CHUNK])
-        mu = np.linalg.eigvalsh(np.matmul(a.transpose(0, 2, 1), a))  # ascending
-        top = mu[:, -1:]
-        extra += int(np.sum(mu <= 1e-10 * np.maximum(1.0, top)))
-        ratio = np.maximum(mu[:, 0], 0.0) / np.maximum(top[:, 0], np.finfo(float).tiny)
-        margin = min(margin, float(np.sqrt(ratio.min())))
-    return extra, margin
+    n, _, m = rows.shape
+    flat = np.moveaxis(rows, 0, 1).reshape(-1, n * m)
+    gram = np.swapaxes((flat.conj().T @ flat).reshape(n, m, n, m), 1, 2)  # [a, b] = R_a^H R_b
+    lam = np.linalg.eigvalsh(gram[0, 0].real)  # ascending
+    if not (np.array_equal(gram + np.swapaxes(gram, 0, 1),
+                           2 * np.eye(n)[:, :, None, None] * gram[0, 0]) and lam[0] > 0):
+        raise AssertionError(f"{name} rows break the symbol identity (least eigenvalue "
+                             f"of Re G {lam[0]:.3e}): operator bug")
+    return float(np.sqrt(lam[0] / lam[-1]))
 
 
-def _sym_basis(n: int):
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            out.append(e)
+def _sym_basis(n: int) -> np.ndarray:
+    """(m, n, n) stack of e_ij + e_ji (e_ii on the diagonal), i <= j row-major."""
+    iu, ju = np.triu_indices(n)
+    out = np.zeros((len(iu), n, n))
+    out[range(len(iu)), iu, ju] = out[range(len(iu)), ju, iu] = 1.0
     return out
 
 
 def _constant_traceless_basis(n: int):
     """Orthonormal basis (Frobenius) of traceless symmetric n x n matrices."""
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            mats.append(e)
+    iu, ju = np.triu_indices(n)
+    mats = [e / np.sqrt(2.0) for e in _sym_basis(n)[iu != ju]]
     for i in range(1, n):
         d = np.zeros(n)
         d[:i] = 1.0

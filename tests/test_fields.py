@@ -197,6 +197,58 @@ def test_mode_matrices_roundtrip():
         assert back.components[key].modes == f.modes
 
 
+def _sorted_path_results():
+    """Every build on an existing field's keys, on inputs with zero entries,
+    zero modes and signed zeros."""
+    from spinstab.clifford import build_gamma_rep
+    from spinstab.g2 import FormField
+    from spinstab.torus.operators import spinor_embed_field, twisted_dirac
+
+    rng = np.random.default_rng(12)
+    h = FourierSymTensor.random_real(3, 2, rng, scale=0.7, count=4)  # sparse entries
+    h = h + FourierSymTensor.from_constant(np.diag([1.0, -1.0, 0.0]))  # a traceless mode
+    h.amps[1, 0, 0] = complex(-0.0, 0.25)
+    u = FourierScalarField.random_real(3, 2, rng, scale=0.5, count=3)
+    rep = build_gamma_rep(3)
+    phi = spinor_embed_field(h, rep)
+    form = FormField(2, {(1, 0, 0, 0, 0, 0, 0): np.arange(21.0) - 3.0,
+                         (-1, 0, 0, 0, 0, 0, 0): np.arange(21.0) - 3.0})
+    return {
+        "_scaled": h._scaled(h.keys[:, 0] ** 2),  # zero on the k_0 = 0 modes
+        "deriv": u.deriv(2),
+        "__rmul__": -2.5 * h,
+        "__rmul__ zero": 0.0 * u,
+        "form __rmul__": 2.0 * form,
+        "component": h.component(0, 1),
+        "trace_flat": h.trace_flat(),
+        "divergence_flat": h.divergence_flat()[2],
+        "from_perturbation": FourierMetric.from_perturbation(h, 0.3),
+        "conformal": FourierSymTensor.conformal(u),
+        "tt_split": tt_split(h)[1],
+        "tt_project": tt_project(h),
+        "spinor_embed_field": phi,
+        "twisted_dirac": twisted_dirac(phi, rep),
+    }
+
+
+def test_builds_on_existing_keys_equal_the_sorting_path(monkeypatch):
+    fast = _sorted_path_results()
+    monkeypatch.setattr(ModeField, "_build_sorted",
+                        classmethod(lambda cls, n, keys, amps: cls._build(n, keys, amps)))
+    monkeypatch.setattr(ModeField, "_on_keys", lambda self, amps: self._like(self.keys, amps))
+    slow = _sorted_path_results()
+    for name, f in fast.items():
+        ref = slow[name]
+        assert type(f) is type(ref) and f.n == ref.n, name
+        assert getattr(f, "p", None) == getattr(ref, "p", None), name
+        assert f.keys.dtype == ref.keys.dtype and f.keys.tobytes() == ref.keys.tobytes(), name
+        assert f.amps.dtype == ref.amps.dtype and f.amps.shape == ref.amps.shape, name
+        assert f.amps.tobytes() == ref.amps.tobytes(), name
+    # the zero modes are dropped on both paths
+    assert len(fast["__rmul__ zero"].keys) == 0
+    assert fast["_scaled"].keys[:, 0].all() and not fast["from_perturbation"].keys[:, 0].all()
+
+
 def test_keys_are_sorted_and_modes_follow_key_order():
     rng = np.random.default_rng(7)
     h = FourierSymTensor.random_real(2, 2, rng, count=3)

@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 
+import kernel_scan
 import numpy as np
 import pytest
 
@@ -217,6 +218,7 @@ def test_constrained_fields_are_harmonic():
 
 
 def test_batched_harmonic_constraints_match_per_mode_systems():
+    # the reference scan's matrices against a row-by-row build at each mode
     phi = G2.phi_tensor.astype(float)
 
     def per_mode(k):
@@ -229,13 +231,30 @@ def test_batched_harmonic_constraints_match_per_mode_systems():
             rows.append(np.array(cons))
         return np.array(rows).T
 
-    build = g2mod._harmonic_constraints(G2)
+    build = kernel_scan.harmonic_systems(G2)
     modes = _freq_box(7, 1)
-    for start in range(0, len(modes), ops._SCAN_CHUNK):
-        chunk = modes[start:start + ops._SCAN_CHUNK]
+    for start in range(0, len(modes), kernel_scan.CHUNK):
+        chunk = modes[start:start + kernel_scan.CHUNK]
         got = build(np.array(chunk, dtype=float))
         assert got.tobytes() == np.array([per_mode(k) for k in chunk]).tobytes()
-    assert 0.35 < harmonic_constraint_basis(G2).rank_margin <= 1.0
+
+
+def test_symbol_identity_agrees_with_the_harmonic_scan():
+    basis = harmonic_constraint_basis(G2)
+    extra, margin = kernel_scan.scan(7, 1, kernel_scan.harmonic_systems(G2))
+    assert extra == 0 and len(basis) == 27
+    assert basis.rank_margin == np.sqrt(0.5) and 0.35 < margin <= 1.0
+
+
+@pytest.mark.parametrize("term", [0, 4])
+def test_flipped_phi_term_fails_the_identity_and_the_scan(term):
+    terms = [(t, -s if i == term else s) for i, (t, s) in enumerate(g2mod.PHI_TERMS)]
+    phi3 = g2mod._coeffs_from_terms(terms, 3)
+    flipped = dataclasses.replace(G2, phi3=phi3, phi_tensor=EXT7.to_tensor(phi3, 3))
+    with pytest.raises(AssertionError, match="G2 rows break the symbol identity"):
+        harmonic_constraint_basis(flipped)
+    extra, margin = kernel_scan.scan(7, 1, kernel_scan.harmonic_systems(flipped))
+    assert extra > 0 and margin < 1e-5
 
 
 def test_derived_tables_belong_to_their_structure():

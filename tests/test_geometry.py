@@ -409,3 +409,66 @@ def test_nabla_equals_the_formulas_by_rank(n, size, active):
     h = rng.standard_normal((n, n) + grid.shape)
     for t in (h[0], h + np.swapaxes(h, 0, 1), rng.standard_normal((n, n, n) + grid.shape)):
         assert np.array_equal(geo.nabla(t), _nabla_by_rank(geo, t))
+
+
+# -- contract-first Lichnerowicz -----------------------------------------------
+
+def _einsum_connection_laplacian(geo, h):
+    """-g^{ab} (nabla^2 h)_{ab ij} through the whole rank-4 nabla(nabla(h))."""
+    return -np.einsum("ab...,abij...->ij...", geo.ginv, geo.nabla(geo.nabla(h)))
+
+
+def _einsum_ring_action(geo, h):
+    hu = np.einsum("ka...,lb...,ab...->kl...", geo.ginv, geo.ginv, h)
+    return np.einsum("ikjl...,kl...->ij...", geo.riemann(), hu)
+
+
+def _einsum_compose_sym(geo, k, h):
+    kh = np.einsum("ia...,ab...,bj...->ij...", k, geo.ginv, h)
+    return 0.5 * (kh + np.swapaxes(kh, 0, 1))
+
+
+def _einsum_inner_sym2(geo, a, b):
+    return np.einsum("ia...,jb...,ij...,ab...->...", geo.ginv, geo.ginv, a, b)
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 15), (3, 24), (4, 12)])
+def test_contracted_operators_equal_the_einsum_forms(n, size):
+    rng = np.random.default_rng(700 + n + size)
+    grid = Grid(n, size)
+    metric = FourierMetric.from_perturbation(
+        FourierSymTensor.random_real(n, 2, rng, scale=0.02, count=3))
+    geo = MetricGeometry(metric, grid)
+    h, k = (FourierSymTensor.random_real(n, 2, rng, scale=0.3, count=2).sample_matrix(grid)
+            for _ in range(2))
+    pairs = {
+        "connection_laplacian_sym2": (geo.connection_laplacian_sym2(h),
+                                      _einsum_connection_laplacian(geo, h)),
+        "ring_action": (geo.ring_action(h), _einsum_ring_action(geo, h)),
+        "compose_sym": (geo.compose_sym(k, h), _einsum_compose_sym(geo, k, h)),
+        "inner_sym2": (geo.inner_sym2(k, h), _einsum_inner_sym2(geo, k, h)),
+    }
+    for name, (new, old) in pairs.items():
+        assert new.shape == old.shape, name
+        err = np.abs(new - old).max() / np.abs(old).max()
+        assert err < 1e-12, (name, err)
+    lap = pairs["connection_laplacian_sym2"][0]
+    assert np.array_equal(lap, np.swapaxes(lap, 0, 1))
+
+
+def test_one_riemann_tensor_per_geometry(monkeypatch):
+    calls = _record_transforms(monkeypatch)
+    rng = np.random.default_rng(9)
+    grid = Grid(3, 12)
+    geo = MetricGeometry(FourierMetric.from_perturbation(
+        FourierSymTensor.random_real(3, 1, rng, scale=0.05, count=2)), grid)
+    h, k = (FourierSymTensor.random_real(3, 1, rng, scale=0.3, count=2).sample_matrix(grid)
+            for _ in range(2))
+    calls.clear()
+    geo.lichnerowicz(h)
+    geo.lichnerowicz(k)
+    assert calls == ["rfftn"] + ["irfftn"] * 3
+    riem = geo.riemann()
+    assert riem is geo.riemann() and not riem.flags.writeable
+    with pytest.raises(ValueError):
+        riem[0, 1, 0, 1] += 1.0

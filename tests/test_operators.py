@@ -1,6 +1,10 @@
+import json
+
+import kernel_scan
 import numpy as np
 import pytest
 
+from spinstab.cli import main
 from spinstab.clifford import build_gamma_rep, unit_spinor
 from spinstab.torus import operators as ops
 from spinstab.torus.fields import FourierScalarField, FourierSymTensor, _freq_box
@@ -231,24 +235,68 @@ def _per_mode_real_system(n, rep, k):
 
 @pytest.mark.parametrize("n,cutoff", [(2, 2), (4, 2), (7, 1)])
 def test_batched_constraint_stack_matches_per_mode_systems(n, cutoff):
-    # bit for bit up to the sign of zero entries (x + 0.0 drops it): the
-    # per-mode complex matmuls leave some zeros negative, which no Gram
-    # entry, eigenvalue or rank can see
+    # the reference scan's systems, on the Dirac rows the symbol identity
+    # reads, against dirac_symbol mode by mode: bit for bit up to the sign of
+    # zero entries (x + 0.0 drops it), which no Gram entry or rank can see
     rep = build_gamma_rep(n)
-    build = ops._stability_constraints(n, rep)
+    build = kernel_scan.stability_systems(n, rep)
     modes = _freq_box(n, cutoff)
-    for start in range(0, len(modes), ops._SCAN_CHUNK):
-        chunk = modes[start:start + ops._SCAN_CHUNK]
+    for start in range(0, len(modes), kernel_scan.CHUNK):
+        chunk = modes[start:start + kernel_scan.CHUNK]
         got = build(np.array(chunk, dtype=float))
         ref = np.array([_per_mode_real_system(n, rep, k) for k in chunk])
         assert got.shape == ref.shape
         assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
 
 
+@pytest.mark.parametrize("n,cutoff,expected", [(2, 2, 2), (4, 2, 9), (7, 1, 27)])
+def test_symbol_identity_agrees_with_the_mode_scan(n, cutoff, expected):
+    rep = build_gamma_rep(n)
+    basis = stability_kernel_basis(n, rep, cutoff=cutoff)
+    extra, margin = kernel_scan.scan(n, cutoff, kernel_scan.stability_systems(n, rep))
+    assert extra == 0 and len(basis) == expected == n * (n + 1) // 2 - 1
+    assert basis.rank_margin == np.sqrt(0.5) and 0.35 < margin <= 1.0
+
+
+def _flip_dirac_sign(monkeypatch):
+    """Plant one flipped sign in the Dirac rows: spinor row 3 of D_2, that
+    is the entry in row 3 of gamma_2 as the derivative's symbol reads it."""
+    real_rows = ops._dirac_rows
+
+    def rows(n, rep):
+        d = real_rows(n, rep)
+        if n > 2:
+            spin = d.reshape(n, n, rep.spin_dim, -1)
+            spin[2, :, 3] *= -1
+        return d
+
+    monkeypatch.setattr(ops, "_dirac_rows", rows)
+
+
+@pytest.mark.parametrize("n,cutoff,planted", [(4, 2, 32), (7, 1, 16)])
+def test_flipped_dirac_sign_fails_the_identity_and_the_scan(monkeypatch, n, cutoff, planted):
+    rep = build_gamma_rep(n)
+    _flip_dirac_sign(monkeypatch)
+    with pytest.raises(AssertionError, match="Dirac rows break the symbol identity"):
+        stability_kernel_basis(n, rep, cutoff=cutoff)
+    extra, margin = kernel_scan.scan(n, cutoff, kernel_scan.stability_systems(n, rep))
+    assert extra == planted and margin < 1e-5
+
+
+def test_flipped_dirac_sign_fails_verify_torus(monkeypatch, tmp_path, capsys):
+    _flip_dirac_sign(monkeypatch)
+    out = tmp_path / "rep.json"
+    assert main(["verify", "torus", "--seed", "0", "--out", str(out)]) == 1
+    last = json.loads(out.read_text())["reports"][0]["records"][-1]
+    assert last["id"] == "suite_error" and not last["passed"]
+    assert last["detail"]["error"].startswith("AssertionError: Dirac rows break")
+    assert "verify torus: FAIL" in capsys.readouterr().out
+
+
 def _plant_null_columns(monkeypatch, planted):
-    """Make the stability builder zero column 0 of the systems at the
-    modes in `planted`, each adding one null direction."""
-    real_builder = ops._stability_constraints
+    """Make the reference builder zero column 0 of the systems at the modes
+    in `planted`, each adding one null direction."""
+    real_builder = kernel_scan.stability_systems
 
     def builder(n, rep):
         inner = real_builder(n, rep)
@@ -261,30 +309,29 @@ def _plant_null_columns(monkeypatch, planted):
             return out
         return systems
 
-    monkeypatch.setattr(ops, "_stability_constraints", builder)
+    monkeypatch.setattr(kernel_scan, "stability_systems", builder)
 
 
 def test_scan_counts_planted_defects_past_the_first_chunk(monkeypatch):
     modes = _freq_box(7, 1)
-    chunk = ops._SCAN_CHUNK
+    chunk = kernel_scan.CHUNK
     assert len(modes) == 1093 and len(modes) % chunk != 0
     tail_start = len(modes) // chunk * chunk
     planted = {modes[chunk + 5], modes[tail_start + 3]}  # second and tail chunks
     rep = build_gamma_rep(7)
-    extra, margin = ops._nonzero_mode_kernel_dim(7, 1, ops._stability_constraints(7, rep))
+    extra, margin = kernel_scan.scan(7, 1, kernel_scan.stability_systems(7, rep))
     assert extra == 0 and 0.35 < margin <= 1.0
     _plant_null_columns(monkeypatch, planted)
-    extra, margin = ops._nonzero_mode_kernel_dim(7, 1, ops._stability_constraints(7, rep))
+    extra, margin = kernel_scan.scan(7, 1, kernel_scan.stability_systems(7, rep))
     assert extra == 2 and margin < 1e-5
-    with pytest.raises(AssertionError, match="dimension 2"):
-        stability_kernel_basis(7, rep, cutoff=1)
 
 
 def test_kernel_basis_reports_rank_margin():
-    # worst sigma_min / sigma_max over the scan; a null direction reads 0
+    # sqrt(lambda_min / lambda_max) of Re G: the Frobenius Gram of _sym_basis,
+    # eigenvalues 1 (diagonal entries) and 2 (off-diagonal pairs)
     margins = [stability_kernel_basis(n, build_gamma_rep(n), cutoff=c).rank_margin
                for n, c in ((2, 2), (4, 2), (7, 1))]
-    assert all(0.35 < m <= 1.0 for m in margins)
+    assert margins == [np.sqrt(0.5)] * 3
 
 
 def test_cover_identity_fold():

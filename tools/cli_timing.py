@@ -5,8 +5,9 @@
 BEFORE_DIR and AFTER_DIR are checkouts of the repository; each command runs
 in a new interpreter with PYTHONPATH set to that checkout's `src/`.  The
 commands are `import spinstab.cli`, `warped build` of the docs/formats.md
-family (written to a temporary directory), `spectrum` (flat T^4, 5 rows)
-and `verify clifford`.  Each repeat runs every command once per checkout,
+family (written to a temporary directory), `spectrum` (flat T^4, 5 rows),
+`spectrum` on a perturbed T^3 (the PERTURBED descriptor, 5 rows) and
+`verify clifford`.  Each repeat runs every command once per checkout,
 alternating which checkout goes first, and times the whole process.
 
 Prints, per command, the median and quartiles of each side in seconds, the
@@ -36,10 +37,14 @@ FAMILY = {
     "oracle": {"samples": 25},
 }
 
+# a curved metric, so the spectrum runs the curved Lichnerowicz probes
+PERTURBED = {"dim": 3, "perturbation": {"seed": 1, "amplitude": 0.02}}
+
 COMMANDS = {
     "import": [],
     "warped build": ["warped", "build", "--family", "family.json", "--out", "build.json"],
     "spectrum": ["spectrum"],
+    "spectrum T^3 g+h": ["spectrum", "--descriptor", "perturbed.json"],
     "verify clifford": ["verify", "clifford"],
 }
 
@@ -76,6 +81,7 @@ def measure(before: Path, after: Path, repeats: int) -> dict:
     runs = {name: {"before": [], "after": []} for name in COMMANDS}
     with tempfile.TemporaryDirectory() as workdir:
         Path(workdir, "family.json").write_text(json.dumps(FAMILY))
+        Path(workdir, "perturbed.json").write_text(json.dumps(PERTURBED))
         for rep in range(repeats):
             for name, argv in COMMANDS.items():
                 sides = [("before", before), ("after", after)]
