@@ -1,14 +1,20 @@
 """Principal eigenvalue of the conformal Laplacian -Lap + c_n S on tori.
 
 The operator is discretized in divergence form on the collocation grid and
-conjugated by the volume weight, which makes it exactly symmetric; the
-lowest eigenpair comes from preconditioned correction equations (inverse
-iteration deflated against the current estimate), and a solve
-whose residual stays above HARD_RESIDUAL raises.  The first and
+conjugated by the volume weight, which makes it exactly symmetric.  The
+lowest eigenpair comes from single-vector LOBPCG (Knyazev, "Toward the
+optimal preconditioned eigensolver: locally optimal block preconditioned
+conjugate gradient method", SIAM J. Sci. Comput. 23, 2001): each step
+minimizes the Rayleigh quotient over span{x, T r, p} (T the preconditioner
+below, r the residual, p the previous step's direction) by a Rayleigh-Ritz
+step.  The Rayleigh quotient only falls, so the iteration moves toward the
+lowest eigenvalue; an iteration whose shift follows the Rayleigh quotient
+(Jacobi-Davidson) can settle on an excited eigenpair instead.  A solve
+whose residual ends above HARD_RESIDUAL raises.  The first and
 second t-derivatives of the eigenvalue along metric lines g + t h are
 estimated from symmetric 5-point stencils with an empirically chosen step;
-each stencil solve starts from the Lagrange extrapolation of the nearest
-solved eigenfunctions.
+each stencil solve starts from the Lagrange extrapolation of the (up to) five
+nearest solved eigenfunctions.
 
 Both first derivatives of the divergence form are real spectral derivatives,
 so on an even grid they apply the wavenumber 0 at the Nyquist bin (a real
@@ -81,8 +87,8 @@ class ConformalEigenpair:
     lam: float
     psi: np.ndarray
     residual: float
-    iterations: int  # inner (correction-equation CG) iterations
-    matvecs: int  # operator applications, inner and outer
+    iterations: int  # LOBPCG steps
+    matvecs: int  # operator applications: one per step and one at the start
     min_psi: float
     normalization: float
 
@@ -138,80 +144,79 @@ class _ConformalOperator:
         return self.project(self._scale * flat)
 
 
-def _jd_refine(op: "_ConformalOperator", phi: np.ndarray, tol: float,
-               maxiter: int):
-    """Drive the eigen-residual down by correction equations.
+def _orthonormalize(v, av, basis, scratch) -> bool:
+    """Remove from v (and from av = A v alongside, if given) the components
+    along the orthonormal basis vectors and scale to |v| = 1, in place;
+    False when nothing of v is left.  The second pass restores the
+    orthogonality that one classical Gram-Schmidt pass loses to
+    cancellation."""
+    size = float(np.linalg.norm(v))
+    for _ in range(2):
+        for b, ab in basis:
+            c = float(np.vdot(b, v))
+            v -= np.multiply(c, b, out=scratch)
+            if av is not None:
+                av -= np.multiply(c, ab, out=scratch)
+    norm = float(np.linalg.norm(v))
+    if norm <= 1e-8 * size:
+        return False
+    v /= norm
+    if av is not None:
+        av /= norm
+    return True
 
-    Returns (residual, phi, lam, inner_iterations); stops on tolerance,
-    iteration budget or stagnation.
+
+def _lobpcg(op: "_ConformalOperator", phi: np.ndarray, tol: float, maxiter: int):
+    """Single-vector LOBPCG for the lowest eigenpair of op.apply_sym.
+
+    Each step is a Rayleigh-Ritz step on span{x, T r, p}: T the
+    preconditioner, r the residual, p the previous step's direction.  A
+    direction with nothing left after orthogonalization is dropped for that
+    step.  Returns (residual, phi, lam, steps) after the first step with
+    residual <= tol, or after maxiter steps; one matvec per step and one at
+    the start.
     """
-    phi = phi / np.linalg.norm(phi)
-    a_phi = op.apply_sym(phi)
-    lam = float(np.sum(phi * a_phi))
-    residual = float(np.linalg.norm(a_phi - lam * phi))
-    best = (residual, phi, lam)
-    total = 0
-    stale = 0
-    for _ in range(40):
-        if best[0] <= tol or total > maxiter:
-            break
-        current = phi
-
-        def proj(v):
-            return v - current * float(np.sum(current * v))
-
-        def corr_op(v, lam_=lam):
-            pv = proj(v)
-            return proj(op.apply_sym(pv) - lam_ * pv)
-
-        def corr_pre(v):
-            return proj(op.precondition(proj(v)))
-
-        r = a_phi - lam * phi
-        # inner relative tolerance 1e-4 gives one to two orders of residual
-        # reduction per outer step at moderate inner cost
-        z, its = _pcg(corr_op, corr_pre, -r, 1e-4, min(maxiter, 400))
-        total += its
-        phi = phi + proj(z)
-        phi = phi / np.linalg.norm(phi)
-        a_phi = op.apply_sym(phi)
-        lam = float(np.sum(phi * a_phi))
-        residual = float(np.linalg.norm(a_phi - lam * phi))
-        if residual < 0.9 * best[0]:
-            stale = 0
-        else:
-            stale += 1
-        if residual < best[0]:
-            best = (residual, phi, lam)
-        if stale >= 3:
-            break
-    residual, phi, lam = best
-    return residual, phi, lam, total
-
-
-def _pcg(apply_a, precond, b, tol, maxiter):
-    """Preconditioned CG for SPD apply_a; returns the solution and the
-    number of apply_a calls (at most maxiter)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    b_norm = float(np.linalg.norm(b))
-    its = 0
-    while its < maxiter:
-        ap = apply_a(p)
-        its += 1
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        if its == maxiter or float(np.linalg.norm(r)) <= tol * b_norm:
-            break
-        z = precond(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, its
+    x = phi / np.linalg.norm(phi)
+    ax = op.apply_sym(x)
+    lam = float(np.vdot(x, ax))
+    r = np.empty_like(x)
+    p = ap = None
+    steps = 0
+    while True:
+        np.subtract(ax, np.multiply(lam, x, out=r), out=r)
+        residual = float(np.linalg.norm(r))
+        if residual <= tol or steps == maxiter:
+            return residual, x, lam, steps
+        steps += 1
+        w = op.precondition(r)
+        # r is free from here on: it is the scratch of the orthogonalization
+        basis = [(x, ax)]
+        if p is not None and _orthonormalize(p, ap, basis, r):
+            basis.append((p, ap))
+        if _orthonormalize(w, None, basis, r):
+            basis.append((w, op.apply_sym(w)))
+        if len(basis) == 1:
+            p = None
+            continue
+        # V^T A V of the orthonormal basis V, from dot products
+        gram = np.array([[float(np.vdot(u, av)) for _, av in basis] for u, _ in basis])
+        c = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
+        # p <- c1 p + c2 w (c1 times the one direction kept, if one was
+        # dropped) and x <- c0 x + p, in the arrays of the basis
+        (p, ap), *rest = basis[1:]
+        p *= c[1]
+        ap *= c[1]
+        for w, aw in rest:
+            p += np.multiply(c[2], w, out=w)
+            ap += np.multiply(c[2], aw, out=aw)
+        x *= c[0]
+        x += p
+        ax *= c[0]
+        ax += ap
+        norm = float(np.linalg.norm(x))
+        x /= norm
+        ax /= norm
+        lam = float(np.vdot(x, ax))
 
 
 def conformal_eigenvalue(
@@ -245,16 +250,11 @@ def _ground_pair(metric, grid: Grid, tol: float, initial) -> ConformalEigenpair:
 
     phi = op.project(op.sqrt_w if initial is None else op.sqrt_w * initial)
 
-    # Correction-equation iteration (Jacobi-Davidson style): the projected
-    # operator at the Rayleigh shift stays definite and well conditioned on
-    # the orthogonal complement, so the inner solves are cheap even when
-    # nearly singular shifted systems would not be.  A solve that stalls
-    # above HARD_RESIDUAL raises.
-    residual, phi, lam, total_cg = _jd_refine(op, phi, tol, MAX_ITER)
+    # a solve that ends above HARD_RESIDUAL raises
+    residual, phi, lam, steps = _lobpcg(op, phi, tol, MAX_ITER)
     if residual > HARD_RESIDUAL:
         raise RuntimeError(
-            f"eigen-solver failed: residual {residual:.3e} after "
-            f"{total_cg} inner iterations")
+            f"eigen-solver failed: residual {residual:.3e} after {steps} iterations")
 
     psi = phi / op.sqrt_w
     mass = grid.integrate(psi * geo.sqrt_det)
@@ -265,7 +265,7 @@ def _ground_pair(metric, grid: Grid, tol: float, initial) -> ConformalEigenpair:
         lam=lam,
         psi=psi,
         residual=residual,
-        iterations=total_cg,
+        iterations=steps,
         matvecs=op.matvecs,
         min_psi=float(psi.min()),
         normalization=float(grid.integrate(psi * geo.sqrt_det)),
@@ -297,11 +297,11 @@ def _stencil_values(metric: FourierMetric, h: FourierSymTensor, grid: Grid,
                     steps) -> dict:
     values = {}
     # walk outward from t = 0; each solve starts from the Lagrange
-    # extrapolation of psi through the (up to) three nearest solved points
+    # extrapolation of psi through the (up to) five nearest solved points
     guesses = {}
     for t in sorted(steps, key=abs):
         gt = metric if t == 0.0 else metric + t * h
-        near = sorted(guesses, key=lambda u: abs(u - t))[:3]
+        near = sorted(guesses, key=lambda u: abs(u - t))[:5]
         start = sum(np.prod([(t - v) / (u - v) for v in near if v != u]) * guesses[u]
                     for u in near) if near else None
         pair = conformal_eigenvalue(gt, grid, tol=VARIATION_TOL, initial=start)

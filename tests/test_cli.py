@@ -215,7 +215,7 @@ def _crashing_runner(exc):
 
 
 def test_verify_check_that_raises_is_a_failed_record(tmp_path, monkeypatch, capsys):
-    error = RuntimeError("eigen-solver failed: residual 9.1e-08 after 4261 inner iterations")
+    error = RuntimeError("eigen-solver failed: residual 9.1e-08 after 10000 iterations")
     monkeypatch.setitem(suites.RUNNERS, "torus", _crashing_runner(error))
     out = tmp_path / "rep.json"
     assert main(["verify", "torus", "--out", str(out)]) == 1
