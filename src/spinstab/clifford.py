@@ -3,7 +3,13 @@
 Gamma matrices are built by the iterated Pauli tensor-product construction,
 scaled so that every generator is skew-adjoint and squares to -Id.  All
 entries are Gaussian integers times units, so the defining relations can be
-checked with exact equality in complex double precision.
+checked with exact equality in complex double precision; the chirality
+element is one ordered product of generators.
+
+Spinors, symmetric 2-tensors and twisted spinors (one spinor per coframe
+index) are plain arrays.  The embedding h -> sum_ij h_ij gamma_i sigma0 (x)
+e^j is one matrix product with the rows gamma_i sigma0, batched over the
+leading axes of h, so pointwise tensors and Fourier mode stacks share it.
 """
 
 from __future__ import annotations
@@ -71,11 +77,7 @@ def build_gamma_rep(n: int) -> GammaRep:
         hermitian.append(_kron_chain(pre + [PAULI_1] + post))
         hermitian.append(_kron_chain(pre + [PAULI_2] + post))
     if n % 2 == 1:
-        chir = _kron_chain([np.eye(2, dtype=complex)] * m)
-        for h in hermitian:
-            chir = chir @ h
-        chir = (-1j) ** m * chir
-        hermitian.append(chir)
+        hermitian.append(_chirality(hermitian))
     gamma = tuple(1j * h for h in hermitian)
     rep = GammaRep(n=n, spin_dim=2**m, gamma=gamma)
     if rep.relation_residual() != 0.0 or rep.skew_residual() != 0.0:
@@ -83,76 +85,52 @@ def build_gamma_rep(n: int) -> GammaRep:
     return rep
 
 
+def _chirality(factors) -> np.ndarray:
+    """(-i)^m times the ordered product of the 2m factors."""
+    out = np.eye(len(factors[0]), dtype=complex)
+    for f in factors:
+        out = out @ f
+    return (-1j) ** (len(factors) // 2) * out
+
+
 def chirality_operator(rep: GammaRep) -> np.ndarray:
     """Hermitian involution anticommuting with all generators (even n only)."""
     if rep.n % 2 != 0:
         raise ValueError("chirality element exists only in even dimensions")
-    m = rep.n // 2
-    out = np.eye(rep.spin_dim, dtype=complex)
-    for g in rep.gamma:
-        out = out @ (-1j * g)
-    return (-1j) ** m * out
+    return _chirality([-1j * g for g in rep.gamma])
 
 
-@dataclass(frozen=True, eq=False)
-class Spinor:
-    components: np.ndarray
-
-
-def unit_spinor(rep: GammaRep) -> Spinor:
-    """The first standard basis spinor."""
+def unit_spinor(rep: GammaRep) -> np.ndarray:
+    """The first standard basis spinor, a (spin_dim,) array."""
     v = np.zeros(rep.spin_dim, dtype=complex)
     v[0] = 1.0
-    return Spinor(v)
+    return v
 
 
-@dataclass(frozen=True, eq=False)
-class TwistedSpinor:
-    """Element of (spinors) tensor (coframe): one spinor per coframe index."""
-
-    components: np.ndarray  # shape (n, spin_dim)
-
-    def inner(self, other: "TwistedSpinor") -> float:
-        # Real (bundle-metric) part of the Hermitian pairing, summed over
-        # the coframe index.  The real part is what the tensor inner
-        # product <h, h~> equals; the imaginary part is frame noise that
-        # cancels only for h == h~.
-        return float(np.real(np.sum(self.components * other.components.conj())))
-
-
-@dataclass(frozen=True, eq=False)
-class SymTensor:
-    """Pointwise symmetric 2-tensor."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        a = self.components
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("symmetric tensor must be a square matrix")
-        if not np.allclose(a, a.T, atol=1e-13):
-            raise ValueError("tensor is not symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.components.shape[0]
-
-    def inner(self, other: "SymTensor") -> float:
-        return float(np.sum(self.components * other.components))
-
-
-def spinor_embed(h: SymTensor, rep: GammaRep, sigma0: Spinor | None = None) -> TwistedSpinor:
-    """Embed a symmetric 2-tensor as a twisted spinor.
-
-    Component j is sum_i h_ij gamma_i sigma0.  The embedding is an isometry
-    for the real spinor pairing and commutes with differentiation on flat
-    backgrounds.
-    """
-    if h.n != rep.n:
-        raise ValueError(f"tensor dimension {h.n} != representation dimension {rep.n}")
+def embedding_rows(rep: GammaRep, sigma0: np.ndarray | None = None) -> np.ndarray:
+    """The (n, spin_dim) rows gamma_i sigma0 (sigma0 the unit spinor by default)."""
     sig = unit_spinor(rep) if sigma0 is None else sigma0
-    gam_sig = np.stack([g @ sig.components for g in rep.gamma])  # (n, spin_dim)
-    return TwistedSpinor(h.components.T @ gam_sig)
+    return np.stack([g @ sig for g in rep.gamma])
+
+
+def spinor_embed(h: np.ndarray, rep: GammaRep, sigma0: np.ndarray | None = None) -> np.ndarray:
+    """Embed symmetric 2-tensors (..., n, n) as twisted spinors (..., n, spin_dim).
+
+    Component j is sum_i h_ij gamma_i sigma0: one spinor per coframe index.
+    The embedding is an isometry for twisted_inner and commutes with
+    differentiation on flat backgrounds.
+    """
+    if h.shape[-2:] != (rep.n, rep.n):
+        raise ValueError(f"tensor shape {h.shape} is not (..., {rep.n}, {rep.n})")
+    return np.swapaxes(h, -1, -2) @ embedding_rows(rep, sigma0)
+
+
+def twisted_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Real (bundle-metric) part of the Hermitian pairing of twisted spinors,
+    summed over the coframe index.  The real part is what the tensor inner
+    product <h, h~> equals; the imaginary part is frame noise that cancels
+    only for h == h~."""
+    return float(np.real(np.sum(a * b.conj())))
 
 
 def plane_rotation(n: int, a: int, b: int, theta: float) -> np.ndarray:
@@ -172,9 +150,9 @@ def spin_lift_plane(rep: GammaRep, a: int, b: int, theta: float) -> np.ndarray:
     return np.cos(theta / 2) * np.eye(rep.spin_dim) + np.sin(theta / 2) * r
 
 
-def rotate_twisted(psi: TwistedSpinor, q: np.ndarray, s: np.ndarray) -> TwistedSpinor:
+def rotate_twisted(psi: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Apply the (spin, coframe) action: component j -> sum_l Q_lj S psi_l."""
-    return TwistedSpinor(np.einsum("lj,ls->js", q, psi.components @ s.T))
+    return np.einsum("lj,ls->js", q, psi @ s.T)
 
 
 # ---------------------------------------------------------------------------

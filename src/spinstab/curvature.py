@@ -3,7 +3,9 @@
 Curvature samples compatible with a kernel spinor are generated in dimension
 4 from a traceless block on one chirality of 2-forms; that construction
 forces the first Bianchi identity and Ricci-flatness exactly (all entries
-are quarter-integers, so double precision arithmetic is exact).
+are quarter-integers, so double precision arithmetic is exact).  The
+self-dual 2-forms come from the Hodge star of ExteriorAlgebra(4), and the
+kernel spinor sigma0 is a plain (spin_dim,) array.
 
 A sample holds its spinor action as one (n, n, d, d) stack rho, built by a
 single einsum on first use; the kernel chirality, the compatibility residual
@@ -15,12 +17,12 @@ sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .clifford import (GammaRep, OrientationError, Spinor, SymTensor, build_gamma_rep,
-                       chirality_operator)
+from .clifford import GammaRep, OrientationError, build_gamma_rep, chirality_operator
+from .exterior import ExteriorAlgebra
 
 RICCI_FLAT_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -92,13 +94,12 @@ def validate_curvature(r: np.ndarray) -> AlgCurvature:
     return AlgCurvature(n=r.shape[0], tensor=r)
 
 
-def ring_action(r: AlgCurvature, h: SymTensor) -> SymTensor:
-    """Curvature acting on symmetric 2-tensors: out_ij = sum_kl R_ikjl h_kl."""
-    if h.n != r.n:
-        raise ValueError(f"dimension mismatch: curvature {r.n}, tensor {h.n}")
-    out = np.einsum("ikjl,kl->ij", r.tensor, h.components)
-    out = 0.5 * (out + out.T)  # symmetric up to rounding when pair symmetry holds
-    return SymTensor(out)
+def ring_action(r: AlgCurvature, h: np.ndarray) -> np.ndarray:
+    """Curvature acting on a symmetric (n, n) tensor: out_ij = sum_kl R_ikjl h_kl."""
+    if h.shape != (r.n, r.n):
+        raise ValueError(f"dimension mismatch: curvature {r.n}, tensor {h.shape}")
+    out = np.einsum("ikjl,kl->ij", r.tensor, h)
+    return 0.5 * (out + out.T)  # symmetric up to rounding when pair symmetry holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +112,7 @@ class SpinCompatibleCurvature:
 
     base: AlgCurvature
     rep: GammaRep
-    sigma0: Spinor
+    sigma0: np.ndarray
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -124,31 +125,22 @@ class SpinCompatibleCurvature:
 
     def compatibility_residual(self) -> float:
         """max over (k, l) of |rho_kl sigma0|."""
-        return float(np.linalg.norm(self.rho @ self.sigma0.components, axis=-1).max())
+        return float(np.linalg.norm(self.rho @ self.sigma0, axis=-1).max())
 
 
-_PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-_DUAL4 = {(0, 1): ((2, 3), 1.0), (0, 2): ((1, 3), -1.0), (0, 3): ((1, 2), 1.0),
-          (1, 2): ((0, 3), 1.0), (1, 3): ((0, 2), -1.0), (2, 3): ((0, 1), 1.0)}
-
-
+@cache
 def _selfdual_basis() -> np.ndarray:
     """Rows: self-dual 2-forms as antisymmetric 4x4 matrices, times 2.
 
     Row a is e_0 ^ e_(a+1) + (its Hodge dual), left unnormalized so entries
     stay integers; the 1/2 normalization is absorbed in the operator
-    assembly.
+    assembly.  Read-only, built once.
     """
-    basis = []
-    for a in range(3):
-        w = np.zeros((4, 4))
-        i, j = 0, a + 1
-        w[i, j], w[j, i] = 1.0, -1.0
-        (k, l), s = _DUAL4[(i, j)]
-        w[k, l] += s
-        w[l, k] -= s
-        basis.append(w)
-    return np.stack(basis)
+    ext = ExteriorAlgebra(4)
+    w = np.eye(ext.dim(2), dtype=np.int64)[:3]  # e_01, e_02, e_03: basis order is lexicographic
+    out = np.stack([ext.to_tensor(v, 2) for v in w + ext.star(w, 2)]).astype(float)
+    out.flags.writeable = False
+    return out
 
 
 def curvature_from_chirality_block(block: np.ndarray) -> AlgCurvature:
@@ -209,7 +201,7 @@ def spin_compatible_from_block(block: np.ndarray) -> SpinCompatibleCurvature:
     rep = build_gamma_rep(4)
     sigma = np.zeros(rep.spin_dim, dtype=complex)
     out = SpinCompatibleCurvature(base=curvature_from_chirality_block(block), rep=rep,
-                                  sigma0=Spinor(sigma))
+                                  sigma0=sigma)
     # the stack does not depend on sigma0, whose entry is set once the stack
     # shows which chirality it kills
     idx = _annihilated_chirality(out.rho, rep)
@@ -245,7 +237,7 @@ def bochner_curvature_identity(c: SpinCompatibleCurvature, hs: np.ndarray) -> di
     Ricci-flat.
     """
     gam = np.stack(c.rep.gamma)
-    s0 = c.sigma0.components
+    s0 = c.sigma0
     r = c.base.tensor
     # triple products gamma_k gamma_l gamma_i sigma0, exact: gamma is monomial
     trip = np.einsum("kab,lbc,icd,d->klia", gam, gam, gam, s0)

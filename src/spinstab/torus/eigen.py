@@ -10,7 +10,8 @@ below, r the residual, p the previous step's direction) by a Rayleigh-Ritz
 step.  The Rayleigh quotient only falls, so the iteration moves toward the
 lowest eigenvalue; an iteration whose shift follows the Rayleigh quotient
 (Jacobi-Davidson) can settle on an excited eigenpair instead.  A solve
-whose residual ends above HARD_RESIDUAL raises.  The first and
+whose residual ends above HARD_RESIDUAL raises; a solve stops early when its
+best residual has not halved in STALL_STEPS steps.  The first and
 second t-derivatives of the eigenvalue along metric lines g + t h are
 estimated from symmetric 5-point stencils with an empirically chosen step;
 each stencil solve starts from the Lagrange extrapolation of the (up to) five
@@ -68,6 +69,7 @@ from .operators import lichnerowicz_flat, tt_split
 EIG_TOL = 1e-9
 HARD_RESIDUAL = 1e-8
 MAX_ITER = 10_000
+STALL_STEPS = 100  # a solve whose best residual has not halved in this many steps stops
 VARIATION_TOL = 1e-8  # eigen-solver tolerance of the stencil solves
 
 
@@ -173,19 +175,24 @@ def _lobpcg(op: "_ConformalOperator", phi: np.ndarray, tol: float, maxiter: int)
     preconditioner, r the residual, p the previous step's direction.  A
     direction with nothing left after orthogonalization is dropped for that
     step.  Returns (residual, phi, lam, steps) after the first step with
-    residual <= tol, or after maxiter steps; one matvec per step and one at
-    the start.
+    residual <= tol, after maxiter steps, or after STALL_STEPS steps in which
+    the best residual since the first step has not halved; one matvec per
+    step and one at the start.
     """
     x = phi / np.linalg.norm(phi)
     ax = op.apply_sym(x)
     lam = float(np.vdot(x, ax))
     r = np.empty_like(x)
     p = ap = None
-    steps = 0
+    steps = marked = 0
+    mark = np.inf
     while True:
         np.subtract(ax, np.multiply(lam, x, out=r), out=r)
         residual = float(np.linalg.norm(r))
-        if residual <= tol or steps == maxiter:
+        # from the first step on: a cold start's first steps can raise the residual
+        if steps and residual <= 0.5 * mark:
+            mark, marked = residual, steps
+        if residual <= tol or steps == maxiter or steps - marked == STALL_STEPS:
             return residual, x, lam, steps
         steps += 1
         w = op.precondition(r)

@@ -386,11 +386,6 @@ class FourierScalarField(ModeField):
             if r > REALITY_TOL:
                 raise ValueError(f"reality violated by {r:.3e}")
 
-    @property
-    def cutoff(self) -> int:
-        """Largest |k|_inf among the stored modes (0 when there are none)."""
-        return int(np.abs(self.keys).max(initial=0))
-
     # -- constructors ------------------------------------------------------
     @classmethod
     def constant(cls, n: int, value: float):
@@ -405,10 +400,6 @@ class FourierScalarField(ModeField):
     def random_real(cls, n: int, cutoff: int, rng, scale: float = 1.0, count: int | None = None):
         """Random real field with O(scale) amplitudes at |k|_inf <= cutoff."""
         return cls._build(n, *_random_modes(n, cutoff, rng, scale, count))
-
-    def laplacian_flat(self) -> "FourierScalarField":
-        """Sum of unmixed second derivatives (negative-definite symbol)."""
-        return self._scaled(-(self.keys ** 2).sum(axis=1))
 
     # -- evaluation --------------------------------------------------------
     def sample(self, grid: Grid) -> np.ndarray:
@@ -477,10 +468,6 @@ class _ComponentField(ModeField):
         f = cls.from_stack(n, np.array(list(mats), dtype=np.int64).reshape(-1, n),
                            np.array(list(mats.values()), dtype=complex).reshape(-1, n, n))
         return f._store(f.keys, f.amps)  # a dict's keys are distinct but not sorted
-
-    def mode_matrices(self) -> dict:
-        """{k: complex symmetric (n, n) amplitude matrix}, in key order."""
-        return dict(self.modes)
 
     def component(self, i: int, j: int) -> FourierScalarField:
         return FourierScalarField._build_sorted(self.n, self.keys, self.amps[:, i, j])

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..clifford import GammaRep, unit_spinor
+from ..clifford import GammaRep, embedding_rows, spinor_embed
 from .fields import FourierSymTensor, ModeField
 
 
 def spinor_embed_field(h: FourierSymTensor, rep: GammaRep) -> ModeField:
     """Mode-wise tensor-to-twisted-spinor embedding h_ij -> h_ij (g_i s0) e^j
-    with the unit spinor s0."""
-    sig = unit_spinor(rep)
-    gam_sig = np.stack([g @ sig.components for g in rep.gamma])  # (n, spin_dim)
-    return ModeField._build_sorted(h.n, h.keys, np.swapaxes(h.amps, 1, 2) @ gam_sig)
+    with the unit spinor s0 (clifford.spinor_embed on the amplitude stack)."""
+    return ModeField._build_sorted(h.n, h.keys, spinor_embed(h.amps, rep))
 
 
 def dirac_symbol(gamma, k) -> np.ndarray:
@@ -117,8 +115,7 @@ def _dirac_rows(n: int, rep: GammaRep) -> np.ndarray:
     of _sym_basis(n), i sum_a k_a D_a at mode k: D_a[(j, b), s] =
     ((e_s^T G) gamma_a^T)[j, b], G the rows gamma_i sigma0."""
     basis = _sym_basis(n)  # (m, n, n)
-    gam_sig = np.stack([g @ unit_spinor(rep).components for g in rep.gamma])
-    emb = np.einsum("sij,ic->sjc", basis, gam_sig)
+    emb = np.einsum("sij,ic->sjc", basis, embedding_rows(rep))
     return np.einsum("sjc,abc->ajbs", emb, np.array(rep.gamma)).reshape(n, -1, len(basis))
 
 

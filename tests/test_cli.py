@@ -180,12 +180,12 @@ def test_verify_default_and_unit_counts_run(tmp_path, monkeypatch):
 
 
 def test_odd_sample_counts_draw_every_sample(monkeypatch):
-    # embedding_isometry makes one TwistedSpinor.inner per sample and
+    # embedding_isometry makes one twisted_inner per sample and
     # rayleigh_floor one tt_project; the odd sample goes to the first dimension
     dims = []
-    inner, tt_project = cliff.TwistedSpinor.inner, ops.tt_project
-    monkeypatch.setattr(cliff.TwistedSpinor, "inner",
-                        lambda a, b: dims.append(len(a.components)) or inner(a, b))
+    inner, tt_project = cliff.twisted_inner, ops.tt_project
+    monkeypatch.setattr(cliff, "twisted_inner",
+                        lambda a, b: dims.append(len(a)) or inner(a, b))
     monkeypatch.setattr(ops, "tt_project", lambda h: dims.append(h.n) or tt_project(h))
     least = {"first_variation_samples": 1, "second_variation_modes": 2,
              "sign_invariance_pairs": 1}

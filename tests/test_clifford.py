@@ -3,18 +3,20 @@ import pytest
 
 from spinstab.clifford import (
     CYCliffordModel,
-    Spinor,
-    SymTensor,
-    TwistedSpinor,
     build_gamma_rep,
     chirality_operator,
     cy_clifford_model,
+    embedding_rows,
     plane_rotation,
     rotate_twisted,
     spin_lift_plane,
     spinor_embed,
+    twisted_inner,
     unit_spinor,
 )
+from spinstab.curvature import _selfdual_basis
+from spinstab.torus.fields import FourierSymTensor
+from spinstab.torus.operators import spinor_embed_field
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 12])
@@ -67,10 +69,10 @@ def test_chirality_squares_to_identity():
 
 def test_embed_zero_and_identity():
     rep = build_gamma_rep(4)
-    zero = spinor_embed(SymTensor(np.zeros((4, 4))), rep)
-    assert zero.inner(zero) == 0.0
-    ident = spinor_embed(SymTensor(np.eye(4)), rep)
-    assert abs(ident.inner(ident) - 4.0) < 1e-14  # <h, h> = tr(Id^2) = 4
+    zero = spinor_embed(np.zeros((4, 4)), rep)
+    assert twisted_inner(zero, zero) == 0.0
+    ident = spinor_embed(np.eye(4), rep)
+    assert abs(twisted_inner(ident, ident) - 4.0) < 1e-14  # <h, h> = tr(Id^2) = 4
 
 
 def test_embed_isometry_seeded():
@@ -81,16 +83,55 @@ def test_embed_isometry_seeded():
     for _ in range(25):
         a = rng.standard_normal((7, 7))
         b = rng.standard_normal((7, 7))
-        h, t = SymTensor(0.5 * (a + a.T)), SymTensor(0.5 * (b + b.T))
-        direct = float(np.sum(h.components * t.components))
-        worst = max(worst, abs(spinor_embed(h, rep).inner(spinor_embed(t, rep)) - direct))
+        h, t = 0.5 * (a + a.T), 0.5 * (b + b.T)
+        direct = float(np.sum(h * t))
+        worst = max(worst, abs(twisted_inner(spinor_embed(h, rep), spinor_embed(t, rep))
+                               - direct))
     assert worst <= 1e-13
 
 
 def test_embed_dimension_mismatch():
     rep = build_gamma_rep(4)
     with pytest.raises(ValueError):
-        spinor_embed(SymTensor(np.zeros((3, 3))), rep)
+        spinor_embed(np.zeros((3, 3)), rep)
+    with pytest.raises(ValueError):
+        spinor_embed(np.zeros((2, 4, 3)), rep)
+
+
+def test_odd_generator_is_the_chirality_of_the_even_ones():
+    for m in range(1, 6):
+        top = build_gamma_rep(2 * m + 1).gamma[-1]
+        assert np.array_equal(top, 1j * chirality_operator(build_gamma_rep(2 * m)))
+
+
+def test_batched_embedding_matches_single_calls_and_mode_stacks():
+    # one embedding for pointwise tensors, tensor stacks and Fourier mode
+    # stacks, bit for bit
+    rng = np.random.default_rng(11)
+    for n in (4, 7):
+        rep = build_gamma_rep(n)
+        rows = embedding_rows(rep)
+        assert np.array_equal(rows, np.stack([g[:, 0] for g in rep.gamma]))
+        a = rng.standard_normal((5, n, n))
+        hs = 0.5 * (a + np.swapaxes(a, 1, 2))
+        field = FourierSymTensor.random_real(n, 1, rng, count=3)
+        for stack in (hs, field.amps):
+            out = spinor_embed(stack, rep)
+            assert out.shape == (len(stack), n, rep.spin_dim)
+            singles = np.stack([spinor_embed(h, rep) for h in stack])
+            assert out.tobytes() == singles.tobytes()
+        emb = spinor_embed_field(field, rep)
+        assert emb.keys.tobytes() == field.keys.tobytes()
+        assert emb.amps.tobytes() == spinor_embed(field.amps, rep).tobytes()
+    # the self-dual 2-forms e_0 ^ e_a + *(e_0 ^ e_a), times 2, from the
+    # Hodge star of ExteriorAlgebra(4)
+    table = np.array([[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+                      [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],
+                      [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]])
+    basis = _selfdual_basis()
+    assert basis.dtype == float and not basis.flags.writeable
+    assert np.array_equal(basis, table)
+    assert _selfdual_basis() is basis
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -103,11 +144,10 @@ def test_spin_equivariance(n):
         q = plane_rotation(n, a, b, theta)
         s_inv = spin_lift_plane(rep, a, b, -theta)
         m = rng.standard_normal((n, n))
-        h = SymTensor(0.5 * (m + m.T))
-        hq = SymTensor(q.T @ h.components @ q)
-        lhs = spinor_embed(hq, rep, Spinor(s_inv @ unit_spinor(rep).components))
+        h = 0.5 * (m + m.T)
+        lhs = spinor_embed(q.T @ h @ q, rep, s_inv @ unit_spinor(rep))
         rhs = rotate_twisted(spinor_embed(h, rep), q, s_inv)
-        assert np.abs(lhs.components - rhs.components).max() < 1e-13
+        assert np.abs(lhs - rhs).max() < 1e-13
 
 
 def test_spin_lift_conjugates_generators():
@@ -188,19 +228,8 @@ def test_cy_intertwiner(m):
     assert np.abs(u @ u.conj().T - np.eye(model.dim)).max() < 1e-12
 
 
-def _array_holders():
-    rep = build_gamma_rep(4)
-    return [
-        (rep, lambda: build_gamma_rep(4)),
-        (unit_spinor(rep), lambda: unit_spinor(rep)),
-        (TwistedSpinor(np.ones((4, 4))), lambda: TwistedSpinor(np.ones((4, 4)))),
-        (SymTensor(np.eye(3)), lambda: SymTensor(np.eye(3))),
-    ]
-
-
 def test_array_holding_values_compare_by_identity():
-    for value, rebuild in _array_holders():
-        twin = rebuild()
-        assert value == value and value != twin
-        assert hash(value) == hash(value)
-        assert len({value, twin}) == 2
+    value, twin = build_gamma_rep(4), build_gamma_rep(4)
+    assert value == value and value != twin
+    assert hash(value) == hash(value)
+    assert len({value, twin}) == 2

@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 
 import jd_reference
 import numpy as np
@@ -468,6 +469,23 @@ def test_solve_that_runs_out_of_iterations_raises(monkeypatch):
         assert found is not None
         assert float(found[1]) > eig.HARD_RESIDUAL
         assert int(found[2]) == 1
+
+
+def test_solve_that_stalls_stops_after_the_stall_window():
+    # under-resolved draw (dense lambda_1 = -1.56e7): the rounding floor of
+    # the operator lies above EIG_TOL, so the residual stops halving; the
+    # whole 10000-step budget took about 2 s
+    grid = Grid(3, 8)
+    values = _suite_metrics(grid, [3, 8], 0.15)[1]
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError) as info:
+        conformal_eigenvalue(values, grid)
+    assert time.perf_counter() - start < 0.25
+    found = re.fullmatch(r"eigen-solver failed: residual (\S+) after (\d+) "
+                         r"iterations", str(info.value))
+    assert found is not None
+    assert float(found[1]) > eig.HARD_RESIDUAL
+    assert eig.STALL_STEPS < int(found[2]) < 2 * eig.STALL_STEPS
 
 
 def _jd_reference_pair(monkeypatch, metric, grid):

@@ -56,7 +56,7 @@ def test_grid_deriv_is_exact_for_band_limited():
 
 def test_deriv_and_laplacian_symbols():
     f = FourierScalarField.cosine(3, (1, 2, 2), 1.0)
-    lap = f.laplacian_flat()
+    lap = f.deriv(0).deriv(0) + f.deriv(1).deriv(1) + f.deriv(2).deriv(2)
     for k, a in lap.modes.items():
         assert abs(a + 9.0 * f.modes[k]) == 0.0
     d0 = f.deriv(0)
@@ -102,7 +102,7 @@ def test_metric_positivity_guard():
 def test_metric_mode_matrix_symmetry():
     rng = np.random.default_rng(3)
     h = FourierSymTensor.random_real(3, 1, rng, count=2)
-    for m in h.mode_matrices().values():
+    for m in h.modes.values():
         assert np.abs(m - m.T).max() == 0.0
 
 
@@ -191,7 +191,7 @@ def test_mode_matrices_roundtrip():
     rng = np.random.default_rng(6)
     h = FourierSymTensor.random_real(3, 2, rng, count=3)
     h = h + FourierSymTensor.from_constant(np.diag([1.0, 0.0, -2.0]))
-    back = FourierSymTensor.from_mode_matrices(3, h.mode_matrices())
+    back = FourierSymTensor.from_mode_matrices(3, h.modes)
     assert set(back.components) == set(h.components)
     for key, f in h.components.items():
         assert back.components[key].modes == f.modes
@@ -255,7 +255,6 @@ def test_keys_are_sorted_and_modes_follow_key_order():
     assert h.keys.dtype == np.int64 and h.keys.shape == (len(h.amps), 2)
     assert [tuple(k) for k in h.keys.tolist()] == sorted(set(map(tuple, h.keys.tolist())))
     assert list(h.modes) == [tuple(k) for k in h.keys.tolist()]
-    assert list(h.mode_matrices()) == list(h.modes)
     for key, f in h.components.items():
         assert list(f.modes) == [k for k, a in h.modes.items() if a[key] != 0]
     # a positive dilation keeps the key order, so the cover and the base
@@ -263,16 +262,6 @@ def test_keys_are_sorted_and_modes_follow_key_order():
     ph = cover_pullback(h, (3, 2))
     assert ph.keys.tolist() == (h.keys * [3, 2]).tolist()
     assert ph.amps.tobytes() == h.amps.tobytes()
-
-
-def test_cutoff_is_derived_from_modes():
-    rng = np.random.default_rng(8)
-    f = FourierScalarField.random_real(3, 2, rng, count=1)
-    assert (f - f).cutoff == 0
-    assert f.cutoff == max(max(abs(v) for v in k) for k in f.modes)
-    g = FourierScalarField.cosine(2, (2, 1), 1.0)
-    assert g.cutoff == 2
-    assert (g - g + FourierScalarField.cosine(2, (1, 0), 1.0)).cutoff == 1
 
 
 def test_max_amp_is_python_abs():
@@ -314,7 +303,7 @@ def _derived_fields(n, seed):
            FourierSymTensor.from_mode(n, (1,) + (0,) * (n - 1), np.eye(n), phase=0.5),
            FourierMetric.from_perturbation(h, 0.5) + g]
     out += [f for t in list(out) for f in t.components.values()]
-    return out + [u.laplacian_flat(), u.deriv(0), u + 2.0 * u, u - u, h.trace_flat(),
+    return out + [u._scaled(-(u.keys ** 2).sum(axis=1)), u.deriv(0), u + 2.0 * u, u - u, h.trace_flat(),
                   *h.divergence_flat()]
 
 
@@ -356,7 +345,8 @@ def test_rough_laplacian_matches_negated_laplacian_bit_for_bit(n):
         if i % 3 < 2:
             (a.real, a.imag)[i % 3][...] = -0.0
     h.amps[np.flatnonzero((h.keys == 0).all(axis=1))] = complex(-0.0, 0.5)
-    ref = {key: -1.0 * f.laplacian_flat() for key, f in h.components.items()}
+    ref = {key: -1.0 * f._scaled(-(f.keys ** 2).sum(axis=1))
+           for key, f in h.components.items()}
     out = h.rough_laplacian_flat()
     assert type(out) is FourierSymTensor and list(out.components) == list(ref)
     for key, f in out.components.items():

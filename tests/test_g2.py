@@ -442,7 +442,7 @@ def _loop_d(form, table, p, sign):
 
 def _loop_codifferential_expansion(g2, h):
     out = {}
-    for k, hk in h.mode_matrices().items():
+    for k, hk in h.modes.items():
         dh = np.stack([1j * kv * hk for kv in k])
         divh = -np.einsum("iij->j", dh)
         acc = np.zeros(EXT7.dim(2), dtype=complex)
@@ -459,7 +459,7 @@ def _loop_codifferential_expansion(g2, h):
 def _loop_star_d_expansion(g2, h):
     star4 = g2.star_phi4
     out = {}
-    for k, hk in h.mode_matrices().items():
+    for k, hk in h.modes.items():
         dh = np.stack([1j * kv * hk for kv in k])
         acc = np.zeros(EXT7.dim(3), dtype=complex)
         tr_d = np.einsum("kii->k", dh)
@@ -485,13 +485,13 @@ def test_g2_field_operators_match_per_mode_loops():
         + FourierSymTensor.from_constant(np.diag(np.arange(1.0, 8.0)))
     psi = sym_field_to_three_form(G2, h)
     assert_matches_loop(psi, {k: G2.embedding_matrix @ m.reshape(-1)
-                              for k, m in h.mode_matrices().items()})
+                              for k, m in h.modes.items()})
     assert_matches_loop(psi.exterior_d(), _loop_d(psi, _ref_wedge1, 4, 1.0))
     assert_matches_loop(psi.codifferential(), _loop_d(psi, _ref_hook1, 2, -1.0))
     assert_matches_loop(psi.star(), {k: _loop_star(a, 3) for k, a in psi.modes.items()})
     assert psi.exterior_d().p == 4 and psi.codifferential().p == 2 and psi.star().p == 4
     closed = {}
-    for k, hk in h.mode_matrices().items():
+    for k, hk in h.modes.items():
         dh = np.stack([1j * kv * hk for kv in k])
         closed[k] = np.vstack([-np.einsum("iij->j", dh),
                                -np.einsum("kij,ikm->mj", dh, G2.phi_tensor)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinstab.cli import main
-from spinstab.clifford import build_gamma_rep, unit_spinor
+from spinstab.clifford import build_gamma_rep
 from spinstab.torus import operators as ops
 from spinstab.torus.fields import FourierScalarField, FourierSymTensor, _freq_box
 from spinstab.torus.operators import (
@@ -170,12 +170,12 @@ def _split_inputs(n, rng):
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_tt_split_matches_closed_form(n):
     h, h_tt = _split_inputs(n, np.random.default_rng(40 + n))
-    assert (0,) * n in h.mode_matrices()
+    assert (0,) * n in h.modes
     for field in (h, h_tt):
         parts = tt_split(field)
         assert max_amp((parts[0] + parts[1] + parts[2]) - field) <= 1e-13
-        part_mats = [part.mode_matrices() for part in parts]
-        for k, hk in field.mode_matrices().items():
+        part_mats = [part.modes for part in parts]
+        for k, hk in field.modes.items():
             ref = _closed_form_split_mode(hk, k)
             for mats, expect in zip(part_mats, ref):
                 got = mats.get(k, np.zeros_like(hk))
@@ -213,7 +213,7 @@ def test_kernel_dimension_t7():
 def _per_mode_real_system(n, rep, k):
     """The scan's real system at one mode, built row by row as the
     per-mode loop did before the scan was batched."""
-    gam_sig = np.stack([g @ unit_spinor(rep).components for g in rep.gamma])
+    gam_sig = np.stack([g[:, 0] for g in rep.gamma])  # gamma_i e_0
 
     def complex_matrix(k):
         kv = np.array(k, dtype=float)
@@ -395,7 +395,7 @@ def _loop_dirac_symbol(gamma, k):
 def _loop_tt_split(h):
     n, eye = h.n, np.eye(h.n)
     parts = ({}, {}, {})
-    for k, hk in h.mode_matrices().items():
+    for k, hk in h.modes.items():
         kv = np.array(k, dtype=float)
         k2 = float(kv @ kv)
         p = np.eye(n) - np.outer(kv, kv) / max(k2, 1.0)
@@ -432,9 +432,9 @@ def test_flat_operators_match_per_mode_loops(n):
     for part, ref in zip(tt_split(h), _loop_tt_split(h)):
         assert_matches_loop(part, ref)
     assert_matches_loop(tt_project(h), _loop_tt_split(h)[0])
-    gam_sig = np.stack([g @ unit_spinor(rep).components for g in rep.gamma])
+    gam_sig = np.stack([g[:, 0] for g in rep.gamma])  # gamma_i e_0
     phi = spinor_embed_field(h, rep)
-    assert_matches_loop(phi, {k: m.T @ gam_sig for k, m in h.mode_matrices().items()})
+    assert_matches_loop(phi, {k: m.T @ gam_sig for k, m in h.modes.items()})
     assert_matches_loop(twisted_dirac(phi, rep),
                         {k: a @ _loop_dirac_symbol(rep.gamma, k).T for k, a in phi.modes.items()})
     for k in h.modes:

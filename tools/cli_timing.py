@@ -6,9 +6,10 @@ BEFORE_DIR and AFTER_DIR are checkouts of the repository; each command runs
 in a new interpreter with PYTHONPATH set to that checkout's `src/`.  The
 commands are `import spinstab.cli`, `warped build` of the docs/formats.md
 family (written to a temporary directory), `spectrum` (flat T^4, 5 rows),
-`spectrum` on a perturbed T^3 (the PERTURBED descriptor, 5 rows) and
-`verify clifford`.  Each repeat runs every command once per checkout,
-alternating which checkout goes first, and times the whole process.
+`spectrum` on a perturbed T^3 (the PERTURBED descriptor, 5 rows),
+`verify clifford` and `verify curvalg`.  Each repeat runs every command
+once per checkout, alternating which checkout goes first, and times the
+whole process.
 
 Prints, per command, the median and quartiles of each side in seconds, the
 ratio of the medians (after / before), the pairs in which after was faster,
@@ -46,6 +47,7 @@ COMMANDS = {
     "spectrum": ["spectrum"],
     "spectrum T^3 g+h": ["spectrum", "--descriptor", "perturbed.json"],
     "verify clifford": ["verify", "clifford"],
+    "verify curvalg": ["verify", "curvalg"],
 }
 
 # runs the command line (or only imports it, with no arguments), then
